@@ -1,18 +1,18 @@
 """Asymptotic sets of Lindblad dynamics and the six-class classification.
 
-An asymptotic set is represented in one of three computable forms:
+Every asymptotic set is held as the image A = P∞(D) of the state set D
+under one linear map P∞ on vectorized operators:
 
-  * ``unique``        -- a single stationary state,
-  * ``affine_family`` -- reference state plus traceless Hermitian kernel
-                         directions (autonomous, degenerate kernel),
-  * ``image_of_d``    -- the image of the state set under a converged
-                         total propagator (non-autonomous).
+  * autonomous dynamics   -- the spectral projector onto the Liouvillian
+                             kernel, which fixes every stationary state,
+  * non-autonomous dynamics -- the converged total propagator.
 
-Classification into the six classes is driven by the PT margin evaluated
-over probe states of the set: a singleton is placed by the trichotomy
-directly; a larger set is certified by deterministic extreme-point probes
-(the margin is concave along mixtures, so extreme points attain the
-minimum) plus random members.
+A singleton set also carries its state P∞(I/d).  Classification into the
+six classes is driven by the PT margin over probe states: a singleton is
+placed by the trichotomy directly; a larger set is probed by images of
+deterministic product and Bell states (the margin is concave along
+mixtures, so extreme points attain the minimum) plus images of random
+states.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .dynamics import (
     DEFAULT_OPTS,
@@ -53,7 +52,7 @@ from .operators import (
     single_qubit_probe_vectors,
     two_qubit_paulis,
 )
-from .states import QState, new_state
+from .states import QState, new_state, trace_distance
 
 DEFAULT_CLASS_TOL = 1e-7
 DEFAULT_KERNEL_TOL = 1e-9
@@ -66,13 +65,10 @@ CLASS6_MIN_C = 5.0
 
 @dataclass(frozen=True)
 class AsymptoticSet:
-    kind: str  # unique | affine_family | image_of_d
     cardinality: str  # one | many
     dims: tuple[int, int]
-    state: QState | None = None
-    reference: QState | None = None
-    basis: tuple[np.ndarray, ...] = ()
-    map_matrix: np.ndarray | None = field(default=None, repr=False)
+    map_matrix: np.ndarray = field(repr=False)  # P∞; the set is P∞(D)
+    state: QState | None = None  # P∞(I/d), singletons only
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -86,23 +82,6 @@ class TheoremClass:
     max_probe: str
     tol: float
     probes: tuple[tuple[str, float], ...]
-
-
-def _hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.trace(a.conj().T @ b)))
-
-
-def _gram_schmidt_hermitian(candidates, max_count, drop_tol=1e-8):
-    basis: list[np.ndarray] = []
-    for c in candidates:
-        for b in basis:
-            c = c - _hs_inner(b, c) * b
-        nrm = np.sqrt(_hs_inner(c, c))
-        if nrm > drop_tol:
-            basis.append(c / nrm)
-        if len(basis) == max_count:
-            break
-    return basis
 
 
 def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> AsymptoticSet:
@@ -125,6 +104,13 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     wk = vl[:, kernel]
     # spectral projector onto the kernel (biorthogonalized)
     proj = vk @ np.linalg.inv(wk.conj().T @ vk) @ wk.conj().T
+    # P∞(X†) = P∞(X)†, i.e. conj(P∞) = T P∞ T for the transpose permutation T
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    conj_residual = float(np.max(np.abs(proj[np.ix_(perm, perm)] - proj.conj())))
+    if conj_residual > 1e-8:
+        raise NoTraceOneElement(
+            f"kernel is not closed under conjugation: residual {conj_residual:.3e}"
+        )
     ref = unvec(proj @ vec(np.eye(d) / d), d)
     ref = 0.5 * (ref + ref.conj().T)
     tr = np.trace(ref).real
@@ -133,44 +119,24 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     eigs = np.linalg.eigvalsh(ref)
     if eigs[0] < -1e-8:
         raise NoTraceOneElement(f"projected reference min eigenvalue {eigs[0]:.3e}")
-    if eigs[0] < 0.0:
-        ww, vv = np.linalg.eigh(ref)
-        ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
-        ref /= np.trace(ref).real
-    ref_state = new_state(ref, g.dims[0], g.dims[1])
     diagnostics = {
         "kernel_dim": k,
         "spectral_gap": float(min(-w.real[~kernel])) if k < w.size else 0.0,
         "peripheral_eigenvalues": [],
     }
-    if k == 1:
+    if k > 1:
         return AsymptoticSet(
-            kind="unique",
-            cardinality="one",
-            dims=g.dims,
-            state=ref_state,
-            diagnostics=diagnostics,
+            cardinality="many", dims=g.dims, map_matrix=proj, diagnostics=diagnostics
         )
-    herm_candidates = []
-    for i in range(k):
-        m = unvec(vk[:, i], d)
-        herm_candidates.append(0.5 * (m + m.conj().T))
-        herm_candidates.append((m - m.conj().T) / 2j)
-    herm_basis = _gram_schmidt_hermitian(herm_candidates, k)
-    if len(herm_basis) != k:
-        raise NoTraceOneElement(
-            f"kernel is not closed under conjugation: found {len(herm_basis)} "
-            f"Hermitian directions for kernel dimension {k}"
-        )
-    traceless = _gram_schmidt_hermitian(
-        [b - np.trace(b).real * ref_state.matrix for b in herm_basis], k - 1
-    )
+    if eigs[0] < 0.0:
+        ww, vv = np.linalg.eigh(ref)
+        ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
+        ref /= np.trace(ref).real
     return AsymptoticSet(
-        kind="affine_family",
-        cardinality="one" if not traceless else "many",
+        cardinality="one",
         dims=g.dims,
-        reference=ref_state,
-        basis=tuple(traceless),
+        map_matrix=proj,
+        state=new_state(ref, g.dims[0], g.dims[1]),
         diagnostics=diagnostics,
     )
 
@@ -193,20 +159,24 @@ def asymptotic_set_nonautonomous(
         )
     rng = np.random.default_rng(seed)
     images = [apply_map(phi, _random_hs_state(rng, g.dims), opts) for _ in range(20)]
-    from .states import trace_distance
-
     spread = max(
         trace_distance(images[i], images[j])
         for i in range(len(images))
         for j in range(i + 1, len(images))
     )
+    one = spread <= 1e-8
     return AsymptoticSet(
-        kind="image_of_d",
-        cardinality="one" if spread <= 1e-8 else "many",
+        cardinality="one" if one else "many",
         dims=g.dims,
         map_matrix=phi,
+        state=apply_map(phi, _maximally_mixed(g.dims), opts) if one else None,
         diagnostics={"convergence_residual": residual, "image_spread": spread},
     )
+
+
+def _maximally_mixed(dims) -> QState:
+    d = dims[0] * dims[1]
+    return new_state(np.eye(d) / d, dims[0], dims[1])
 
 
 def _random_hs_state(rng: np.random.Generator, dims) -> QState:
@@ -216,100 +186,26 @@ def _random_hs_state(rng: np.random.Generator, dims) -> QState:
     return new_state(m / np.trace(m).real, dims[0], dims[1])
 
 
-def _random_pure_state(rng: np.random.Generator, dims) -> QState:
-    d = dims[0] * dims[1]
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return new_state(np.outer(v, v.conj()), dims[0], dims[1])
-
-
 def representative(a: AsymptoticSet, opts: SolverOptions = DEFAULT_OPTS) -> QState:
     """Any member of the set (the canonical one for singletons)."""
-    if a.kind == "unique":
+    if a.state is not None:
         return a.state
-    if a.kind == "affine_family":
-        return a.reference
-    d = a.dims[0] * a.dims[1]
-    return apply_map(a.map_matrix, new_state(np.eye(d) / d, *a.dims), opts)
-
-
-def _affine_member(a: AsymptoticSet, coeffs: np.ndarray) -> np.ndarray:
-    m = a.reference.matrix.copy()
-    for x, b in zip(coeffs, a.basis):
-        m = m + x * b
-    return m
-
-
-def _boundary_scale(a: AsymptoticSet, direction: np.ndarray) -> float:
-    """Largest t with reference + t*direction-combination still PSD."""
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        return 0.0
-    u = direction / nrm
-    lo, hi = 0.0, 1.0
-    while np.linalg.eigvalsh(_affine_member(a, hi * u))[0] >= 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            break
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if np.linalg.eigvalsh(_affine_member(a, mid * u))[0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _affine_member_clamped(a: AsymptoticSet, coeffs: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(coeffs)
-    if r == 0.0:
-        return a.reference.matrix
-    tmax = _boundary_scale(a, coeffs)
-    if r > tmax:
-        coeffs = coeffs * (tmax / r)
-    return _affine_member(a, coeffs)
-
-
-def _margin_of_matrix(m: np.ndarray, dims) -> float:
-    m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
-    if w[0] < 0.0:  # clamp tiny excursions from the bisection
-        m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        m /= np.trace(m).real
-    return min_pt_eigenvalue(new_state(m, dims[0], dims[1]))
+    return apply_map(a.map_matrix, _maximally_mixed(a.dims), opts)
 
 
 def sample_member(a: AsymptoticSet, rng: np.random.Generator,
                   opts: SolverOptions = DEFAULT_OPTS) -> QState:
     """Draw a random member of the asymptotic set."""
-    if a.kind == "unique":
+    if a.state is not None:
         return a.state
-    if a.kind == "affine_family":
-        if not a.basis:
-            return a.reference
-        u = rng.normal(size=len(a.basis))
-        u /= np.linalg.norm(u)
-        r = rng.uniform(0.0, _boundary_scale(a, u))
-        m = _affine_member(a, r * u)
-        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-        m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        return new_state(m / np.trace(m).real, *a.dims)
     return apply_map(a.map_matrix, _random_hs_state(rng, a.dims), opts)
 
 
 def membership_residual(a: AsymptoticSet, s: QState) -> float:
     """How far a state is from being a member of the set."""
-    from .states import trace_distance
-
-    if a.kind == "unique":
+    if a.state is not None:
         return trace_distance(a.state, s)
-    if a.kind == "affine_family":
-        delta = s.matrix - a.reference.matrix
-        proj = np.zeros_like(delta)
-        for b in a.basis:
-            proj = proj + _hs_inner(b, delta) * b
-        return float(np.linalg.norm(delta - proj))
-    # image_of_d: least-squares preimage, projected back into D
+    # least-squares preimage, projected back into D
     phi = a.map_matrix
     x, *_ = np.linalg.lstsq(phi, vec(s.matrix), rcond=None)
     d = s.dim
@@ -342,43 +238,6 @@ def _image_probes(a: AsymptoticSet, n_probes: int, seed: int,
     return [(label, apply_map(a.map_matrix, st, opts)) for label, st in probes]
 
 
-def _affine_probes(a: AsymptoticSet, n_probes: int, seed: int) -> list[tuple[str, float]]:
-    """(label, margin) pairs over the affine family, including extremal
-    local searches with coefficients clamped to stay inside D."""
-    out: list[tuple[str, float]] = [
-        ("reference", _margin_of_matrix(a.reference.matrix, a.dims))
-    ]
-    k = len(a.basis)
-    starts = [np.zeros(k)]
-    for j in range(k):
-        for sign in (+1.0, -1.0):
-            e = np.zeros(k)
-            e[j] = sign
-            t = _boundary_scale(a, e)
-            out.append((f"boundary({sign:+g}e{j})", _margin_of_matrix(_affine_member(a, t * e), a.dims)))
-            starts.append(t * e)
-    rng = np.random.default_rng(seed)
-    for i in range(n_probes):
-        u = rng.normal(size=k)
-        u /= np.linalg.norm(u)
-        r = rng.uniform(0.0, _boundary_scale(a, u))
-        out.append((f"random #{i}", _margin_of_matrix(_affine_member(a, r * u), a.dims)))
-    for goal, sign in (("min", +1.0), ("max", -1.0)):
-        def objective(x):
-            return sign * _margin_of_matrix(_affine_member_clamped(a, x), a.dims)
-
-        best = None
-        for x0 in starts:
-            res = scipy.optimize.minimize(
-                objective, x0, method="Nelder-Mead",
-                options={"maxiter": 200, "xatol": 1e-9, "fatol": 1e-12},
-            )
-            if best is None or res.fun < best:
-                best = res.fun
-        out.append((f"local_search_{goal}", sign * best))
-    return out
-
-
 def classify_theorem_class(
     a: AsymptoticSet,
     tol: float = DEFAULT_CLASS_TOL,
@@ -390,8 +249,7 @@ def classify_theorem_class(
     if a.dims != (2, 2):
         raise UnsupportedDimension(f"classification needs 2x2 dims, got {a.dims}")
     if a.cardinality == "one":
-        rep = representative(a, opts)
-        region = classify_region(rep, tol)
+        region = classify_region(representative(a, opts), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
         return TheoremClass(
             class_id=class_id,
@@ -403,15 +261,10 @@ def classify_theorem_class(
             tol=tol,
             probes=(("representative", region.margin),),
         )
-    if a.kind == "affine_family":
-        margins = _affine_probes(a, n_probes, seed)
-    elif a.kind == "image_of_d":
-        margins = [
-            (label, min_pt_eigenvalue(st))
-            for label, st in _image_probes(a, n_probes, seed, opts)
-        ]
-    else:
-        raise Inconclusive(f"cardinality 'many' with representation {a.kind!r}")
+    margins = [
+        (label, min_pt_eigenvalue(st))
+        for label, st in _image_probes(a, n_probes, seed, opts)
+    ]
     values = np.array([m for _, m in margins])
     i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
     mn, mx = float(values[i_min]), float(values[i_max])

@@ -19,14 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    asymptotic_set_nonautonomous,
-    catalog_generator,
-    classify_theorem_class,
-    membership_residual,
-    representative,
-    stationary_set_autonomous,
-)
+from .asymptotics import catalog_generator, classify_generator, membership_residual
 from .dynamics import ConstantRate, ExponentialRate, SolverOptions, make_generator, propagate
 from .errors import (
     BadParams,
@@ -39,7 +32,7 @@ from .errors import (
     StepFailure,
 )
 from .fate import FateRecord, detect_fate, fate_statistics, margin_curve
-from .states import EnsembleSpec, new_state, sample, trace_distance
+from .states import EnsembleSpec, new_state, sample
 
 SCHEMA_VERSION = 1
 
@@ -204,25 +197,17 @@ def _write_resolved(outdir: Path, resolved: dict) -> None:
     )
 
 
-def _classify_from_config(g, run, seed):
-    if g.autonomous:
-        aset = stationary_set_autonomous(g, tol=float(run["kernel_tol"]))
-    else:
-        aset = asymptotic_set_nonautonomous(
-            g,
-            horizon=float(run["classify_horizon"]),
-            tol=float(run["convergence_tol"]),
-            opts=solver_options(run),
-            seed=seed,
-        )
-    cls = classify_theorem_class(
-        aset,
-        tol=float(run["class_tol"]),
-        n_probes=int(run["n_probes"]),
-        seed=seed,
-        opts=solver_options(run),
-    )
-    return aset, cls
+def classify_options(run: dict) -> dict:
+    """Keyword arguments of ``classify_generator`` from a resolved run."""
+    return {
+        "class_tol": float(run["class_tol"]),
+        "kernel_tol": float(run["kernel_tol"]),
+        "horizon": float(run["classify_horizon"]),
+        "convergence_tol": float(run["convergence_tol"]),
+        "n_probes": int(run["n_probes"]),
+        "seed": int(run["seed"] or 0),
+        "opts": solver_options(run),
+    }
 
 
 def _initial_state(cfg: dict, resolved: dict, g):
@@ -265,12 +250,8 @@ def cmd_simulate(args) -> int:
     )
     dist_to_a = None
     try:
-        aset, _ = _classify_from_config(g, run, int(run["seed"] or 0))
-        if aset.cardinality == "one":
-            rep = representative(aset, opts)
-            dist_to_a = [trace_distance(s, rep) for s in traj.states]
-        else:
-            dist_to_a = [membership_residual(aset, s) for s in traj.states]
+        aset, _ = classify_generator(g, **classify_options(run))
+        dist_to_a = [membership_residual(aset, s) for s in traj.states]
     except EntfateError:
         pass
     header = "t,margin,concurrence"
@@ -307,7 +288,7 @@ def cmd_classify(args) -> int:
     outdir = Path(resolved["output"]["directory"])
     _write_resolved(outdir, resolved)
     try:
-        aset, cls = _classify_from_config(g, run, int(run["seed"] or 0))
+        aset, cls = classify_generator(g, **classify_options(run))
     except (Inconclusive, OscillatoryAsymptotics, NotConverged) as exc:
         _write_json(
             outdir / "classification.json",
@@ -324,7 +305,6 @@ def cmd_classify(args) -> int:
         {
             "class_id": cls.class_id,
             "cardinality": cls.cardinality,
-            "representation": aset.kind,
             "evidence": {
                 "min_margin": cls.min_margin,
                 "max_margin": cls.max_margin,

@@ -164,17 +164,9 @@ DEFAULT_OPTS = SolverOptions()
 
 
 @dataclass(frozen=True)
-class StepStats:
-    method: str  # "expm" or "rk45"
-    n_steps: int
-    n_rhs_evals: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: tuple[float, ...]
     states: tuple[QState, ...]
-    step_stats: tuple[StepStats, ...]
 
 
 def _repair_state(m: np.ndarray, dims, opts: SolverOptions) -> QState:
@@ -226,9 +218,8 @@ def propagate(
     if rho0.dim != d:
         raise ValueError(f"initial state dim {rho0.dim} vs generator dim {d}")
     states = [rho0]
-    stats: list[StepStats] = []
     if t.size == 1:
-        return Trajectory(times=(0.0,), states=(rho0,), step_stats=())
+        return Trajectory(times=(0.0,), states=(rho0,))
     if g.autonomous:
         lmat = liouvillian_matrix(g, 0.0)
         cache: dict[float, np.ndarray] = {}
@@ -239,7 +230,6 @@ def propagate(
                 cache[key] = expm(lmat * dt)
             y = cache[key] @ y
             states.append(_repair_state(unvec(y, d), g.dims, opts))
-            stats.append(StepStats(method="expm", n_steps=1, n_rhs_evals=0))
     else:
         sol = solve_ivp(
             _rhs(g),
@@ -254,10 +244,7 @@ def propagate(
             raise StepFailure(sol.message)
         for k in range(1, t.size):
             states.append(_repair_state(unvec(sol.y[:, k], d), g.dims, opts))
-            stats.append(StepStats(method="rk45", n_steps=-1, n_rhs_evals=0))
-        # per-interval counts are not exposed by the solver; record totals once
-        stats[0] = StepStats(method="rk45", n_steps=len(sol.t), n_rhs_evals=sol.nfev)
-    return Trajectory(times=tuple(t.tolist()), states=tuple(states), step_stats=tuple(stats))
+    return Trajectory(times=tuple(t.tolist()), states=tuple(states))
 
 
 def evolve_state(

@@ -61,7 +61,7 @@ class FateStats:
     fractions: dict
     intervals: dict  # tag -> (lo, hi) Wilson 95%
     failures: int
-    failure_reasons: dict
+    failure_reasons: dict  # exception type name -> count
     exemplars: dict  # tag -> first seed index attaining it
 
 
@@ -250,7 +250,7 @@ def _fate_task(args):
     try:
         return detect_fate(g, rho0, horizon, grid_points, refine_tol, tol, opts)
     except EntfateError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return exc
 
 
 def fate_statistics(
@@ -269,7 +269,8 @@ def fate_statistics(
     independent of the worker count.
 
     Returns (stats, records) where records[i] is the FateRecord for
-    sample i, or the error string if that sample failed.
+    sample i, or the error string if that sample failed.  Failures are
+    counted in ``failure_reasons`` by exception type name.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -289,13 +290,15 @@ def fate_statistics(
     exemplars: dict[str, int] = {}
     failures = 0
     for i, res in enumerate(results):
-        records.append(res)
         if isinstance(res, FateRecord):
+            records.append(res)
             counts[res.fate_tag] += 1
             exemplars.setdefault(res.fate_tag, i)
         else:
+            reason = type(res).__name__
+            records.append(f"{reason}: {res}")
             failures += 1
-            failure_reasons[res] = failure_reasons.get(res, 0) + 1
+            failure_reasons[reason] = failure_reasons.get(reason, 0) + 1
     n_ok = n - failures
     fractions = {tag: (counts[tag] / n_ok if n_ok else 0.0) for tag in FATE_TAGS}
     intervals = {tag: wilson_interval(counts[tag], n_ok) for tag in FATE_TAGS}

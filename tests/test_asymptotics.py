@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import entfate as ef
 from entfate.asymptotics import CLASS4_MIN_C
-from entfate.dynamics import ExponentialRate, make_generator, vec
+from entfate.dynamics import ExponentialRate, liouvillian_matrix, make_generator, unvec, vec
 from entfate.errors import (
     BadParams,
     NotConverged,
@@ -20,7 +23,7 @@ def random_state(seed):
 class TestStationarySetAutonomous:
     def test_depolarizing_unique_maximally_mixed(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(1))
-        assert aset.kind == "unique"
+        assert aset.cardinality == "one"
         assert aset.diagnostics["kernel_dim"] == 1
         assert ef.trace_distance(aset.state, ef.new_state(np.eye(4) / 4, 2, 2)) < 1e-10
         # uniqueness cross-check: propagate random states to a long horizon
@@ -31,34 +34,89 @@ class TestStationarySetAutonomous:
 
     def test_damping_unique_ground_state(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(2))
-        assert aset.kind == "unique"
+        assert aset.cardinality == "one"
         assert ef.trace_distance(aset.state, ef.basis_state(0, 0)) < 1e-10
 
     def test_bell_pumping_unique_entangled(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(3))
-        assert aset.kind == "unique"
+        assert aset.cardinality == "one"
         assert ef.trace_distance(aset.state, ef.max_entangled()) < 1e-10
 
     def test_dephasing_affine_diagonal_family(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(5))
-        assert aset.kind == "affine_family"
         assert aset.cardinality == "many"
+        assert aset.state is None
         assert aset.diagnostics["kernel_dim"] == 4
-        assert len(aset.basis) == 3
-        for b in aset.basis:
-            assert abs(np.trace(b)) < 1e-10
-            assert np.max(np.abs(b - b.conj().T)) < 1e-10
-        # every diagonal state is a member
+        p = aset.map_matrix
+        assert np.linalg.matrix_rank(p, tol=1e-8) == 4
+        # the reference plus 3 traceless directions
+        tr_vec = vec(np.eye(4))
+        traceless = np.eye(16) - np.outer(vec(np.eye(4) / 4), tr_vec.conj())
+        assert np.linalg.matrix_rank(p @ traceless, tol=1e-8) == 3
+        assert np.max(np.abs(p @ p - p)) < 1e-10
+        assert np.max(np.abs(tr_vec.conj() @ p - tr_vec.conj())) < 1e-10
         rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            px = unvec(p @ vec(x), 4)
+            px_dag = unvec(p @ vec(x.conj().T), 4)
+            assert np.max(np.abs(px_dag - px.conj().T)) < 1e-10
+        # every diagonal state is a fixed point, hence a member
         for _ in range(10):
-            p = rng.dirichlet(np.ones(4))
-            diag = ef.new_state(np.diag(p.astype(complex)), 2, 2)
+            q = rng.dirichlet(np.ones(4))
+            diag = ef.new_state(np.diag(q.astype(complex)), 2, 2)
+            assert np.max(np.abs(p @ vec(diag.matrix) - vec(diag.matrix))) < 1e-10
             assert ef.membership_residual(aset, diag) < 1e-8
 
     def test_oscillatory_rejected(self):
         g = make_generator((2, 2), hamiltonian=np.kron(SZ, EYE2))
         with pytest.raises(OscillatoryAsymptotics):
             ef.stationary_set_autonomous(g)
+
+
+def random_generator(seed, n_jumps, diagonal):
+    """A random autonomous two-qubit generator; diagonal ones have a
+    degenerate kernel (every diagonal state is stationary)."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        if diagonal:
+            return np.diag(rng.normal(size=4) + 1j * rng.normal(size=4))
+        return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+    h = draw()
+    h = 0.5 * (h + h.conj().T)
+    jumps = [(draw(), float(rng.uniform(0.1, 1.0))) for _ in range(n_jumps)]
+    return make_generator((2, 2), hamiltonian=h, jumps=jumps)
+
+
+class TestKernelProjector:
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 5])
+    def test_projector_is_long_time_propagator(self, class_id):
+        g = ef.catalog_generator(class_id)
+        aset = ef.stationary_set_autonomous(g)
+        assert np.max(np.abs(aset.map_matrix - ef.propagator_matrix(g, 60.0))) < 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_jumps=st.integers(1, 3),
+        diagonal=st.booleans(),
+    )
+    def test_random_generator_projector(self, seed, n_jumps, diagonal):
+        g = random_generator(seed, n_jumps, diagonal)
+        try:
+            aset = ef.stationary_set_autonomous(g)
+        except OscillatoryAsymptotics:
+            assume(False)
+        gap = aset.diagnostics["spectral_gap"]
+        assume(gap > 0.05)
+        p = aset.map_matrix
+        tr_vec = vec(np.eye(4)).conj()
+        assert np.max(np.abs(p @ p - p)) < 1e-8
+        assert np.max(np.abs(tr_vec @ p - tr_vec)) < 1e-8
+        phi = scipy.linalg.expm(liouvillian_matrix(g) * (40.0 / gap))
+        assert np.max(np.abs(p - phi)) < 1e-8
 
 
 class TestAsymptoticSetNonautonomous:
@@ -127,7 +185,8 @@ class TestClassifyTheoremClass:
         s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(3, 3))
         from entfate.asymptotics import AsymptoticSet
 
-        aset = AsymptoticSet(kind="unique", cardinality="one", dims=(3, 3), state=s)
+        replacement = np.outer(vec(s.matrix), vec(np.eye(9)).conj())
+        aset = AsymptoticSet(cardinality="one", dims=(3, 3), map_matrix=replacement, state=s)
         with pytest.raises(UnsupportedDimension):
             ef.classify_theorem_class(aset)
 

@@ -175,6 +175,17 @@ class TestFateStatistics:
         lo, hi = stats.intervals["never_entangled"]
         assert lo - 0.05 <= ppt / n <= hi + 0.05
 
+    def test_failure_reasons_keyed_by_exception_type(self):
+        # a horizon this short leaves some margins still trending
+        g = ef.catalog_generator(3)
+        spec = ef.EnsembleSpec("haar_pure", seed=1)
+        stats, records = ef.fate_statistics(g, spec, n=10, horizon=0.5, grid_points=50)
+        assert stats.failures > 0
+        assert stats.failure_reasons == {"HorizonTooShort": stats.failures}
+        errors = [r for r in records if isinstance(r, str)]
+        assert len(errors) == stats.failures
+        assert all(r.startswith("HorizonTooShort: ") for r in errors)
+
     def test_n_must_be_positive(self):
         g = ef.catalog_generator(1)
         spec = ef.EnsembleSpec("haar_pure", seed=0)
