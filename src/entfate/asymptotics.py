@@ -10,9 +10,10 @@ under one linear map P∞ on vectorized operators:
 A singleton set also carries its state P∞(I/d).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly; a larger set is probed by images of
-deterministic product and Bell states (the margin is concave along
-mixtures, so extreme points attain the minimum) plus images of random
-states.
+deterministic product and Bell states and of random states.  The margin
+is concave along mixtures, so its minimum sits at an extreme point; a
+seesaw from each product and Bell state searches for it.  Class 6 (every
+member entangled) is claimed only with a bound on all of A.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     wk = vl[:, kernel]
     # spectral projector onto the kernel (biorthogonalized)
     proj = vk @ np.linalg.inv(wk.conj().T @ vk) @ wk.conj().T
-    # P∞(X†) = P∞(X)†, i.e. conj(P∞) = T P∞ T for the transpose permutation T
-    perm = np.arange(d * d).reshape(d, d).T.ravel()
-    conj_residual = float(np.max(np.abs(proj[np.ix_(perm, perm)] - proj.conj())))
-    if conj_residual > 1e-8:
-        raise NoTraceOneElement(
-            f"kernel is not closed under conjugation: residual {conj_residual:.3e}"
-        )
+    if k > 1:
+        # P∞(X†) = P∞(X)†, i.e. conj(P∞) = T P∞ T for the transpose permutation T
+        perm = np.arange(d * d).reshape(d, d).T.ravel()
+        conj_residual = float(np.max(np.abs(proj[np.ix_(perm, perm)] - proj.conj())))
+        if conj_residual > 1e-8:
+            raise NoTraceOneElement(
+                f"kernel is not closed under conjugation: residual {conj_residual:.3e}"
+            )
     ref = unvec(proj @ vec(np.eye(d) / d), d)
     ref = 0.5 * (ref + ref.conj().T)
     tr = np.trace(ref).real
@@ -220,22 +222,47 @@ def membership_residual(a: AsymptoticSet, s: QState) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(img - s.matrix))))
 
 
+def _pure_probes() -> list[tuple[str, np.ndarray]]:
+    """Products of |0>, |1>, |+>, |+i> on each qubit, then the Bell states."""
+    singles = list(zip(["0", "1", "+", "+i"], single_qubit_probe_vectors()))
+    probes = [(f"product |{la}{lb}>", np.kron(va, vb)) for la, va in singles for lb, vb in singles]
+    bells = zip(["Phi+", "Phi-", "Psi+", "Psi-"], bell_vectors())
+    return probes + [(f"Bell {name}", b) for name, b in bells]
+
+
 def _image_probes(a: AsymptoticSet, n_probes: int, seed: int,
                   opts: SolverOptions) -> list[tuple[str, QState]]:
-    probes: list[tuple[str, QState]] = []
-    singles = single_qubit_probe_vectors()
-    labels = ["0", "1", "+", "+i"]
-    for i, va in enumerate(singles):
-        for j, vb in enumerate(singles):
-            v = np.kron(va, vb)
-            st = new_state(np.outer(v, v.conj()), *a.dims)
-            probes.append((f"image(product |{labels[i]}{labels[j]}>)", st))
-    for name, bv in zip(["Phi+", "Phi-", "Psi+", "Psi-"], bell_vectors()):
-        probes.append((f"image(Bell {name})", new_state(np.outer(bv, bv.conj()), *a.dims)))
+    probes = [(f"image({label})", new_state(np.outer(v, v.conj()), *a.dims))
+              for label, v in _pure_probes()]
     rng = np.random.default_rng(seed)
     for i in range(n_probes):
         probes.append((f"image(random #{i})", _random_hs_state(rng, a.dims)))
     return [(label, apply_map(a.map_matrix, st, opts)) for label, st in probes]
+
+
+def _pt(m: np.ndarray) -> np.ndarray:
+    """Partial transpose on B of a two-qubit operator (not necessarily a state)."""
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def _pt_adjoint(a: AsymptoticSet, y: np.ndarray) -> np.ndarray:
+    """P∞†(T_B |y><y|), the operator whose expectation in ρ is <y|T_B P∞(ρ)|y>."""
+    return unvec(a.map_matrix.conj().T @ vec(_pt(np.outer(y, y.conj()))), 4)
+
+
+def _seesaw_min(a: AsymptoticSet, x: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    """Pure state whose image is a local minimum of the PT margin over A.
+
+    Alternates the two eigenproblems of min <y|T_B P∞(|x><x|)|y> over unit
+    x and y; no step raises it.  Stops once a round gains less than 1e-10."""
+    best = np.inf
+    for _ in range(max_iter):
+        w, v = np.linalg.eigh(_pt(unvec(a.map_matrix @ vec(np.outer(x, x.conj())), 4)))
+        if w[0] >= best - 1e-10:
+            break
+        best = w[0]
+        x = np.linalg.eigh(_pt_adjoint(a, v[:, 0]))[1][:, 0]
+    return x
 
 
 def classify_theorem_class(
@@ -261,16 +288,33 @@ def classify_theorem_class(
             tol=tol,
             probes=(("representative", region.margin),),
         )
-    margins = [
-        (label, min_pt_eigenvalue(st))
-        for label, st in _image_probes(a, n_probes, seed, opts)
-    ]
+    states = _image_probes(a, n_probes, seed, opts)
+    for label, v in _pure_probes():
+        x = _seesaw_min(a, v)
+        pure = new_state(np.outer(x, x.conj()), *a.dims)
+        states.append((f"seesaw from {label}", apply_map(a.map_matrix, pure, opts)))
+    margins = [(label, min_pt_eigenvalue(st)) for label, st in states]
+    bound = np.inf
+    top = states[int(np.argmax([m for _, m in margins]))][1]
+    if min_pt_eigenvalue(top) < -tol:
+        # every ρ in D has margin(P∞ρ) <= <y|T_B P∞(ρ)|y> <= λ_max(P∞†(T_B|y><y|))
+        y = np.linalg.eigh(_pt(top.matrix))[1][:, 0]
+        bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
+        if bound >= -tol:  # no bound below -tol: try the centre as a last member
+            margins.append(("image(I/4)", min_pt_eigenvalue(representative(a, opts))))
     values = np.array([m for _, m in margins])
-    i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
+    # margins equal to 1e-12 are ties, won by the first: a fixed probe before a search
+    i_min = int(np.flatnonzero(values <= values.min() + 1e-12)[0])
+    i_max = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
     mn, mx = float(values[i_min]), float(values[i_max])
     if mn > tol:
         class_id = 4
     elif mx < -tol:
+        if bound >= -tol:
+            raise Inconclusive(
+                f"every probe is NPT (max margin {mx:.3e}) but the bound on all "
+                f"members is {bound:.3e}, not below -{tol:.1e}"
+            )
         class_id = 6
     elif np.any(np.abs(values) <= tol) or (mn < -tol and mx > tol):
         class_id = 5

@@ -82,10 +82,6 @@ def parse_complex_matrix(entries, field: str) -> np.ndarray:
     return arr
 
 
-def matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -296,10 +292,6 @@ def cmd_classify(args) -> int:
         )
         print(f"classification failed: {type(exc).__name__}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    diagnostics = {
-        k: (v if not isinstance(v, np.ndarray) else v.tolist())
-        for k, v in aset.diagnostics.items()
-    }
     _write_json(
         outdir / "classification.json",
         {
@@ -313,7 +305,7 @@ def cmd_classify(args) -> int:
                 "tol": cls.tol,
                 "probes": [[label, m] for label, m in cls.probes],
             },
-            "diagnostics": diagnostics,
+            "diagnostics": aset.diagnostics,
         },
     )
     print(f"class {cls.class_id}")

@@ -200,13 +200,7 @@ def _check_grid(t_grid) -> np.ndarray:
 
 
 def _rhs(g: Generator):
-    d = g.dim
-
-    def f(t, y):
-        return liouvillian_matrix(g, t) @ y
-
-    f.dim = d
-    return f
+    return lambda t, y: liouvillian_matrix(g, t) @ y
 
 
 def propagate(

@@ -9,6 +9,7 @@ from entfate.asymptotics import CLASS4_MIN_C
 from entfate.dynamics import ExponentialRate, liouvillian_matrix, make_generator, unvec, vec
 from entfate.errors import (
     BadParams,
+    Inconclusive,
     NotConverged,
     OscillatoryAsymptotics,
     UnsupportedDimension,
@@ -189,6 +190,67 @@ class TestClassifyTheoremClass:
         aset = AsymptoticSet(cardinality="one", dims=(3, 3), map_matrix=replacement, state=s)
         with pytest.raises(UnsupportedDimension):
             ef.classify_theorem_class(aset)
+
+
+def ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+U_A, U_B = ry(0.3), ry(1.1)
+
+
+def rotated_ket(i, j):
+    """|u_i v_j> in a product basis that no fixed probe state is aligned with."""
+    return np.kron(U_A[:, i], U_B[:, j])
+
+
+class TestRotatedBoundary:
+    def test_rotated_dephasing_is_class5(self):
+        # A is the diagonal states in the basis |u_i v_j>; its margin is
+        # min p_ij, zero at the member |u_0 v_0>
+        g = make_generator(
+            (2, 2),
+            jumps=[
+                (np.kron(U_A @ SZ @ U_A.conj().T, EYE2), 1.0),
+                (np.kron(EYE2, U_B @ SZ @ U_B.conj().T), 1.0),
+            ],
+        )
+        aset, cls = ef.classify_generator(g)
+        assert aset.diagnostics["kernel_dim"] == 4
+        assert cls.class_id == 5
+        assert abs(cls.min_margin) <= cls.tol
+        assert cls.max_margin > 0.2
+
+    def test_rotated_subspace_is_class5(self):
+        # pumping |u_0 v_1> -> |u_0 v_0> and |u_1 v_0> -> |u_1 v_1>: A is every
+        # state on span{|u_0 v_0>, |u_1 v_1>}, margins in [-1/2, 0]
+        a, b = rotated_ket(0, 0), rotated_ket(1, 1)
+        g = make_generator(
+            (2, 2),
+            jumps=[
+                (np.outer(a, rotated_ket(0, 1).conj()), 1.0),
+                (np.outer(b, rotated_ket(1, 0).conj()), 1.0),
+            ],
+        )
+        _, cls = ef.classify_generator(g)
+        assert cls.class_id == 5
+        assert cls.min_margin == pytest.approx(-0.5, abs=1e-9)
+        assert abs(cls.max_margin) <= cls.tol
+
+    def test_class6_needs_a_bound_on_all_members(self):
+        # as above, but the pumped coherence keeps every probe image NPT while
+        # the member |u_0 v_0> is separable: this must not come back as class 6
+        a, b = rotated_ket(0, 0), rotated_ket(1, 1)
+        g = make_generator(
+            (2, 2),
+            jumps=[
+                (np.outer((a + b) / np.sqrt(2), rotated_ket(0, 1).conj()), 1.0),
+                (np.outer(a, rotated_ket(1, 0).conj()), 0.5),
+            ],
+        )
+        with pytest.raises(Inconclusive):
+            ef.classify_generator(g)
 
 
 class TestCatalog:

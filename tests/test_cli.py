@@ -99,6 +99,27 @@ class TestSimulate:
         assert header.startswith("t,margin,concurrence")
         assert "trace_distance_to_A" in header
 
+    def test_class5_distance_to_many_state_set(self, tmp_path):
+        # dephasing keeps the Bell populations and kills its coherences, so the
+        # trajectory starts at trace distance 1/2 from A (the diagonal states)
+        # and ends inside it
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "generator": {"catalog": {"class_id": 5, "params": {}}},
+                "initial_state": {"matrix": BELL},
+                "run": {"horizon": 10.0, "grid_points": 100},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "trace_distance_to_A"
+        dist = [float(r.split(",")[-1]) for r in rows]
+        assert dist[0] == pytest.approx(0.5, abs=1e-9)
+        assert dist[-1] < 1e-9
+        assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
