@@ -28,6 +28,7 @@ from .dynamics import (
     liouvillian_matrix,
     make_generator,
     propagate,
+    propagator_matrices,
     propagator_matrix,
 )
 from .errors import (
@@ -49,6 +50,7 @@ from .fate import (
     FateRecord,
     FateStats,
     detect_fate,
+    fate_of_trajectory,
     fate_statistics,
     margin_curve,
     wilson_interval,

@@ -32,7 +32,7 @@ from .dynamics import (
     apply_map,
     liouvillian_matrix,
     make_generator,
-    propagator_matrix,
+    propagator_matrices,
     unvec,
     vec,
 )
@@ -59,6 +59,7 @@ DEFAULT_CLASS_TOL = 1e-7
 DEFAULT_KERNEL_TOL = 1e-9
 DEFAULT_CONVERGENCE_TOL = 1e-8
 DEFAULT_NONAUTONOMOUS_HORIZON = 60.0
+DEFAULT_N_PROBES = 50
 
 CLASS4_MIN_C = np.log(3.0) + 0.5
 CLASS6_MIN_C = 5.0
@@ -151,8 +152,7 @@ def asymptotic_set_nonautonomous(
     seed: int = 0,
 ) -> AsymptoticSet:
     """Converged total propagator; the asymptotic set is its image of D."""
-    phi_half = propagator_matrix(g, 0.5 * horizon, opts)
-    phi = propagator_matrix(g, horizon, opts)
+    _, phi_half, phi = propagator_matrices(g, (0.0, 0.5 * horizon, horizon), opts)
     residual = float(np.max(np.abs(phi - phi_half)))
     if residual > tol:
         raise NotConverged(
@@ -268,7 +268,7 @@ def _seesaw_min(a: AsymptoticSet, x: np.ndarray, max_iter: int = 100) -> np.ndar
 def classify_theorem_class(
     a: AsymptoticSet,
     tol: float = DEFAULT_CLASS_TOL,
-    n_probes: int = 50,
+    n_probes: int = DEFAULT_N_PROBES,
     seed: int = 0,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> TheoremClass:
@@ -342,7 +342,7 @@ def classify_generator(
     kernel_tol: float = DEFAULT_KERNEL_TOL,
     horizon: float = DEFAULT_NONAUTONOMOUS_HORIZON,
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-    n_probes: int = 50,
+    n_probes: int = DEFAULT_N_PROBES,
     seed: int = 0,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> tuple[AsymptoticSet, TheoremClass]:

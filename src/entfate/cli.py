@@ -13,13 +13,23 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import catalog_generator, classify_generator, membership_residual
+from .asymptotics import (
+    DEFAULT_CLASS_TOL,
+    DEFAULT_CONVERGENCE_TOL,
+    DEFAULT_KERNEL_TOL,
+    DEFAULT_N_PROBES,
+    DEFAULT_NONAUTONOMOUS_HORIZON,
+    catalog_generator,
+    classify_generator,
+    membership_residual,
+)
 from .dynamics import ConstantRate, ExponentialRate, SolverOptions, make_generator, propagate
 from .errors import (
     BadParams,
@@ -31,7 +41,15 @@ from .errors import (
     PositivityLost,
     StepFailure,
 )
-from .fate import FateRecord, detect_fate, fate_statistics, margin_curve
+from .fate import (
+    DEFAULT_FATE_TOL,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_REFINE_TOL,
+    FateRecord,
+    fate_of_trajectory,
+    fate_statistics,
+    margin_curve,
+)
 from .states import EnsembleSpec, new_state, sample
 
 SCHEMA_VERSION = 1
@@ -44,19 +62,19 @@ EXIT_FAILURES = 5
 
 _RUN_DEFAULTS = {
     "horizon": 30.0,
-    "grid_points": 400,
+    "grid_points": DEFAULT_GRID_POINTS,
     "n_samples": 100,
     "seed": None,
     "workers": 1,
-    "rtol": 1e-9,
-    "atol": 1e-12,
-    "class_tol": 1e-7,
-    "fate_tol": 1e-7,
-    "refine_tol": 1e-6,
-    "kernel_tol": 1e-9,
-    "convergence_tol": 1e-8,
-    "classify_horizon": 60.0,
-    "n_probes": 50,
+    "rtol": SolverOptions().rtol,
+    "atol": SolverOptions().atol,
+    "class_tol": DEFAULT_CLASS_TOL,
+    "fate_tol": DEFAULT_FATE_TOL,
+    "refine_tol": DEFAULT_REFINE_TOL,
+    "kernel_tol": DEFAULT_KERNEL_TOL,
+    "convergence_tol": DEFAULT_CONVERGENCE_TOL,
+    "classify_horizon": DEFAULT_NONAUTONOMOUS_HORIZON,
+    "n_probes": DEFAULT_N_PROBES,
 }
 _ENSEMBLE_DEFAULTS = {"kind": "hilbert_schmidt_mixed", "seed": 0, "target_concurrence": 0.0}
 _OUTPUT_DEFAULTS = {"directory": ".", "formats": ["csv", "json"]}
@@ -166,15 +184,18 @@ def build_generator(cfg: dict):
 
 
 def build_ensemble(resolved: dict) -> EnsembleSpec:
+    """The resolved ensemble, whose seed ``run.seed`` overrides when set."""
     ens = resolved["ensemble"]
     try:
-        return EnsembleSpec(
+        spec = EnsembleSpec(
             kind=ens["kind"],
             seed=int(ens["seed"]),
             target_concurrence=float(ens["target_concurrence"]),
         )
     except (EntfateError, ValueError, KeyError) as exc:
         raise ConfigError(f"ensemble: {exc}")
+    seed = resolved["run"]["seed"]
+    return spec if seed is None else dataclasses.replace(spec, seed=int(seed))
 
 
 def solver_options(run: dict) -> SolverOptions:
@@ -214,13 +235,7 @@ def _initial_state(cfg: dict, resolved: dict, g):
             return new_state(m, *g.dims)
         except EntfateError as exc:
             raise ConfigError(f"initial_state: {exc}")
-    spec = build_ensemble(resolved)
-    run = resolved["run"]
-    if run["seed"] is not None:
-        spec = EnsembleSpec(
-            kind=spec.kind, seed=int(run["seed"]), target_concurrence=spec.target_concurrence
-        )
-    return sample(spec, g.dims)
+    return sample(build_ensemble(resolved), g.dims)
 
 
 def cmd_simulate(args) -> int:
@@ -235,14 +250,8 @@ def cmd_simulate(args) -> int:
     grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
     traj = propagate(g, rho0, grid, opts)
     curve = margin_curve(traj)
-    record = detect_fate(
-        g,
-        rho0,
-        float(run["horizon"]),
-        grid_points=int(run["grid_points"]),
-        refine_tol=float(run["refine_tol"]),
-        tol=float(run["fate_tol"]),
-        opts=opts,
+    record = fate_of_trajectory(
+        g, traj, refine_tol=float(run["refine_tol"]), tol=float(run["fate_tol"]), opts=opts
     )
     dist_to_a = None
     try:
@@ -260,20 +269,9 @@ def cmd_simulate(args) -> int:
             row += f",{_fmt(dist_to_a[i])}"
         lines.append(row)
     (outdir / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    _write_json(outdir / "summary.json", {"fate": _record_payload(record)})
+    _write_json(outdir / "summary.json", {"fate": dataclasses.asdict(record)})
     print(f"fate {record.fate_tag}")
     return EXIT_OK
-
-
-def _record_payload(r: FateRecord) -> dict:
-    return {
-        "initial_concurrence": r.initial_concurrence,
-        "death_time": r.death_time,
-        "birth_time": r.birth_time,
-        "revival_times": list(r.revival_times),
-        "final_margin": r.final_margin,
-        "fate_tag": r.fate_tag,
-    }
 
 
 def cmd_classify(args) -> int:
@@ -320,13 +318,11 @@ def cmd_fates(args) -> int:
     spec = build_ensemble(resolved)
     outdir = Path(resolved["output"]["directory"])
     _write_resolved(outdir, resolved)
-    seed = int(run["seed"]) if run["seed"] is not None else spec.seed
     stats, records = fate_statistics(
         g,
         spec,
         n=int(run["n_samples"]),
         horizon=float(run["horizon"]),
-        seed=seed,
         grid_points=int(run["grid_points"]),
         refine_tol=float(run["refine_tol"]),
         tol=float(run["fate_tol"]),
@@ -344,11 +340,7 @@ def cmd_fates(args) -> int:
     _write_json(
         outdir / "fates_summary.json",
         {
-            "ensemble": {
-                "kind": spec.kind,
-                "seed": seed,
-                "target_concurrence": spec.target_concurrence,
-            },
+            "ensemble": dataclasses.asdict(spec),
             "horizon": stats.horizon,
             "n": stats.n,
             "counts": stats.counts,

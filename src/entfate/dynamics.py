@@ -1,4 +1,4 @@
-"""Time-dependent Lindblad generators and trajectory propagation.
+"""Time-dependent Lindblad generators and their one propagation path.
 
 Vectorization is column-stacking: vec(rho) = rho.flatten(order='F'),
 so vec(A rho B) = (B^T ⊗ A) vec(rho).  The Liouvillian matrix is
@@ -8,9 +8,15 @@ so vec(A rho B) = (B^T ⊗ A) vec(rho).  The Liouvillian matrix is
 
 and vec(I) is a left null vector (trace preservation).
 
-Autonomous generators propagate by matrix exponential (scaling and
-squaring); non-autonomous ones by adaptive embedded Runge-Kutta of
-order 5 with an order-4 error estimate (Dormand-Prince).
+Every state, trajectory and propagator comes from one flow, ``_flow``,
+which carries a vectorized operator, or a block of them as columns, from
+the first of a list of times to each later one.  Autonomous generators
+step by cached matrix exponentials exp(L dt) (scaling and squaring);
+non-autonomous ones take one adaptive embedded Runge-Kutta solve of
+order 5 with an order-4 error estimate (Dormand-Prince), sampled at the
+times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
+it between two times, and ``propagator_matrices`` flows the identity to
+give the maps Phi(t).
 """
 
 from __future__ import annotations
@@ -199,8 +205,34 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _rhs(g: Generator):
-    return lambda t, y: liouvillian_matrix(g, t) @ y
+def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) -> list:
+    """Carry y0 -- one vectorized operator, or a block of them as columns --
+    from times[0] to every time in ``times``; entry k is y(times[k])."""
+    ys = [y0]
+    if times.size == 1:
+        return ys
+    if g.autonomous:
+        lmat = liouvillian_matrix(g, 0.0)
+        cache: dict[float, np.ndarray] = {}
+        for dt in np.diff(times):
+            key = round(float(dt), 15)
+            if key not in cache:
+                cache[key] = expm(lmat * dt)
+            ys.append(cache[key] @ ys[-1])
+        return ys
+    shape = y0.shape
+    sol = solve_ivp(
+        lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(shape)).ravel(),
+        (times[0], times[-1]),
+        y0.ravel(),
+        method="RK45",
+        t_eval=times,
+        rtol=opts.rtol,
+        atol=opts.atol,
+    )
+    if not sol.success:
+        raise StepFailure(sol.message)
+    return ys + [sol.y[:, k].reshape(shape) for k in range(1, len(times))]
 
 
 def propagate(
@@ -211,33 +243,8 @@ def propagate(
     d = g.dim
     if rho0.dim != d:
         raise ValueError(f"initial state dim {rho0.dim} vs generator dim {d}")
-    states = [rho0]
-    if t.size == 1:
-        return Trajectory(times=(0.0,), states=(rho0,))
-    if g.autonomous:
-        lmat = liouvillian_matrix(g, 0.0)
-        cache: dict[float, np.ndarray] = {}
-        y = vec(rho0.matrix)
-        for dt in np.diff(t):
-            key = round(float(dt), 15)
-            if key not in cache:
-                cache[key] = expm(lmat * dt)
-            y = cache[key] @ y
-            states.append(_repair_state(unvec(y, d), g.dims, opts))
-    else:
-        sol = solve_ivp(
-            _rhs(g),
-            (t[0], t[-1]),
-            vec(rho0.matrix),
-            method="RK45",
-            t_eval=t,
-            rtol=opts.rtol,
-            atol=opts.atol,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        for k in range(1, t.size):
-            states.append(_repair_state(unvec(sol.y[:, k], d), g.dims, opts))
+    ys = _flow(g, vec(rho0.matrix), t, opts)
+    states = [rho0] + [_repair_state(unvec(y, d), g.dims, opts) for y in ys[1:]]
     return Trajectory(times=tuple(t.tolist()), states=tuple(states))
 
 
@@ -253,22 +260,22 @@ def evolve_state(
         raise ValueError("t_to must be >= t_from")
     if t_to == t_from:
         return rho
+    y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[-1]
+    return _repair_state(unvec(y, g.dim), g.dims, opts)
+
+
+def propagator_matrices(
+    g: Generator, t_grid, opts: SolverOptions = DEFAULT_OPTS
+) -> list[np.ndarray]:
+    """The linear maps Phi(t) on vectorized operators at every time of a
+    grid starting at 0, all from one flow of the identity."""
     d = g.dim
-    if g.autonomous:
-        y = expm(liouvillian_matrix(g, 0.0) * (t_to - t_from)) @ vec(rho.matrix)
-    else:
-        sol = solve_ivp(
-            _rhs(g),
-            (t_from, t_to),
-            vec(rho.matrix),
-            method="RK45",
-            rtol=opts.rtol,
-            atol=opts.atol,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        y = sol.y[:, -1]
-    return _repair_state(unvec(y, d), g.dims, opts)
+    phis = _flow(g, np.eye(d * d, dtype=complex), _check_grid(t_grid), opts)
+    tr_vec = vec(np.eye(d)).conj()
+    residual = max(np.max(np.abs(tr_vec @ phi - tr_vec)) for phi in phis)
+    if residual > 1e-8:
+        raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
+    return phis
 
 
 def propagator_matrix(
@@ -277,32 +284,7 @@ def propagator_matrix(
     """The linear map Phi(t) on vectorized operators."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    d = g.dim
-    n = d * d
-    if t == 0.0:
-        return np.eye(n, dtype=complex)
-    if g.autonomous:
-        phi = expm(liouvillian_matrix(g, 0.0) * t)
-    else:
-        def f(s, y):
-            return (liouvillian_matrix(g, s) @ y.reshape(n, n)).ravel()
-
-        sol = solve_ivp(
-            f,
-            (0.0, t),
-            np.eye(n, dtype=complex).ravel(),
-            method="RK45",
-            rtol=opts.rtol,
-            atol=opts.atol,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        phi = sol.y[:, -1].reshape(n, n)
-    tr_vec = vec(np.eye(d)).conj()
-    residual = np.max(np.abs(tr_vec @ phi - tr_vec))
-    if residual > 1e-8:
-        raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
-    return phi
+    return propagator_matrices(g, [0.0, t] if t > 0.0 else [0.0], opts)[-1]
 
 
 def apply_map(phi: np.ndarray, s: QState, opts: SolverOptions = DEFAULT_OPTS) -> QState:

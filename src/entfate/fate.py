@@ -19,6 +19,7 @@ HorizonTooShort rather than guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -65,22 +66,19 @@ class FateStats:
     exemplars: dict  # tag -> first seed index attaining it
 
 
-def _margin_at(g, traj_times, traj_states, t, opts):
+def _margin_at(g, traj, t, opts):
     """Margin at an off-grid time, re-integrating from the nearest
     earlier grid state."""
-    i = int(np.searchsorted(traj_times, t, side="right")) - 1
-    st = evolve_state(g, traj_states[i], traj_times[i], t, opts)
-    return min_pt_eigenvalue(st)
+    i = bisect_right(traj.times, t) - 1
+    return min_pt_eigenvalue(evolve_state(g, traj.states[i], traj.times[i], t, opts))
 
 
-def _bisect_crossing(g, traj, t_lo, t_hi, m_lo, refine_tol, opts):
-    """Locate a margin zero in (t_lo, t_hi); m has opposite signs at the ends."""
-    times = np.array(traj.times)
-    sign_lo = np.sign(m_lo)
+def _bisect(g, traj, t_lo, t_hi, on_lo_side, refine_tol, opts):
+    """Halve (t_lo, t_hi) down to refine_tol, keeping t_lo where the margin
+    is ``on_lo_side`` and t_hi where it is not; return the midpoint."""
     while t_hi - t_lo > refine_tol:
         t_mid = 0.5 * (t_lo + t_hi)
-        m_mid = _margin_at(g, times, traj.states, t_mid, opts)
-        if np.sign(m_mid) == sign_lo and m_mid != 0.0:
+        if on_lo_side(_margin_at(g, traj, t_mid, opts)):
             t_lo = t_mid
         else:
             t_hi = t_mid
@@ -109,13 +107,26 @@ def detect_fate(
     tol: float = DEFAULT_FATE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> FateRecord:
-    """Track the PT margin of one trajectory and tag its fate."""
+    """Propagate rho0 over grid_points steps to the horizon and tag its fate."""
     if rho0.dims != (2, 2):
         raise UnsupportedDimension(f"fate detection needs 2x2, got {rho0.dims}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     grid = np.linspace(0.0, horizon, grid_points + 1)
-    traj = propagate(g, rho0, grid, opts)
+    return fate_of_trajectory(g, propagate(g, rho0, grid, opts), refine_tol, tol, opts)
+
+
+def fate_of_trajectory(
+    g: Generator,
+    traj: Trajectory,
+    refine_tol: float = DEFAULT_REFINE_TOL,
+    tol: float = DEFAULT_FATE_TOL,
+    opts: SolverOptions = DEFAULT_OPTS,
+) -> FateRecord:
+    """Track the PT margin of a trajectory of g and tag its fate; crossings
+    are refined by re-integrating from the trajectory's grid states."""
+    if traj.states[0].dims != (2, 2):
+        raise UnsupportedDimension(f"fate detection needs 2x2, got {traj.states[0].dims}")
     times = list(traj.times)
     margins = [min_pt_eigenvalue(s) for s in traj.states]
 
@@ -135,22 +146,20 @@ def detect_fate(
             if extremum_risk or np.sign(margins[i - 1]) != np.sign(margins[i]):
                 t_mid = 0.5 * (times[i - 1] + times[i])
                 refined_t.append(t_mid)
-                refined_m.append(
-                    _margin_at(g, np.array(traj.times), traj.states, t_mid, opts)
-                )
+                refined_m.append(_margin_at(g, traj, t_mid, opts))
         refined_t.append(times[i])
         refined_m.append(margins[i])
     times, margins = refined_t, refined_m
 
     # definite sign events: below -tol <-> above +tol
-    events = []  # (direction, t_lo, t_hi, m_lo) with direction +1 = upward
+    events = []  # (direction, t_lo, t_hi) with direction +1 = upward
     state = 0  # -1 entangled, +1 separable, 0 undecided
     last_idx = 0
     for i, m in enumerate(margins):
         cur = -1 if m < -tol else (+1 if m > tol else 0)
         if cur != 0:
             if state != 0 and cur != state:
-                events.append((cur, times[last_idx], times[i], margins[last_idx]))
+                events.append((cur, times[last_idx], times[i]))
             state = cur
             last_idx = i
 
@@ -159,7 +168,8 @@ def detect_fate(
 
     up = [e for e in events if e[0] == +1]
     down = [e for e in events if e[0] == -1]
-    refine = lambda e: _bisect_crossing(g, traj, e[1], e[2], e[3], refine_tol, opts)
+    # the margin at an event's t_lo has the sign opposite to its direction
+    refine = lambda e: _bisect(g, traj, e[1], e[2], lambda m: e[0] * m < 0.0, refine_tol, opts)
 
     initially_entangled = margins[0] < -tol
     birth_time = None
@@ -172,13 +182,7 @@ def detect_fate(
             # -tol threshold crossing directly
             first_ent = next(i for i, m in enumerate(margins) if m < -tol)
             t_lo, t_hi = times[first_ent - 1], times[first_ent]
-            while t_hi - t_lo > refine_tol:
-                t_mid = 0.5 * (t_lo + t_hi)
-                if _margin_at(g, np.array(traj.times), traj.states, t_mid, opts) < -tol:
-                    t_hi = t_mid
-                else:
-                    t_lo = t_mid
-            birth_time = 0.5 * (t_lo + t_hi)
+            birth_time = _bisect(g, traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol, opts)
     death_time = None
     if up:
         last_up = up[-1]
@@ -209,7 +213,7 @@ def detect_fate(
         tag = "never_entangled"
 
     return FateRecord(
-        initial_concurrence=concurrence(rho0),
+        initial_concurrence=concurrence(traj.states[0]),
         death_time=death_time,
         birth_time=birth_time,
         revival_times=revival_times,

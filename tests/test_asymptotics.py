@@ -131,6 +131,22 @@ class TestAsymptoticSetNonautonomous:
         assert np.max(np.abs(aset.map_matrix - expected)) < 1e-6
         assert aset.cardinality == "many"
 
+    def test_one_propagator_solve(self, monkeypatch):
+        # Phi(h/2) and Phi(h) come from a single flow of the identity
+        import entfate.dynamics
+
+        calls = []
+        solve_ivp = entfate.dynamics.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("t_eval"))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(entfate.dynamics, "solve_ivp", counting)
+        ef.asymptotic_set_nonautonomous(ef.catalog_generator(4))
+        assert len(calls) == 1
+        assert list(calls[0]) == [0.0, 30.0, 60.0]
+
     def test_forced_flag_on_autonomous_dynamics(self):
         # cross-module oracle: image map must land on the spectral A
         g2 = ef.catalog_generator(2)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entfate as ef
 from entfate.cli import main
 
 BELL = [
@@ -23,6 +24,45 @@ def catalog_config(class_id, **run):
         "generator": {"catalog": {"class_id": class_id, "params": {}}},
         "run": run,
     }
+
+
+class TestResolvedDefaults:
+    def test_run_defaults_are_library_defaults(self):
+        from entfate import asymptotics, fate
+        from entfate.cli import _RUN_DEFAULTS
+
+        opts = ef.SolverOptions()
+        assert _RUN_DEFAULTS["rtol"] == opts.rtol and _RUN_DEFAULTS["atol"] == opts.atol
+        assert _RUN_DEFAULTS["grid_points"] == fate.DEFAULT_GRID_POINTS
+        assert _RUN_DEFAULTS["fate_tol"] == fate.DEFAULT_FATE_TOL
+        assert _RUN_DEFAULTS["refine_tol"] == fate.DEFAULT_REFINE_TOL
+        assert _RUN_DEFAULTS["class_tol"] == asymptotics.DEFAULT_CLASS_TOL
+        assert _RUN_DEFAULTS["kernel_tol"] == asymptotics.DEFAULT_KERNEL_TOL
+        assert _RUN_DEFAULTS["convergence_tol"] == asymptotics.DEFAULT_CONVERGENCE_TOL
+        assert _RUN_DEFAULTS["classify_horizon"] == asymptotics.DEFAULT_NONAUTONOMOUS_HORIZON
+        assert _RUN_DEFAULTS["n_probes"] == asymptotics.DEFAULT_N_PROBES
+
+    def test_resolved_config_bytes(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", catalog_config(1))
+        out = tmp_path / "out"
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+        run = json.loads((out / "resolved_config.json").read_text())["run"]
+        assert json.dumps(run, sort_keys=True) == (
+            '{"atol": 1e-12, "class_tol": 1e-07, "classify_horizon": 60.0, '
+            '"convergence_tol": 1e-08, "fate_tol": 1e-07, "grid_points": 400, '
+            '"horizon": 30.0, "kernel_tol": 1e-09, "n_probes": 50, "n_samples": 100, '
+            '"refine_tol": 1e-06, "rtol": 1e-09, "seed": null, "workers": 1}'
+        )
+
+    @pytest.mark.parametrize("run_seed, expected", [(None, 5), (7, 7)])
+    def test_run_seed_overrides_ensemble_seed(self, run_seed, expected):
+        from entfate.cli import build_ensemble
+
+        resolved = {
+            "ensemble": {"kind": "haar_pure", "seed": 5, "target_concurrence": 0.0},
+            "run": {"seed": run_seed},
+        }
+        assert build_ensemble(resolved) == ef.EnsembleSpec("haar_pure", seed=expected)
 
 
 class TestCatalogCommand:
@@ -119,6 +159,40 @@ class TestSimulate:
         assert dist[0] == pytest.approx(0.5, abs=1e-9)
         assert dist[-1] < 1e-9
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
+
+    def test_class6_propagates_once(self, tmp_path, monkeypatch):
+        import entfate.cli
+        import entfate.fate
+        from entfate import dynamics
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dynamics.propagate(*args, **kwargs)
+
+        monkeypatch.setattr(entfate.cli, "propagate", counting)
+        monkeypatch.setattr(entfate.fate, "propagate", counting)
+        run = {"horizon": 12.0, "grid_points": 200, "rtol": 1e-7, "atol": 1e-10}
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "generator": {"catalog": {"class_id": 6, "params": {}}},
+                "ensemble": {"kind": "hilbert_schmidt_mixed", "seed": 13},
+                "run": run,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # the fate of the reused trajectory is the fate detect_fate finds
+        fate = json.loads((out / "summary.json").read_text())["fate"]
+        rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=13))
+        opts = ef.SolverOptions(rtol=run["rtol"], atol=run["atol"])
+        rec = ef.detect_fate(ef.catalog_generator(6), rho0, 12.0, grid_points=200, opts=opts)
+        assert fate["fate_tag"] == rec.fate_tag == "asymptotically_entangled"
+        assert fate["birth_time"] == rec.birth_time is not None
+        assert fate["final_margin"] == rec.final_margin
 
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(

@@ -212,3 +212,49 @@ class TestPropagatorMatrix:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ef.propagator_matrix(random_generator(0), -1.0)
+
+
+class TestOneFlow:
+    """propagate, evolve_state and the propagator maps share one flow."""
+
+    TIMES = (0.0, 0.5, 1.3, 2.0)
+
+    def test_propagator_matrix_matches_multi_time_call_autonomous(self):
+        g = random_generator(3)
+        phis = ef.propagator_matrices(g, self.TIMES)
+        assert len(phis) == len(self.TIMES)
+        for t, phi in zip(self.TIMES, phis):
+            assert np.max(np.abs(ef.propagator_matrix(g, t) - phi)) < 1e-12
+
+    def test_propagator_matrix_matches_multi_time_call_nonautonomous(self):
+        g = ef.catalog_generator(6)
+        phis = ef.propagator_matrices(g, self.TIMES)
+        assert np.array_equal(phis[0], np.eye(16))
+        # the solve to the last time takes the very same steps
+        assert np.max(np.abs(ef.propagator_matrix(g, self.TIMES[-1]) - phis[-1])) < 1e-12
+        # earlier times end other step sequences: equal to the solver tolerance
+        for t, phi in zip(self.TIMES[1:-1], phis[1:-1]):
+            assert np.max(np.abs(ef.propagator_matrix(g, t) - phi)) < 1e-7
+
+    def test_propagator_matrices_rejects_bad_grid(self):
+        with pytest.raises(ValueError):
+            ef.propagator_matrices(random_generator(0), [0.5, 1.0])
+        with pytest.raises(ValueError):
+            ef.propagator_matrices(random_generator(0), [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    def test_evolve_state_restarts_a_trajectory(self, g):
+        traj = ef.propagate(g, random_state(1), np.linspace(0.0, 2.0, 9))
+        for i, j in ((0, 8), (2, 5), (3, 4), (7, 8)):
+            st = ef.evolve_state(g, traj.states[i], traj.times[i], traj.times[j])
+            assert np.max(np.abs(st.matrix - traj.states[j].matrix)) < 1e-9
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    def test_early_returns_are_exact(self, g):
+        s = random_state(2)
+        assert np.array_equal(ef.propagator_matrix(g, 0.0), np.eye(16))
+        assert ef.evolve_state(g, s, 1.5, 1.5) is s
+        traj = ef.propagate(g, s, [0.0])
+        assert traj.times == (0.0,) and traj.states[0] is s

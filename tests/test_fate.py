@@ -203,3 +203,30 @@ class TestWilsonInterval:
         lo1, hi1 = wilson_interval(5, 10)
         lo2, hi2 = wilson_interval(500, 1000)
         assert hi2 - lo2 < hi1 - lo1
+
+
+class TestFateOfTrajectory:
+    @pytest.mark.parametrize(
+        "class_id, rho0, horizon, opts",
+        [
+            (1, ef.max_entangled(), 20.0, ef.SolverOptions()),
+            (3, ef.basis_state(0, 1), 30.0, ef.SolverOptions()),
+            # a separable sample that is born entangled near t = 0.037
+            (6, ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=13)), 12.0,
+             ef.SolverOptions(rtol=1e-7, atol=1e-10)),
+        ],
+        ids=["class1-bell-death", "class3-sudden-birth", "class6-sudden-birth"],
+    )
+    def test_equals_detect_fate(self, class_id, rho0, horizon, opts):
+        g = ef.catalog_generator(class_id)
+        grid = np.linspace(0.0, horizon, 201)
+        traj = ef.propagate(g, rho0, grid, opts)
+        rec = ef.fate_of_trajectory(g, traj, opts=opts)
+        assert rec == ef.detect_fate(g, rho0, horizon, grid_points=200, opts=opts)
+        assert rec.death_time is not None or rec.birth_time is not None
+
+    def test_wrong_dims(self):
+        g = ef.make_generator((2, 3))
+        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(2, 3))
+        with pytest.raises(UnsupportedDimension):
+            ef.fate_of_trajectory(g, ef.propagate(g, s, [0.0, 1.0]))
