@@ -251,7 +251,12 @@ def cmd_simulate(args) -> int:
     traj = propagate(g, rho0, grid, opts)
     curve = margin_curve(traj)
     record = fate_of_trajectory(
-        g, traj, refine_tol=float(run["refine_tol"]), tol=float(run["fate_tol"]), opts=opts
+        g,
+        traj,
+        refine_tol=float(run["refine_tol"]),
+        tol=float(run["fate_tol"]),
+        opts=opts,
+        margins=[m for _, m, _ in curve],
     )
     dist_to_a = None
     try:

@@ -8,6 +8,16 @@ so vec(A rho B) = (B^T ⊗ A) vec(rho).  The Liouvillian matrix is
 
 and vec(I) is a left null vector (trace preservation).
 
+A ``Generator`` is compiled once, when it is built, into
+
+    L(t) = L_H(t) + sum_k g_k(t) D_k
+
+with L_H = -i (I⊗H - H^T⊗I) precomputed when H is a constant matrix
+(and rebuilt at t only when H is callable), and one dissipator D_k per
+jump channel, the bracket above.  ``liouvillian_matrix`` then only
+scales and adds these read-only d^2 x d^2 pieces, channel by channel,
+which gives the formula above at t bit for bit.
+
 Every state, trajectory and propagator comes from one flow, ``_flow``,
 which carries a vectorized operator, or a block of them as columns, from
 the first of a list of times to each later one.  Autonomous generators
@@ -64,12 +74,31 @@ class Generator:
     """Lindblad data: Hamiltonian, jump channels, autonomy flag.
 
     ``hamiltonian`` is either a constant matrix or a callable t -> matrix.
+    Building a Generator precomputes its read-only superoperator pieces:
+    ``hamiltonian_part`` = -i (I⊗H - H^T⊗I) (None when H is callable)
+    and ``dissipators``, one D_k per jump channel, in channel order.
     """
 
     dims: tuple[int, int]
     hamiltonian: object = field(repr=False)
     jumps: tuple[JumpChannel, ...] = ()
     autonomous: bool = True
+    hamiltonian_part: np.ndarray | None = field(init=False, repr=False, compare=False)
+    dissipators: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h = self.hamiltonian
+        lh = None if callable(h) else _hamiltonian_superop(h, self.dim)
+        ds = tuple(_dissipator(ch.operator, self.dim) for ch in self.jumps)
+        for m in (lh, *ds):
+            if m is not None:
+                m.setflags(write=False)
+        object.__setattr__(self, "hamiltonian_part", lh)
+        object.__setattr__(self, "dissipators", ds)
+
+    def __reduce__(self):
+        # pickle the Lindblad data only; unpickling compiles it again
+        return (Generator, (self.dims, self.hamiltonian, self.jumps, self.autonomous))
 
     @property
     def dim(self) -> int:
@@ -78,6 +107,19 @@ class Generator:
     def ham(self, t: float) -> np.ndarray:
         h = self.hamiltonian
         return h(t) if callable(h) else h
+
+
+def _hamiltonian_superop(h: np.ndarray, d: int) -> np.ndarray:
+    """-i (I⊗H - H^T⊗I)."""
+    eye = np.eye(d)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def _dissipator(lk: np.ndarray, d: int) -> np.ndarray:
+    """conj(L)⊗L - 1/2 I⊗(L†L) - 1/2 (L†L)^T⊗I."""
+    eye = np.eye(d)
+    lklk = lk.conj().T @ lk
+    return np.kron(lk.conj(), lk) - 0.5 * np.kron(eye, lklk) - 0.5 * np.kron(lklk.T, eye)
 
 
 def make_generator(dims, hamiltonian=None, jumps=(), autonomous=None) -> Generator:
@@ -140,22 +182,17 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
-    """Column-stacking superoperator matrix of the generator at time t."""
-    d = g.dim
-    eye = np.eye(d)
-    h = g.ham(t)
-    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for ch in g.jumps:
+    """Column-stacking superoperator matrix of the generator at time t,
+    a fresh writable array summed from the generator's compiled pieces."""
+    if g.hamiltonian_part is None:
+        lmat = _hamiltonian_superop(g.ham(t), g.dim)
+    else:
+        lmat = g.hamiltonian_part.copy()
+    for ch, dk in zip(g.jumps, g.dissipators):
         gam = ch.rate(t)
         if gam == 0.0:
             continue
-        lk = ch.operator
-        lklk = lk.conj().T @ lk
-        lmat += gam * (
-            np.kron(lk.conj(), lk)
-            - 0.5 * np.kron(eye, lklk)
-            - 0.5 * np.kron(lklk.T, eye)
-        )
+        lmat += gam * dk
     return lmat
 
 

@@ -122,13 +122,20 @@ def fate_of_trajectory(
     refine_tol: float = DEFAULT_REFINE_TOL,
     tol: float = DEFAULT_FATE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
+    margins: list[float] | None = None,
 ) -> FateRecord:
     """Track the PT margin of a trajectory of g and tag its fate; crossings
-    are refined by re-integrating from the trajectory's grid states."""
+    are refined by re-integrating from the trajectory's grid states.
+
+    ``margins`` are the PT margins of the grid states when the caller has
+    them already (as ``margin_curve`` does); otherwise they are computed."""
     if traj.states[0].dims != (2, 2):
         raise UnsupportedDimension(f"fate detection needs 2x2, got {traj.states[0].dims}")
     times = list(traj.times)
-    margins = [min_pt_eigenvalue(s) for s in traj.states]
+    if margins is None:
+        margins = [min_pt_eigenvalue(s) for s in traj.states]
+    elif len(margins) != len(times):
+        raise ValueError(f"{len(margins)} margins for {len(times)} grid states")
 
     # one subdivision pass through near-tangential intervals: both ends
     # near zero and the neighboring slopes flip (interior extremum risk)

@@ -160,6 +160,33 @@ class TestSimulate:
         assert dist[-1] < 1e-9
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
 
+    def test_class2_margins_computed_once(self, tmp_path, monkeypatch):
+        import entfate.fate
+
+        margins, refinements = [], []
+
+        def counting_margin(s):
+            margins.append(s)
+            return ef.min_pt_eigenvalue(s)
+
+        def counting_evolve(*args, **kwargs):
+            refinements.append(args)
+            return ef.evolve_state(*args, **kwargs)
+
+        monkeypatch.setattr(entfate.fate, "min_pt_eigenvalue", counting_margin)
+        monkeypatch.setattr(entfate.fate, "evolve_state", counting_evolve)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "generator": {"catalog": {"class_id": 2, "params": {}}},
+                "initial_state": {"matrix": BELL},
+                "run": {"horizon": 30.0, "grid_points": 100},
+            },
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # one margin per grid state, plus one per off-grid refinement point
+        assert len(margins) == 101 + len(refinements)
+
     def test_class6_propagates_once(self, tmp_path, monkeypatch):
         import entfate.cli
         import entfate.fate

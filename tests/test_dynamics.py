@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import entfate as ef
@@ -25,6 +29,26 @@ def random_generator(seed, n_jumps=2):
         l = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         jumps.append((0.5 * l, ConstantRate(rng.uniform(0.2, 1.0))))
     return make_generator((2, 2), hamiltonian=h, jumps=jumps)
+
+
+def reference_liouvillian(g, t):
+    """The Liouvillian assembled from Kronecker products at every call."""
+    d = g.dim
+    eye = np.eye(d)
+    h = g.ham(t)
+    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for ch in g.jumps:
+        gam = ch.rate(t)
+        if gam == 0.0:
+            continue
+        lk = ch.operator
+        lklk = lk.conj().T @ lk
+        lmat += gam * (
+            np.kron(lk.conj(), lk)
+            - 0.5 * np.kron(eye, lklk)
+            - 0.5 * np.kron(lklk.T, eye)
+        )
+    return lmat
 
 
 def random_state(seed):
@@ -95,6 +119,83 @@ class TestLiouvillianMatrix:
         assert abs(drho[0, 0] - 1.0) < 1e-14
         assert abs(drho[1, 1] + 1.0) < 1e-14
         assert np.max(np.abs(drho - np.diag(np.diag(drho)))) < 1e-14
+
+
+class TestCompiledGenerator:
+    """liouvillian_matrix sums pieces compiled once per Generator."""
+
+    TIMES = (0.0, 0.7, 5.0, 13.2, 1000.0)  # exp(-1000) rates are exactly 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["constant", "exponential", "zero"]), min_size=1, max_size=4),
+        time_dependent_h=st.booleans(),
+    )
+    def test_matches_reference_formula(self, seed, kinds, time_dependent_h):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h0 = 0.5 * (z + z.conj().T)
+        if time_dependent_h:
+            h = lambda t: np.cos(t) * np.kron(SX, EYE2) + np.sin(t) * h0
+        else:
+            h = h0
+        rates = {
+            "constant": lambda: ConstantRate(rng.uniform(0.2, 1.0)),
+            "exponential": lambda: ExponentialRate(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)),
+            "zero": lambda: ConstantRate(0.0),
+        }
+        jumps = [
+            (0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))), rates[k]())
+            for k in kinds
+        ]
+        g = make_generator((2, 2), hamiltonian=h, jumps=jumps)
+        assert (g.hamiltonian_part is None) == time_dependent_h
+        assert len(g.dissipators) == len(kinds)
+        tr = vec(np.eye(4)).conj()
+        for t in self.TIMES:
+            lmat = liouvillian_matrix(g, t)
+            assert np.array_equal(lmat, reference_liouvillian(g, t))
+            assert np.max(np.abs(tr @ lmat)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "g",
+        [make_generator((2, 2), hamiltonian=np.kron(SX, EYE2)), ef.catalog_generator(6)],
+        ids=["hamiltonian_only", "class6"],
+    )
+    def test_result_is_fresh_and_pieces_read_only(self, g):
+        pieces = [p for p in (g.hamiltonian_part, *g.dissipators) if p is not None]
+        assert pieces
+        for p in pieces:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0, 0] = 1.0
+        first = liouvillian_matrix(g, 0.7)
+        assert first.flags.writeable
+        first[:] = 7.0
+        assert np.array_equal(liouvillian_matrix(g, 0.7), reference_liouvillian(g, 0.7))
+
+    def test_unpickled_generator_is_compiled_again(self):
+        g = ef.catalog_generator(4)
+        g2 = pickle.loads(pickle.dumps(g))
+        for p in (g2.hamiltonian_part, *g2.dissipators):
+            assert not p.flags.writeable
+        for t in self.TIMES:
+            assert np.array_equal(liouvillian_matrix(g2, t), liouvillian_matrix(g, t))
+
+    def test_propagation_builds_no_kronecker_products(self, monkeypatch):
+        g = ef.catalog_generator(6)
+        calls = []
+        kron = np.kron
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kron(*args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", counting)
+        traj = ef.propagate(g, random_state(3), np.linspace(0.0, 12.0, 200))
+        assert len(traj.states) == 200
+        assert calls == []
 
 
 class TestPropagate:
