@@ -7,6 +7,10 @@ under one linear map P∞ on vectorized operators:
                              kernel, which fixes every stationary state,
   * non-autonomous dynamics -- the converged total propagator.
 
+A set is one state iff P∞(X) = tr(X)·P∞(I/d) for every X: a one-dimensional
+kernel, or max|P∞ − vec(P∞(I/d))·vec(I)†| ≤ tol for the converged
+propagator, the norm and tolerance of its convergence check.  One
+constructor builds every set and checks that P∞(I/d) is a state.
 A singleton set also carries its state P∞(I/d).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly; a larger set is probed by images of
@@ -114,34 +118,12 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
             raise NoTraceOneElement(
                 f"kernel is not closed under conjugation: residual {conj_residual:.3e}"
             )
-    ref = unvec(proj @ vec(np.eye(d) / d), d)
-    ref = 0.5 * (ref + ref.conj().T)
-    tr = np.trace(ref).real
-    if abs(tr - 1.0) > 1e-8:
-        raise NoTraceOneElement(f"projected reference has trace {tr:.6g}")
-    eigs = np.linalg.eigvalsh(ref)
-    if eigs[0] < -1e-8:
-        raise NoTraceOneElement(f"projected reference min eigenvalue {eigs[0]:.3e}")
     diagnostics = {
         "kernel_dim": k,
         "spectral_gap": float(min(-w.real[~kernel])) if k < w.size else 0.0,
         "peripheral_eigenvalues": [],
     }
-    if k > 1:
-        return AsymptoticSet(
-            cardinality="many", dims=g.dims, map_matrix=proj, diagnostics=diagnostics
-        )
-    if eigs[0] < 0.0:
-        ww, vv = np.linalg.eigh(ref)
-        ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
-        ref /= np.trace(ref).real
-    return AsymptoticSet(
-        cardinality="one",
-        dims=g.dims,
-        map_matrix=proj,
-        state=new_state(ref, g.dims[0], g.dims[1]),
-        diagnostics=diagnostics,
-    )
+    return _asymptotic_set(g.dims, proj, k == 1, diagnostics)
 
 
 def asymptotic_set_nonautonomous(
@@ -149,7 +131,6 @@ def asymptotic_set_nonautonomous(
     horizon: float = DEFAULT_NONAUTONOMOUS_HORIZON,
     tol: float = DEFAULT_CONVERGENCE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
-    seed: int = 0,
 ) -> AsymptoticSet:
     """Converged total propagator; the asymptotic set is its image of D."""
     _, phi_half, phi = propagator_matrices(g, (0.0, 0.5 * horizon, horizon), opts)
@@ -159,21 +140,33 @@ def asymptotic_set_nonautonomous(
             f"propagator residual {residual:.3e} > {tol:.1e} at horizon {horizon}; "
             "extend the horizon"
         )
-    rng = np.random.default_rng(seed)
-    images = [apply_map(phi, _random_hs_state(rng, g.dims), opts) for _ in range(20)]
-    spread = max(
-        trace_distance(images[i], images[j])
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-    )
-    one = spread <= 1e-8
-    return AsymptoticSet(
-        cardinality="one" if one else "many",
-        dims=g.dims,
-        map_matrix=phi,
-        state=apply_map(phi, _maximally_mixed(g.dims), opts) if one else None,
-        diagnostics={"convergence_residual": residual, "image_spread": spread},
-    )
+    # one state iff P∞ = vec(P∞(I/d)) vec(I)†, to the tolerance P∞ is known to
+    eye = vec(np.eye(g.dim))
+    traceless = float(np.max(np.abs(phi - np.outer(phi @ eye / g.dim, eye))))
+    diagnostics = {"convergence_residual": residual, "traceless_residual": traceless}
+    return _asymptotic_set(g.dims, phi, traceless <= tol, diagnostics)
+
+
+def _asymptotic_set(dims, p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
+    """The set P∞(D), once its centre P∞(I/d) is checked to be a state;
+    a singleton keeps the centre, clipped only when needed, as its state."""
+    d = dims[0] * dims[1]
+    ref = unvec(p_inf @ vec(np.eye(d) / d), d)
+    ref = 0.5 * (ref + ref.conj().T)
+    tr = np.trace(ref).real
+    if abs(tr - 1.0) > 1e-8:
+        raise NoTraceOneElement(f"projected reference has trace {tr:.6g}")
+    eigs = np.linalg.eigvalsh(ref)
+    if eigs[0] < -1e-8:
+        raise NoTraceOneElement(f"projected reference min eigenvalue {eigs[0]:.3e}")
+    state = None
+    if one:
+        if eigs[0] < 0.0:
+            ww, vv = np.linalg.eigh(ref)
+            ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
+            ref /= np.trace(ref).real
+        state = new_state(ref, *dims)
+    return AsymptoticSet("one" if one else "many", dims, p_inf, state, diagnostics)
 
 
 def _maximally_mixed(dims) -> QState:
@@ -188,19 +181,18 @@ def _random_hs_state(rng: np.random.Generator, dims) -> QState:
     return new_state(m / np.trace(m).real, dims[0], dims[1])
 
 
-def representative(a: AsymptoticSet, opts: SolverOptions = DEFAULT_OPTS) -> QState:
+def representative(a: AsymptoticSet) -> QState:
     """Any member of the set (the canonical one for singletons)."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, _maximally_mixed(a.dims), opts)
+    return apply_map(a.map_matrix, _maximally_mixed(a.dims))
 
 
-def sample_member(a: AsymptoticSet, rng: np.random.Generator,
-                  opts: SolverOptions = DEFAULT_OPTS) -> QState:
+def sample_member(a: AsymptoticSet, rng: np.random.Generator) -> QState:
     """Draw a random member of the asymptotic set."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, _random_hs_state(rng, a.dims), opts)
+    return apply_map(a.map_matrix, _random_hs_state(rng, a.dims))
 
 
 def membership_residual(a: AsymptoticSet, s: QState) -> float:
@@ -230,14 +222,13 @@ def _pure_probes() -> list[tuple[str, np.ndarray]]:
     return probes + [(f"Bell {name}", b) for name, b in bells]
 
 
-def _image_probes(a: AsymptoticSet, n_probes: int, seed: int,
-                  opts: SolverOptions) -> list[tuple[str, QState]]:
+def _image_probes(a: AsymptoticSet, n_probes: int, seed: int) -> list[tuple[str, QState]]:
     probes = [(f"image({label})", new_state(np.outer(v, v.conj()), *a.dims))
               for label, v in _pure_probes()]
     rng = np.random.default_rng(seed)
     for i in range(n_probes):
         probes.append((f"image(random #{i})", _random_hs_state(rng, a.dims)))
-    return [(label, apply_map(a.map_matrix, st, opts)) for label, st in probes]
+    return [(label, apply_map(a.map_matrix, st)) for label, st in probes]
 
 
 def _pt(m: np.ndarray) -> np.ndarray:
@@ -270,13 +261,12 @@ def classify_theorem_class(
     tol: float = DEFAULT_CLASS_TOL,
     n_probes: int = DEFAULT_N_PROBES,
     seed: int = 0,
-    opts: SolverOptions = DEFAULT_OPTS,
 ) -> TheoremClass:
     """Assign the asymptotic set to one of the six classes."""
     if a.dims != (2, 2):
         raise UnsupportedDimension(f"classification needs 2x2 dims, got {a.dims}")
     if a.cardinality == "one":
-        region = classify_region(representative(a, opts), tol)
+        region = classify_region(representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
         return TheoremClass(
             class_id=class_id,
@@ -288,11 +278,11 @@ def classify_theorem_class(
             tol=tol,
             probes=(("representative", region.margin),),
         )
-    states = _image_probes(a, n_probes, seed, opts)
+    states = _image_probes(a, n_probes, seed)
     for label, v in _pure_probes():
         x = _seesaw_min(a, v)
         pure = new_state(np.outer(x, x.conj()), *a.dims)
-        states.append((f"seesaw from {label}", apply_map(a.map_matrix, pure, opts)))
+        states.append((f"seesaw from {label}", apply_map(a.map_matrix, pure)))
     margins = [(label, min_pt_eigenvalue(st)) for label, st in states]
     bound = np.inf
     top = states[int(np.argmax([m for _, m in margins]))][1]
@@ -301,7 +291,7 @@ def classify_theorem_class(
         y = np.linalg.eigh(_pt(top.matrix))[1][:, 0]
         bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
         if bound >= -tol:  # no bound below -tol: try the centre as a last member
-            margins.append(("image(I/4)", min_pt_eigenvalue(representative(a, opts))))
+            margins.append(("image(I/4)", min_pt_eigenvalue(representative(a))))
     values = np.array([m for _, m in margins])
     # margins equal to 1e-12 are ties, won by the first: a fixed probe before a search
     i_min = int(np.flatnonzero(values <= values.min() + 1e-12)[0])
@@ -350,10 +340,8 @@ def classify_generator(
     if g.autonomous:
         aset = stationary_set_autonomous(g, tol=kernel_tol)
     else:
-        aset = asymptotic_set_nonautonomous(
-            g, horizon=horizon, tol=convergence_tol, opts=opts, seed=seed
-        )
-    return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed, opts=opts)
+        aset = asymptotic_set_nonautonomous(g, horizon=horizon, tol=convergence_tol, opts=opts)
+    return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 
 
 def catalog_generator(class_id: int, gamma: float = 1.0, c: float | None = None) -> Generator:

@@ -36,6 +36,7 @@ from .errors import (
     EntfateError,
     HorizonTooShort,
     Inconclusive,
+    NoTraceOneElement,
     NotConverged,
     OscillatoryAsymptotics,
     PositivityLost,
@@ -113,6 +114,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _number(obj: dict, key: str, field: str, default=None) -> float:
+    """obj[key] (or the default) as a float; a missing or non-numeric
+    value is a ConfigError naming ``field.key``."""
+    value = obj.get(key, default)
+    if value is None:
+        raise ConfigError(f"{field}.{key} is missing")
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def resolve_config(cfg: dict, args) -> dict:
     resolved = copy.deepcopy(cfg)
     resolved["schema_version"] = SCHEMA_VERSION
@@ -131,7 +143,10 @@ def resolve_config(cfg: dict, args) -> dict:
     if args is not None and getattr(args, "out", None) is not None:
         out["directory"] = args.out
     resolved["output"] = out
-    if not isinstance(run["horizon"], (int, float)) or run["horizon"] <= 0:
+    for key in _RUN_DEFAULTS:
+        if key != "seed" or run[key] is not None:
+            _number(run, key, "run")
+    if run["horizon"] <= 0:
         raise ConfigError(f"run.horizon must be positive, got {run['horizon']}")
     if int(run["grid_points"]) < 2:
         raise ConfigError(f"run.grid_points must be >= 2, got {run['grid_points']}")
@@ -146,9 +161,9 @@ def build_rate(desc, field: str):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"{field}: rate must be a number or an object with 'kind'")
     if desc["kind"] == "constant":
-        return ConstantRate(float(desc["value"]))
+        return ConstantRate(_number(desc, "value", field))
     if desc["kind"] == "exponential":
-        return ExponentialRate(float(desc["amplitude"]), float(desc.get("tau", 1.0)))
+        return ExponentialRate(_number(desc, "amplitude", field), _number(desc, "tau", field, 1.0))
     raise ConfigError(f"{field}: unknown rate kind {desc['kind']!r}")
 
 
@@ -168,16 +183,20 @@ def build_generator(cfg: dict):
             raise ConfigError(f"generator.catalog: {exc}")
     if "explicit" in gcfg:
         ex = gcfg["explicit"]
-        dims = tuple(ex.get("dims", [2, 2]))
+        if ex.get("dims", [2, 2]) != [2, 2]:
+            raise ConfigError(f"generator.explicit.dims must be [2, 2], got {ex['dims']!r}")
         ham = None
         if ex.get("hamiltonian") is not None:
             ham = parse_complex_matrix(ex["hamiltonian"], "generator.explicit.hamiltonian")
         jumps = []
         for i, j in enumerate(ex.get("jumps", [])):
-            op = parse_complex_matrix(j["operator"], f"generator.explicit.jumps[{i}].operator")
-            jumps.append((op, build_rate(j.get("rate", 1.0), f"generator.explicit.jumps[{i}].rate")))
+            field = f"generator.explicit.jumps[{i}]"
+            if not isinstance(j, dict) or "operator" not in j:
+                raise ConfigError(f"{field}: expected an object with an 'operator'")
+            op = parse_complex_matrix(j["operator"], f"{field}.operator")
+            jumps.append((op, build_rate(j.get("rate", 1.0), f"{field}.rate")))
         try:
-            return make_generator(dims, hamiltonian=ham, jumps=jumps)
+            return make_generator((2, 2), hamiltonian=ham, jumps=jumps)
         except ValueError as exc:
             raise ConfigError(f"generator.explicit: {exc}")
     raise ConfigError("generator must contain 'catalog' or 'explicit'")
@@ -192,7 +211,7 @@ def build_ensemble(resolved: dict) -> EnsembleSpec:
             seed=int(ens["seed"]),
             target_concurrence=float(ens["target_concurrence"]),
         )
-    except (EntfateError, ValueError, KeyError) as exc:
+    except (EntfateError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"ensemble: {exc}")
     seed = resolved["run"]["seed"]
     return spec if seed is None else dataclasses.replace(spec, seed=int(seed))
@@ -230,7 +249,7 @@ def classify_options(run: dict) -> dict:
 def _initial_state(cfg: dict, resolved: dict, g):
     init = cfg.get("initial_state")
     if init is not None:
-        m = parse_complex_matrix(init["matrix"], "initial_state.matrix")
+        m = parse_complex_matrix(init.get("matrix"), "initial_state.matrix")
         try:
             return new_state(m, *g.dims)
         except EntfateError as exc:
@@ -288,7 +307,7 @@ def cmd_classify(args) -> int:
     _write_resolved(outdir, resolved)
     try:
         aset, cls = classify_generator(g, **classify_options(run))
-    except (Inconclusive, OscillatoryAsymptotics, NotConverged) as exc:
+    except (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement) as exc:
         _write_json(
             outdir / "classification.json",
             {"error": type(exc).__name__, "reason": str(exc)},
@@ -342,20 +361,7 @@ def cmd_fates(args) -> int:
                 f"{_fmt(rec.death_time)},{_fmt(rec.final_margin)}"
             )
     (outdir / "fates.csv").write_text("\n".join(lines) + "\n")
-    _write_json(
-        outdir / "fates_summary.json",
-        {
-            "ensemble": dataclasses.asdict(spec),
-            "horizon": stats.horizon,
-            "n": stats.n,
-            "counts": stats.counts,
-            "fractions": stats.fractions,
-            "intervals": {k: list(v) for k, v in stats.intervals.items()},
-            "failures": stats.failures,
-            "failure_reasons": stats.failure_reasons,
-            "exemplars": stats.exemplars,
-        },
-    )
+    _write_json(outdir / "fates_summary.json", dataclasses.asdict(stats))
     ok = stats.n - stats.failures
     print(f"fates: {ok}/{stats.n} samples succeeded")
     return EXIT_OK if ok >= 0.9 * stats.n else EXIT_FAILURES

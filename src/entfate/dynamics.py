@@ -42,6 +42,7 @@ from .errors import PositivityLost, StepFailure
 from .states import QState, new_state
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
+PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,13 @@ class ExponentialRate:
         return self.amplitude * math.exp(-t / self.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpChannel:
     operator: np.ndarray = field(repr=False)
     rate: object  # callable t -> nonnegative float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Lindblad data: Hamiltonian, jump channels, autonomy flag.
 
@@ -77,14 +78,15 @@ class Generator:
     Building a Generator precomputes its read-only superoperator pieces:
     ``hamiltonian_part`` = -i (I⊗H - H^T⊗I) (None when H is callable)
     and ``dissipators``, one D_k per jump channel, in channel order.
+    Generators, like their channels, compare and hash by identity.
     """
 
     dims: tuple[int, int]
     hamiltonian: object = field(repr=False)
     jumps: tuple[JumpChannel, ...] = ()
     autonomous: bool = True
-    hamiltonian_part: np.ndarray | None = field(init=False, repr=False, compare=False)
-    dissipators: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    hamiltonian_part: np.ndarray | None = field(init=False, repr=False)
+    dissipators: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         h = self.hamiltonian
@@ -200,7 +202,6 @@ def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
 class SolverOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
-    psd_repair: float = 1e-9  # eigenvalues in [-psd_repair, 0) are clipped
 
 
 DEFAULT_OPTS = SolverOptions()
@@ -212,7 +213,7 @@ class Trajectory:
     states: tuple[QState, ...]
 
 
-def _repair_state(m: np.ndarray, dims, opts: SolverOptions) -> QState:
+def _repair_state(m: np.ndarray, dims) -> QState:
     """Re-Hermitize; clip round-off negativity; renormalize the trace."""
     m = 0.5 * (m + m.conj().T)
     tr = np.trace(m).real
@@ -220,9 +221,9 @@ def _repair_state(m: np.ndarray, dims, opts: SolverOptions) -> QState:
         raise StepFailure(f"trace drifted to {tr!r}; tolerances too loose")
     m = m / tr
     w, v = np.linalg.eigh(m)
-    if w[0] < -opts.psd_repair:
+    if w[0] < -PSD_REPAIR:
         raise PositivityLost(
-            f"min eigenvalue {w[0]:.3e} below repair threshold -{opts.psd_repair:.1e}"
+            f"min eigenvalue {w[0]:.3e} below repair threshold -{PSD_REPAIR:.1e}"
         )
     if w[0] < 0.0:
         w = np.clip(w, 0.0, None)
@@ -281,7 +282,7 @@ def propagate(
     if rho0.dim != d:
         raise ValueError(f"initial state dim {rho0.dim} vs generator dim {d}")
     ys = _flow(g, vec(rho0.matrix), t, opts)
-    states = [rho0] + [_repair_state(unvec(y, d), g.dims, opts) for y in ys[1:]]
+    states = [rho0] + [_repair_state(unvec(y, d), g.dims) for y in ys[1:]]
     return Trajectory(times=tuple(t.tolist()), states=tuple(states))
 
 
@@ -298,7 +299,7 @@ def evolve_state(
     if t_to == t_from:
         return rho
     y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[-1]
-    return _repair_state(unvec(y, g.dim), g.dims, opts)
+    return _repair_state(unvec(y, g.dim), g.dims)
 
 
 def propagator_matrices(
@@ -324,7 +325,7 @@ def propagator_matrix(
     return propagator_matrices(g, [0.0, t] if t > 0.0 else [0.0], opts)[-1]
 
 
-def apply_map(phi: np.ndarray, s: QState, opts: SolverOptions = DEFAULT_OPTS) -> QState:
+def apply_map(phi: np.ndarray, s: QState) -> QState:
     """Apply a vectorized-operator map to a state and revalidate."""
     d = s.dim
-    return _repair_state(unvec(phi @ vec(s.matrix), d), s.dims, opts)
+    return _repair_state(unvec(phi @ vec(s.matrix), d), s.dims)

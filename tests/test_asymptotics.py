@@ -131,6 +131,35 @@ class TestAsymptoticSetNonautonomous:
         assert np.max(np.abs(aset.map_matrix - expected)) < 1e-6
         assert aset.cardinality == "many"
 
+    @pytest.mark.parametrize(
+        "c, tol", [(2.0, 1e-8), (18.1, 1e-8), (19.0, 1e-8), (18.1, 2e-8)]
+    )
+    def test_quenched_depolarizing_singleton_rule(self, c, tol):
+        # P∞ = e^-c I + (1 - e^-c) R with R(X) = tr(X) I/4 leaves the traceless
+        # part e^-c (I - R): one state exactly when e^-c is within tol
+        aset = ef.asymptotic_set_nonautonomous(ef.catalog_generator(4, c=c), tol=tol)
+        assert aset.diagnostics["traceless_residual"] == pytest.approx(np.exp(-c), rel=1e-3)
+        assert aset.cardinality == ("one" if np.exp(-c) <= tol else "many")
+        if aset.cardinality == "one":
+            assert ef.trace_distance(aset.state, ef.new_state(np.eye(4) / 4, 2, 2)) < 1e-8
+
+    @pytest.mark.parametrize("c", [18.1, 18.15, 18.2])
+    def test_verdict_is_seed_free(self, c):
+        g = ef.catalog_generator(4, c=c)
+        ids = {ef.classify_generator(g, seed=seed)[1].class_id for seed in range(20)}
+        assert ids == {4}
+
+    def test_decided_from_the_map_alone(self, monkeypatch):
+        import entfate.asymptotics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the builder compares or draws states")
+
+        monkeypatch.setattr(entfate.asymptotics, "trace_distance", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        aset = ef.asymptotic_set_nonautonomous(ef.catalog_generator(4))
+        assert aset.cardinality == "many"
+
     def test_one_propagator_solve(self, monkeypatch):
         # Phi(h/2) and Phi(h) come from a single flow of the identity
         import entfate.dynamics

@@ -12,6 +12,7 @@ BELL = [
     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
     [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
 ]
+ZERO = [[[0.0, 0.0]] * 4] * 4
 
 
 def write_config(path, payload):
@@ -117,6 +118,49 @@ class TestConfigErrors:
             {"generator": {"catalog": {"class_id": 4, "params": {"c": 1.0}}}},
         )
         assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("classify", {"generator": {"explicit": {"dims": [2, 3]}}}, "generator.explicit.dims"),
+            ("simulate", {"generator": {"explicit": {"dims": [2, 3]}}}, "generator.explicit.dims"),
+            ("fates", {"generator": {"explicit": {"dims": [2, 3]}}}, "generator.explicit.dims"),
+            (
+                "classify",
+                {"generator": {"explicit": {"jumps": [{"rate": 1.0}]}}},
+                "generator.explicit.jumps[0]: expected an object with an 'operator'",
+            ),
+            (
+                "classify",
+                {"generator": {"explicit": {"jumps": [
+                    {"operator": ZERO, "rate": {"kind": "exponential"}}
+                ]}}},
+                "generator.explicit.jumps[0].rate.amplitude",
+            ),
+            ("simulate", catalog_config(1, grid_points="x"), "run.grid_points"),
+            ("simulate", {**catalog_config(1), "initial_state": {}}, "initial_state.matrix"),
+        ],
+        ids=[
+            "classify-dims",
+            "simulate-dims",
+            "fates-dims",
+            "jump-without-operator",
+            "exponential-without-amplitude",
+            "grid-points-not-a-number",
+            "initial-state-without-matrix",
+        ],
+    )
+    def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_empty_kernel_writes_classification_error(self, tmp_path):
+        # no Liouvillian eigenvalue is within 1e-30 of zero
+        cfg = write_config(tmp_path / "c.json", catalog_config(1, kernel_tol=1e-30))
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 4
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert payload["error"] == "NoTraceOneElement"
 
 
 class TestSimulate:

@@ -97,6 +97,13 @@ class TestMakeGenerator:
         g = make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ExponentialRate(1.0))])
         assert not g.autonomous
 
+    def test_equality_is_identity_and_hashable(self):
+        g, h = ef.catalog_generator(2), ef.catalog_generator(2)
+        assert g == g and g != h
+        assert {g: 1, h: 2}[g] == 1
+        assert g.jumps[0] == g.jumps[0] and g.jumps[0] != h.jumps[0]
+        assert len({*g.jumps, *h.jumps}) == 4
+
 
 class TestLiouvillianMatrix:
     def test_trivial_generator_is_zero(self):
