@@ -60,6 +60,7 @@ from .geometry import (
     classify_region,
     concurrence,
     min_pt_eigenvalue,
+    min_pt_eigenvalues,
     negativity,
 )
 from .states import (

@@ -114,6 +114,13 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _object(value, field: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 def _number(obj: dict, key: str, field: str, default=None) -> float:
     """obj[key] (or the default) as a float; a missing or non-numeric
     value is a ConfigError naming ``field.key``."""
@@ -129,17 +136,17 @@ def resolve_config(cfg: dict, args) -> dict:
     resolved = copy.deepcopy(cfg)
     resolved["schema_version"] = SCHEMA_VERSION
     run = dict(_RUN_DEFAULTS)
-    run.update(resolved.get("run", {}))
+    run.update(_object(resolved.get("run", {}), "run"))
     if args is not None and getattr(args, "seed", None) is not None:
         run["seed"] = args.seed
     if args is not None and getattr(args, "workers", None) is not None:
         run["workers"] = args.workers
     resolved["run"] = run
     ens = dict(_ENSEMBLE_DEFAULTS)
-    ens.update(resolved.get("ensemble", {}))
+    ens.update(_object(resolved.get("ensemble", {}), "ensemble"))
     resolved["ensemble"] = ens
     out = dict(_OUTPUT_DEFAULTS)
-    out.update(resolved.get("output", {}))
+    out.update(_object(resolved.get("output", {}), "output"))
     if args is not None and getattr(args, "out", None) is not None:
         out["directory"] = args.out
     resolved["output"] = out
@@ -172,7 +179,7 @@ def build_generator(cfg: dict):
     if not isinstance(gcfg, dict):
         raise ConfigError("config needs a 'generator' object")
     if "catalog" in gcfg:
-        cat = gcfg["catalog"]
+        cat = _object(gcfg["catalog"], "generator.catalog")
         class_id = cat.get("class_id")
         if class_id not in (1, 2, 3, 4, 5, 6):
             raise ConfigError(f"generator.catalog.class_id must be 1..6, got {class_id}")
@@ -182,14 +189,17 @@ def build_generator(cfg: dict):
         except (BadParams, TypeError) as exc:
             raise ConfigError(f"generator.catalog: {exc}")
     if "explicit" in gcfg:
-        ex = gcfg["explicit"]
+        ex = _object(gcfg["explicit"], "generator.explicit")
         if ex.get("dims", [2, 2]) != [2, 2]:
             raise ConfigError(f"generator.explicit.dims must be [2, 2], got {ex['dims']!r}")
         ham = None
         if ex.get("hamiltonian") is not None:
             ham = parse_complex_matrix(ex["hamiltonian"], "generator.explicit.hamiltonian")
+        entries = ex.get("jumps", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"generator.explicit.jumps must be a JSON list, got {entries!r}")
         jumps = []
-        for i, j in enumerate(ex.get("jumps", [])):
+        for i, j in enumerate(entries):
             field = f"generator.explicit.jumps[{i}]"
             if not isinstance(j, dict) or "operator" not in j:
                 raise ConfigError(f"{field}: expected an object with an 'operator'")
@@ -249,7 +259,7 @@ def classify_options(run: dict) -> dict:
 def _initial_state(cfg: dict, resolved: dict, g):
     init = cfg.get("initial_state")
     if init is not None:
-        m = parse_complex_matrix(init.get("matrix"), "initial_state.matrix")
+        m = parse_complex_matrix(_object(init, "initial_state").get("matrix"), "initial_state.matrix")
         try:
             return new_state(m, *g.dims)
         except EntfateError as exc:

@@ -27,19 +27,26 @@ order 5 with an order-4 error estimate (Dormand-Prince), sampled at the
 times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
 it between two times, and ``propagator_matrices`` flows the identity to
 give the maps Phi(t).
+
+A trajectory is one read-only (T, d, d) stack of density matrices.  Every
+propagated state passes through one repair routine, ``_repair_states``,
+which Hermitizes, checks and renormalizes a whole stack and diagonalizes
+it in one stacked eigensolve; ``evolve_state`` and ``apply_map`` hand it a
+stack of one.  QState objects are built only where a caller asks for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import PositivityLost, StepFailure
-from .states import QState, new_state
+from .states import QState
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
@@ -207,31 +214,63 @@ class SolverOptions:
 DEFAULT_OPTS = SolverOptions()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A state propagated over a time grid, held as one stack.
+
+    ``matrices`` is a read-only (T, d, d) array whose entry k is the
+    density matrix at ``times[k]``; entry 0 is that of ``initial``, the
+    state the trajectory started from.  ``states`` wraps the stack as
+    QStates, built once on first use, with ``states[0] is initial``.
+    """
+
     times: tuple[float, ...]
-    states: tuple[QState, ...]
+    matrices: np.ndarray = field(repr=False)
+    initial: QState
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.initial.dims
+
+    def state(self, k: int) -> QState:
+        """The grid state at ``times[k]``, without building ``states``."""
+        if k == 0:
+            return self.initial
+        return QState(*self.dims, matrix=self.matrices[k])
+
+    @cached_property
+    def states(self) -> tuple[QState, ...]:
+        return tuple(self.state(k) for k in range(len(self.times)))
 
 
-def _repair_state(m: np.ndarray, dims) -> QState:
-    """Re-Hermitize; clip round-off negativity; renormalize the trace."""
-    m = 0.5 * (m + m.conj().T)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > 1e-9:
-        raise StepFailure(f"trace drifted to {tr!r}; tolerances too loose")
-    m = m / tr
-    w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_REPAIR:
-        raise PositivityLost(
-            f"min eigenvalue {w[0]:.3e} below repair threshold -{PSD_REPAIR:.1e}"
-        )
-    if w[0] < 0.0:
-        w = np.clip(w, 0.0, None)
-        m = (v * w) @ v.conj().T
-        m /= np.trace(m).real
-    # invariants are established above; skip new_state's re-validation
-    m.setflags(write=False)
-    return QState(dim_a=dims[0], dim_b=dims[1], matrix=m)
+def _repair_states(ms: np.ndarray) -> np.ndarray:
+    """Re-Hermitize, clip round-off negativity and renormalize the trace of
+    every matrix of an (N, d, d) stack; return the repaired stack, read-only.
+
+    The first matrix, in stack order, that fails a check raises: a trace
+    off 1 by more than 1e-9 gives StepFailure, an eigenvalue below
+    -PSD_REPAIR gives PositivityLost.  The repaired matrices are density
+    matrices, so callers wrap them as QStates without re-validation."""
+    ms = 0.5 * (ms + ms.conj().transpose(0, 2, 1))
+    tr = np.trace(ms, axis1=1, axis2=2).real
+    drifted = np.abs(tr - 1.0) > 1e-9
+    n = int(drifted.argmax()) if drifted.any() else len(ms)  # states before the first drift
+    ms = ms[:n] / tr[:n, None, None]
+    w, v = np.linalg.eigh(ms)
+    if n and w[:, 0].min() < 0.0:
+        negative = np.flatnonzero(w[:, 0] < -PSD_REPAIR)
+        if negative.size:
+            raise PositivityLost(
+                f"min eigenvalue {w[negative[0], 0]:.3e} below repair threshold -{PSD_REPAIR:.1e}"
+            )
+        clip = np.flatnonzero(w[:, 0] < 0.0)
+        v = v[clip]
+        m = (v * np.clip(w[clip], 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        ms[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    if n < len(tr):
+        raise StepFailure(f"trace drifted to {tr[n]!r}; tolerances too loose")
+    ms.setflags(write=False)
+    return ms
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -276,14 +315,18 @@ def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) 
 def propagate(
     g: Generator, rho0: QState, t_grid, opts: SolverOptions = DEFAULT_OPTS
 ) -> Trajectory:
-    """Propagate rho0 over the grid; every emitted state is validated."""
+    """Propagate rho0 over the grid; every propagated state is repaired and
+    validated, all in one stacked call."""
     t = _check_grid(t_grid)
     d = g.dim
     if rho0.dim != d:
         raise ValueError(f"initial state dim {rho0.dim} vs generator dim {d}")
     ys = _flow(g, vec(rho0.matrix), t, opts)
-    states = [rho0] + [_repair_state(unvec(y, d), g.dims) for y in ys[1:]]
-    return Trajectory(times=tuple(t.tolist()), states=tuple(states))
+    # row k of the stacked ys is vec(rho_k), and unvec is the transposed reshape
+    ms = np.stack(ys).reshape(-1, d, d).transpose(0, 2, 1)
+    ms = np.concatenate([rho0.matrix[None], _repair_states(ms[1:])])
+    ms.setflags(write=False)
+    return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0)
 
 
 def evolve_state(
@@ -299,7 +342,7 @@ def evolve_state(
     if t_to == t_from:
         return rho
     y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[-1]
-    return _repair_state(unvec(y, g.dim), g.dims)
+    return QState(*g.dims, matrix=_repair_states(unvec(y, g.dim)[None])[0])
 
 
 def propagator_matrices(
@@ -327,5 +370,4 @@ def propagator_matrix(
 
 def apply_map(phi: np.ndarray, s: QState) -> QState:
     """Apply a vectorized-operator map to a state and revalidate."""
-    d = s.dim
-    return _repair_state(unvec(phi @ vec(s.matrix), d), s.dims)
+    return QState(*s.dims, matrix=_repair_states(unvec(phi @ vec(s.matrix), s.dim)[None])[0])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, evolve_state, propagate
 from .errors import EntfateError, HorizonTooShort, UnsupportedDimension
-from .geometry import concurrence, min_pt_eigenvalue
+from .geometry import concurrence, min_pt_eigenvalue, min_pt_eigenvalues
 from .states import EnsembleSpec, QState, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
@@ -70,7 +70,7 @@ def _margin_at(g, traj, t, opts):
     """Margin at an off-grid time, re-integrating from the nearest
     earlier grid state."""
     i = bisect_right(traj.times, t) - 1
-    return min_pt_eigenvalue(evolve_state(g, traj.states[i], traj.times[i], t, opts))
+    return min_pt_eigenvalue(evolve_state(g, traj.state(i), traj.times[i], t, opts))
 
 
 def _bisect(g, traj, t_lo, t_hi, on_lo_side, refine_tol, opts):
@@ -128,12 +128,13 @@ def fate_of_trajectory(
     are refined by re-integrating from the trajectory's grid states.
 
     ``margins`` are the PT margins of the grid states when the caller has
-    them already (as ``margin_curve`` does); otherwise they are computed."""
-    if traj.states[0].dims != (2, 2):
-        raise UnsupportedDimension(f"fate detection needs 2x2, got {traj.states[0].dims}")
+    them already (as ``margin_curve`` does); otherwise they are computed
+    in one stacked call."""
+    if traj.dims != (2, 2):
+        raise UnsupportedDimension(f"fate detection needs 2x2, got {traj.dims}")
     times = list(traj.times)
     if margins is None:
-        margins = [min_pt_eigenvalue(s) for s in traj.states]
+        margins = min_pt_eigenvalues(traj.matrices).tolist()
     elif len(margins) != len(times):
         raise ValueError(f"{len(margins)} margins for {len(times)} grid states")
 
@@ -220,7 +221,7 @@ def fate_of_trajectory(
         tag = "never_entangled"
 
     return FateRecord(
-        initial_concurrence=concurrence(traj.states[0]),
+        initial_concurrence=concurrence(traj.initial),
         death_time=death_time,
         birth_time=birth_time,
         revival_times=revival_times,
@@ -231,11 +232,12 @@ def fate_of_trajectory(
 
 def margin_curve(traj: Trajectory) -> list[tuple[float, float, float]]:
     """(time, PT margin, concurrence) per grid point, ready for CSV."""
-    if traj.states[0].dims != (2, 2):
+    if traj.dims != (2, 2):
         raise UnsupportedDimension("margin_curve needs a 2x2 trajectory")
+    margins = min_pt_eigenvalues(traj.matrices).tolist()
     return [
-        (t, min_pt_eigenvalue(s), concurrence(s))
-        for t, s in zip(traj.times, traj.states)
+        (t, m, concurrence(s))
+        for t, m, s in zip(traj.times, margins, traj.states)
     ]
 
 

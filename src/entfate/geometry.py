@@ -39,6 +39,14 @@ def min_pt_eigenvalue(s: QState) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(s, "B"))[0])
 
 
+def min_pt_eigenvalues(matrices: np.ndarray) -> np.ndarray:
+    """``min_pt_eigenvalue`` of every two-qubit state of an (N, 4, 4) stack,
+    from one stacked partial transpose on B and one stacked eigensolve."""
+    n = len(matrices)
+    pt = matrices.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+    return np.linalg.eigvalsh(pt)[:, 0]
+
+
 def negativity(s: QState) -> float:
     """Sum of |negative PT eigenvalues|; zero iff PPT."""
     eigs = np.linalg.eigvalsh(partial_transpose(s, "B"))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,16 @@ class TestCatalogCommand:
         for class_id in range(1, 7):
             assert (tmp_path / f"catalog_class_{class_id}.json").exists()
 
+    def test_python_m_entfate(self, tmp_path):
+        src = str(Path(ef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entfate", "catalog", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "catalog_class_6.json").exists()
+
     def test_emitted_configs_round_trip(self, tmp_path, capsys):
         main(["catalog", "--out", str(tmp_path)])
         for class_id in (2, 5):
@@ -139,6 +153,14 @@ class TestConfigErrors:
             ),
             ("simulate", catalog_config(1, grid_points="x"), "run.grid_points"),
             ("simulate", {**catalog_config(1), "initial_state": {}}, "initial_state.matrix"),
+            ("simulate", {**catalog_config(1), "run": [1]}, "run must be a JSON object"),
+            ("fates", {**catalog_config(1), "ensemble": [1]}, "ensemble must be a JSON object"),
+            ("classify", {**catalog_config(1), "output": "out"}, "output must be a JSON object"),
+            ("classify", {"generator": [1]}, "'generator' object"),
+            ("classify", {"generator": {"catalog": [2]}}, "generator.catalog must be a JSON object"),
+            ("classify", {"generator": {"explicit": [1]}}, "generator.explicit must be a JSON object"),
+            ("simulate", {**catalog_config(1), "initial_state": BELL}, "initial_state must be a JSON object"),
+            ("classify", {"generator": {"explicit": {"jumps": 5}}}, "generator.explicit.jumps must be a JSON list"),
         ],
         ids=[
             "classify-dims",
@@ -148,6 +170,14 @@ class TestConfigErrors:
             "exponential-without-amplitude",
             "grid-points-not-a-number",
             "initial-state-without-matrix",
+            "run-not-an-object",
+            "ensemble-not-an-object",
+            "output-not-an-object",
+            "generator-not-an-object",
+            "catalog-not-an-object",
+            "explicit-not-an-object",
+            "initial-state-not-an-object",
+            "jumps-not-a-list",
         ],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):
@@ -207,16 +237,21 @@ class TestSimulate:
     def test_class2_margins_computed_once(self, tmp_path, monkeypatch):
         import entfate.fate
 
-        margins, refinements = [], []
+        stacked_rows, single, refinements = [], [], []
+
+        def counting_margins(ms):
+            stacked_rows.append(len(ms))
+            return ef.min_pt_eigenvalues(ms)
 
         def counting_margin(s):
-            margins.append(s)
+            single.append(s)
             return ef.min_pt_eigenvalue(s)
 
         def counting_evolve(*args, **kwargs):
             refinements.append(args)
             return ef.evolve_state(*args, **kwargs)
 
+        monkeypatch.setattr(entfate.fate, "min_pt_eigenvalues", counting_margins)
         monkeypatch.setattr(entfate.fate, "min_pt_eigenvalue", counting_margin)
         monkeypatch.setattr(entfate.fate, "evolve_state", counting_evolve)
         cfg = write_config(
@@ -228,8 +263,10 @@ class TestSimulate:
             },
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        # one margin per grid state, plus one per off-grid refinement point
-        assert len(margins) == 101 + len(refinements)
+        # the grid margins come from one stacked call, then one margin per
+        # off-grid refinement point
+        assert stacked_rows == [101]
+        assert sum(stacked_rows) + len(single) == 101 + len(refinements)
 
     def test_class6_propagates_once(self, tmp_path, monkeypatch):
         import entfate.cli

@@ -8,13 +8,16 @@ from scipy.linalg import expm
 
 import entfate as ef
 from entfate.dynamics import (
+    PSD_REPAIR,
     ConstantRate,
     ExponentialRate,
+    _repair_states,
     liouvillian_matrix,
     make_generator,
     unvec,
     vec,
 )
+from entfate.errors import PositivityLost, StepFailure
 from entfate.operators import EYE2, SMINUS, SX
 
 GAMMA = 1.0
@@ -49,6 +52,58 @@ def reference_liouvillian(g, t):
             - 0.5 * np.kron(lklk.T, eye)
         )
     return lmat
+
+
+def reference_repair_state(m):
+    """The per-state repair that the stacked one replaced (returning the
+    matrix, where it returned a QState)."""
+    m = 0.5 * (m + m.conj().T)
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-9:
+        raise StepFailure(f"trace drifted to {tr!r}; tolerances too loose")
+    m = m / tr
+    w, v = np.linalg.eigh(m)
+    if w[0] < -PSD_REPAIR:
+        raise PositivityLost(
+            f"min eigenvalue {w[0]:.3e} below repair threshold -{PSD_REPAIR:.1e}"
+        )
+    if w[0] < 0.0:
+        w = np.clip(w, 0.0, None)
+        m = (v * w) @ v.conj().T
+        m /= np.trace(m).real
+    return m
+
+
+def reference_margins(ms):
+    """The per-state PT margin loop that the stacked margins replaced."""
+    out = []
+    for m in ms:
+        pt = np.ascontiguousarray(m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
+        out.append(float(np.linalg.eigvalsh(pt)[0]))
+    return out
+
+
+def propagated_like(rng, kind):
+    """A 4x4 matrix as a propagator leaves it: a density matrix that is
+    Hermitian, of trace 1 and PSD only up to round-off.  ``pure`` states
+    have three eigenvalues at round-off level; ``clipped`` ones have their
+    lowest eigenvalue in [-1e-9, 0), so the repair clips them."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    if kind == "pure":
+        m = np.outer(z[:, 0], z[:, 0].conj())
+    else:
+        m = z @ z.conj().T
+    m /= np.trace(m).real
+    if kind == "clipped":
+        w, v = np.linalg.eigh(m)
+        w[0] = -rng.uniform(1e-12, 0.9e-9)
+        w[1:] *= (1.0 - w[0]) / w[1:].sum()
+        m = (v * w) @ v.conj().T
+    m = m + 1e-14 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    m *= 1.0 + 1e-11 * rng.normal()
+    if kind == "clipped":
+        assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < 0.0
+    return m
 
 
 def random_state(seed):
@@ -366,3 +421,80 @@ class TestOneFlow:
         assert ef.evolve_state(g, s, 1.5, 1.5) is s
         traj = ef.propagate(g, s, [0.0])
         assert traj.times == (0.0,) and traj.states[0] is s
+
+
+class TestStackedTrajectory:
+    """A trajectory is one read-only stack, repaired and measured in one
+    stacked call each, with the outputs of the per-state loops."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["mixed", "pure", "clipped"]), min_size=1, max_size=50),
+    )
+    def test_stacked_repair_and_margins_match_per_state_loops(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        ms = np.stack([propagated_like(rng, k) for k in kinds])
+        repaired = _repair_states(ms)
+        assert not repaired.flags.writeable
+        expected = np.stack([reference_repair_state(m) for m in ms])
+        assert np.array_equal(repaired, expected)
+        margins = ef.min_pt_eigenvalues(repaired)
+        assert np.array_equal(margins, reference_margins(expected))
+
+    @staticmethod
+    def failing_stack(positivity_at, drift_at):
+        rng = np.random.default_rng(5)
+        ms = np.stack([propagated_like(rng, "mixed") for _ in range(8)])
+        w, v = np.linalg.eigh(ms[positivity_at])
+        w[0], w[1:] = -1e-6, w[1:] * (1.0 + 1e-6) / w[1:].sum()
+        ms[positivity_at] = (v * w) @ v.conj().T
+        ms[drift_at] *= 1.0 + 1e-6
+        return ms
+
+    @pytest.mark.parametrize(
+        "positivity_at, drift_at, error",
+        [(2, 5, PositivityLost), (5, 2, StepFailure)],
+        ids=["positivity-first", "drift-first"],
+    )
+    def test_first_failure_in_grid_order_raises(self, positivity_at, drift_at, error):
+        ms = self.failing_stack(positivity_at, drift_at)
+        with pytest.raises(error) as got:
+            _repair_states(ms)
+        first = min(positivity_at, drift_at)
+        with pytest.raises(error) as want:
+            for m in ms[: first + 1]:
+                reference_repair_state(m)
+        assert str(got.value) == str(want.value)
+
+    def test_propagate_makes_one_eigensolve(self, monkeypatch):
+        from entfate import dynamics
+
+        g = ef.catalog_generator(2)
+        rho0 = ef.max_entangled()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.np.linalg, "eigh", counting)
+        traj = ef.propagate(g, rho0, np.linspace(0.0, 30.0, 400))
+        assert len(calls) == 1
+        assert calls[0][0].shape == (399, 4, 4)
+        assert traj.matrices.shape == (400, 4, 4)
+
+    def test_stack_is_read_only_and_states_are_views(self):
+        g = ef.catalog_generator(2)
+        rho0 = random_state(4)
+        traj = ef.propagate(g, rho0, np.linspace(0.0, 5.0, 21))
+        assert not traj.matrices.flags.writeable
+        assert np.array_equal(traj.matrices[0], rho0.matrix)
+        states = traj.states
+        assert traj.states is states and states[0] is rho0 and len(states) == 21
+        for k, s in enumerate(states):
+            assert s.dims == (2, 2) and not s.matrix.flags.writeable
+            assert np.array_equal(s.matrix, traj.matrices[k])
+            assert np.array_equal(traj.state(k).matrix, s.matrix)
+        assert traj.state(0) is rho0
