@@ -7,11 +7,11 @@ under one linear map P∞ on vectorized operators:
                              kernel, which fixes every stationary state,
   * non-autonomous dynamics -- the converged total propagator.
 
-A set is one state iff P∞(X) = tr(X)·P∞(I/d) for every X: a one-dimensional
-kernel, or max|P∞ − vec(P∞(I/d))·vec(I)†| ≤ tol for the converged
+A set is one state iff P∞(X) = tr(X)·P∞(I/4) for every X: a one-dimensional
+kernel, or max|P∞ − vec(P∞(I/4))·vec(I)†| ≤ tol for the converged
 propagator, the norm and tolerance of its convergence check.  One
-constructor builds every set and checks that P∞(I/d) is a state.
-A singleton set also carries its state P∞(I/d).  Classification into the
+constructor builds every set and checks that P∞(I/4) is a state.
+A singleton set also carries its state P∞(I/4).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly; a larger set is probed by images of
 deterministic product and Bell states and of random states.  The margin
@@ -46,7 +46,6 @@ from .errors import (
     NoTraceOneElement,
     NotConverged,
     OscillatoryAsymptotics,
-    UnsupportedDimension,
 )
 from .geometry import classify_region, min_pt_eigenvalue
 from .operators import (
@@ -57,7 +56,7 @@ from .operators import (
     single_qubit_probe_vectors,
     two_qubit_paulis,
 )
-from .states import QState, new_state, trace_distance
+from .states import D, QState, hilbert_schmidt_state, new_state, trace_distance, transpose_b
 
 DEFAULT_CLASS_TOL = 1e-7
 DEFAULT_KERNEL_TOL = 1e-9
@@ -72,9 +71,8 @@ CLASS6_MIN_C = 5.0
 @dataclass(frozen=True)
 class AsymptoticSet:
     cardinality: str  # one | many
-    dims: tuple[int, int]
     map_matrix: np.ndarray = field(repr=False)  # P∞; the set is P∞(D)
-    state: QState | None = None  # P∞(I/d), singletons only
+    state: QState | None = None  # P∞(I/4), singletons only
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -94,7 +92,6 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     """Spectral kernel of the Liouvillian as the asymptotic set."""
     if not g.autonomous:
         raise ValueError("generator is not autonomous")
-    d = g.dim
     lmat = liouvillian_matrix(g, 0.0)
     w, vl, vr = scipy.linalg.eig(lmat, left=True, right=True)
     kernel = np.abs(w) <= tol
@@ -112,7 +109,7 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     proj = vk @ np.linalg.inv(wk.conj().T @ vk) @ wk.conj().T
     if k > 1:
         # P∞(X†) = P∞(X)†, i.e. conj(P∞) = T P∞ T for the transpose permutation T
-        perm = np.arange(d * d).reshape(d, d).T.ravel()
+        perm = np.arange(D * D).reshape(D, D).T.ravel()
         conj_residual = float(np.max(np.abs(proj[np.ix_(perm, perm)] - proj.conj())))
         if conj_residual > 1e-8:
             raise NoTraceOneElement(
@@ -123,7 +120,7 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
         "spectral_gap": float(min(-w.real[~kernel])) if k < w.size else 0.0,
         "peripheral_eigenvalues": [],
     }
-    return _asymptotic_set(g.dims, proj, k == 1, diagnostics)
+    return _asymptotic_set(proj, k == 1, diagnostics)
 
 
 def asymptotic_set_nonautonomous(
@@ -140,18 +137,17 @@ def asymptotic_set_nonautonomous(
             f"propagator residual {residual:.3e} > {tol:.1e} at horizon {horizon}; "
             "extend the horizon"
         )
-    # one state iff P∞ = vec(P∞(I/d)) vec(I)†, to the tolerance P∞ is known to
-    eye = vec(np.eye(g.dim))
-    traceless = float(np.max(np.abs(phi - np.outer(phi @ eye / g.dim, eye))))
+    # one state iff P∞ = vec(P∞(I/4)) vec(I)†, to the tolerance P∞ is known to
+    eye = vec(np.eye(D))
+    traceless = float(np.max(np.abs(phi - np.outer(phi @ eye / D, eye))))
     diagnostics = {"convergence_residual": residual, "traceless_residual": traceless}
-    return _asymptotic_set(g.dims, phi, traceless <= tol, diagnostics)
+    return _asymptotic_set(phi, traceless <= tol, diagnostics)
 
 
-def _asymptotic_set(dims, p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
-    """The set P∞(D), once its centre P∞(I/d) is checked to be a state;
+def _asymptotic_set(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
+    """The set P∞(D), once its centre P∞(I/4) is checked to be a state;
     a singleton keeps the centre, clipped only when needed, as its state."""
-    d = dims[0] * dims[1]
-    ref = unvec(p_inf @ vec(np.eye(d) / d), d)
+    ref = unvec(p_inf @ vec(np.eye(D) / D))
     ref = 0.5 * (ref + ref.conj().T)
     tr = np.trace(ref).real
     if abs(tr - 1.0) > 1e-8:
@@ -165,34 +161,22 @@ def _asymptotic_set(dims, p_inf: np.ndarray, one: bool, diagnostics: dict) -> As
             ww, vv = np.linalg.eigh(ref)
             ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
             ref /= np.trace(ref).real
-        state = new_state(ref, *dims)
-    return AsymptoticSet("one" if one else "many", dims, p_inf, state, diagnostics)
-
-
-def _maximally_mixed(dims) -> QState:
-    d = dims[0] * dims[1]
-    return new_state(np.eye(d) / d, dims[0], dims[1])
-
-
-def _random_hs_state(rng: np.random.Generator, dims) -> QState:
-    d = dims[0] * dims[1]
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = z @ z.conj().T
-    return new_state(m / np.trace(m).real, dims[0], dims[1])
+        state = new_state(ref)
+    return AsymptoticSet("one" if one else "many", p_inf, state, diagnostics)
 
 
 def representative(a: AsymptoticSet) -> QState:
     """Any member of the set (the canonical one for singletons)."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, _maximally_mixed(a.dims))
+    return apply_map(a.map_matrix, new_state(np.eye(D) / D))
 
 
 def sample_member(a: AsymptoticSet, rng: np.random.Generator) -> QState:
     """Draw a random member of the asymptotic set."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, _random_hs_state(rng, a.dims))
+    return apply_map(a.map_matrix, hilbert_schmidt_state(rng))
 
 
 def membership_residual(a: AsymptoticSet, s: QState) -> float:
@@ -202,15 +186,14 @@ def membership_residual(a: AsymptoticSet, s: QState) -> float:
     # least-squares preimage, projected back into D
     phi = a.map_matrix
     x, *_ = np.linalg.lstsq(phi, vec(s.matrix), rcond=None)
-    d = s.dim
-    pre = unvec(x, d)
+    pre = unvec(x)
     pre = 0.5 * (pre + pre.conj().T)
     w, v = np.linalg.eigh(pre)
     pre = (v * np.clip(w, 0.0, None)) @ v.conj().T
     tr = np.trace(pre).real
     if tr > 0.0:
         pre /= tr
-    img = unvec(phi @ vec(pre), d)
+    img = unvec(phi @ vec(pre))
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(img - s.matrix))))
 
 
@@ -223,22 +206,17 @@ def _pure_probes() -> list[tuple[str, np.ndarray]]:
 
 
 def _image_probes(a: AsymptoticSet, n_probes: int, seed: int) -> list[tuple[str, QState]]:
-    probes = [(f"image({label})", new_state(np.outer(v, v.conj()), *a.dims))
+    probes = [(f"image({label})", new_state(np.outer(v, v.conj())))
               for label, v in _pure_probes()]
     rng = np.random.default_rng(seed)
     for i in range(n_probes):
-        probes.append((f"image(random #{i})", _random_hs_state(rng, a.dims)))
+        probes.append((f"image(random #{i})", hilbert_schmidt_state(rng)))
     return [(label, apply_map(a.map_matrix, st)) for label, st in probes]
-
-
-def _pt(m: np.ndarray) -> np.ndarray:
-    """Partial transpose on B of a two-qubit operator (not necessarily a state)."""
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def _pt_adjoint(a: AsymptoticSet, y: np.ndarray) -> np.ndarray:
     """P∞†(T_B |y><y|), the operator whose expectation in ρ is <y|T_B P∞(ρ)|y>."""
-    return unvec(a.map_matrix.conj().T @ vec(_pt(np.outer(y, y.conj()))), 4)
+    return unvec(a.map_matrix.conj().T @ vec(transpose_b(np.outer(y, y.conj()))))
 
 
 def _seesaw_min(a: AsymptoticSet, x: np.ndarray, max_iter: int = 100) -> np.ndarray:
@@ -248,7 +226,7 @@ def _seesaw_min(a: AsymptoticSet, x: np.ndarray, max_iter: int = 100) -> np.ndar
     x and y; no step raises it.  Stops once a round gains less than 1e-10."""
     best = np.inf
     for _ in range(max_iter):
-        w, v = np.linalg.eigh(_pt(unvec(a.map_matrix @ vec(np.outer(x, x.conj())), 4)))
+        w, v = np.linalg.eigh(transpose_b(unvec(a.map_matrix @ vec(np.outer(x, x.conj())))))
         if w[0] >= best - 1e-10:
             break
         best = w[0]
@@ -263,8 +241,6 @@ def classify_theorem_class(
     seed: int = 0,
 ) -> TheoremClass:
     """Assign the asymptotic set to one of the six classes."""
-    if a.dims != (2, 2):
-        raise UnsupportedDimension(f"classification needs 2x2 dims, got {a.dims}")
     if a.cardinality == "one":
         region = classify_region(representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
@@ -281,14 +257,14 @@ def classify_theorem_class(
     states = _image_probes(a, n_probes, seed)
     for label, v in _pure_probes():
         x = _seesaw_min(a, v)
-        pure = new_state(np.outer(x, x.conj()), *a.dims)
+        pure = new_state(np.outer(x, x.conj()))
         states.append((f"seesaw from {label}", apply_map(a.map_matrix, pure)))
     margins = [(label, min_pt_eigenvalue(st)) for label, st in states]
     bound = np.inf
     top = states[int(np.argmax([m for _, m in margins]))][1]
     if min_pt_eigenvalue(top) < -tol:
         # every ρ in D has margin(P∞ρ) <= <y|T_B P∞(ρ)|y> <= λ_max(P∞†(T_B|y><y|))
-        y = np.linalg.eigh(_pt(top.matrix))[1][:, 0]
+        y = np.linalg.eigh(transpose_b(top.matrix))[1][:, 0]
         bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
         if bound >= -tol:  # no bound below -tol: try the centre as a last member
             margins.append(("image(I/4)", min_pt_eigenvalue(representative(a))))
@@ -356,20 +332,19 @@ def catalog_generator(class_id: int, gamma: float = 1.0, c: float | None = None)
     """
     if gamma <= 0.0:
         raise BadParams(f"gamma must be positive, got {gamma}")
-    dims = (2, 2)
     if class_id == 1:
         jumps = [(p, ConstantRate(gamma / 16.0)) for p in two_qubit_paulis()]
-        return make_generator(dims, jumps=jumps)
+        return make_generator(jumps=jumps)
     if class_id == 2:
         jumps = [
             (np.kron(SMINUS, EYE2), ConstantRate(gamma)),
             (np.kron(EYE2, SMINUS), ConstantRate(gamma)),
         ]
-        return make_generator(dims, jumps=jumps)
+        return make_generator(jumps=jumps)
     if class_id == 3:
         phi_p, *others = bell_vectors()
         jumps = [(np.outer(phi_p, b.conj()), ConstantRate(gamma)) for b in others]
-        return make_generator(dims, jumps=jumps)
+        return make_generator(jumps=jumps)
     if class_id == 4:
         c = 2.0 if c is None else float(c)
         if c < CLASS4_MIN_C:
@@ -378,13 +353,13 @@ def catalog_generator(class_id: int, gamma: float = 1.0, c: float | None = None)
                 f"a strictly interior image (Werner margin (1-3e^-c)/4); got {c}"
             )
         jumps = [(p, ExponentialRate(c / 16.0)) for p in two_qubit_paulis()]
-        return make_generator(dims, jumps=jumps, autonomous=False)
+        return make_generator(jumps=jumps, autonomous=False)
     if class_id == 5:
         jumps = [
             (np.kron(SZ, EYE2), ConstantRate(gamma)),
             (np.kron(EYE2, SZ), ConstantRate(gamma)),
         ]
-        return make_generator(dims, jumps=jumps)
+        return make_generator(jumps=jumps)
     if class_id == 6:
         c = 10.0 if c is None else float(c)
         if c < CLASS6_MIN_C:
@@ -394,5 +369,5 @@ def catalog_generator(class_id: int, gamma: float = 1.0, c: float | None = None)
             )
         phi_p, *others = bell_vectors()
         jumps = [(np.outer(phi_p, b.conj()), ExponentialRate(c)) for b in others]
-        return make_generator(dims, jumps=jumps, autonomous=False)
+        return make_generator(jumps=jumps, autonomous=False)
     raise BadParams(f"class_id must be 1..6, got {class_id}")

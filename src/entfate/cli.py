@@ -15,6 +15,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -98,6 +99,8 @@ def parse_complex_matrix(entries, field: str) -> np.ndarray:
         raise ConfigError(f"{field}: expected a matrix of [re, im] pairs ({exc})")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{field}: matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{field}: matrix has a non-finite entry")
     return arr
 
 
@@ -122,13 +125,16 @@ def _object(value, field: str) -> dict:
 
 
 def _number(obj: dict, key: str, field: str, default=None) -> float:
-    """obj[key] (or the default) as a float; a missing or non-numeric
-    value is a ConfigError naming ``field.key``."""
+    """obj[key] (or the default) as a float; a missing, non-numeric or
+    non-finite value (Python's json reads NaN and Infinity) is a
+    ConfigError naming ``field.key``."""
     value = obj.get(key, default)
     if value is None:
         raise ConfigError(f"{field}.{key} is missing")
     if not isinstance(value, (int, float)):
         raise ConfigError(f"{field}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}.{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -164,13 +170,16 @@ def resolve_config(cfg: dict, args) -> dict:
 
 def build_rate(desc, field: str):
     if isinstance(desc, (int, float)):
-        return ConstantRate(float(desc))
+        desc = {"kind": "constant", "value": desc}
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"{field}: rate must be a number or an object with 'kind'")
     if desc["kind"] == "constant":
         return ConstantRate(_number(desc, "value", field))
     if desc["kind"] == "exponential":
-        return ExponentialRate(_number(desc, "amplitude", field), _number(desc, "tau", field, 1.0))
+        try:
+            return ExponentialRate(_number(desc, "amplitude", field), _number(desc, "tau", field, 1.0))
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}")
     raise ConfigError(f"{field}: unknown rate kind {desc['kind']!r}")
 
 
@@ -186,7 +195,7 @@ def build_generator(cfg: dict):
         params = cat.get("params", {})
         try:
             return catalog_generator(class_id, **params)
-        except (BadParams, TypeError) as exc:
+        except (BadParams, TypeError, ValueError) as exc:
             raise ConfigError(f"generator.catalog: {exc}")
     if "explicit" in gcfg:
         ex = _object(gcfg["explicit"], "generator.explicit")
@@ -206,7 +215,7 @@ def build_generator(cfg: dict):
             op = parse_complex_matrix(j["operator"], f"{field}.operator")
             jumps.append((op, build_rate(j.get("rate", 1.0), f"{field}.rate")))
         try:
-            return make_generator((2, 2), hamiltonian=ham, jumps=jumps)
+            return make_generator(hamiltonian=ham, jumps=jumps)
         except ValueError as exc:
             raise ConfigError(f"generator.explicit: {exc}")
     raise ConfigError("generator must contain 'catalog' or 'explicit'")
@@ -256,15 +265,15 @@ def classify_options(run: dict) -> dict:
     }
 
 
-def _initial_state(cfg: dict, resolved: dict, g):
+def _initial_state(cfg: dict, resolved: dict):
     init = cfg.get("initial_state")
     if init is not None:
         m = parse_complex_matrix(_object(init, "initial_state").get("matrix"), "initial_state.matrix")
         try:
-            return new_state(m, *g.dims)
+            return new_state(m)
         except EntfateError as exc:
             raise ConfigError(f"initial_state: {exc}")
-    return sample(build_ensemble(resolved), g.dims)
+    return sample(build_ensemble(resolved))
 
 
 def cmd_simulate(args) -> int:
@@ -272,7 +281,7 @@ def cmd_simulate(args) -> int:
     resolved = resolve_config(cfg, args)
     run = resolved["run"]
     g = build_generator(resolved)
-    rho0 = _initial_state(cfg, resolved, g)
+    rho0 = _initial_state(cfg, resolved)
     outdir = Path(resolved["output"]["directory"])
     _write_resolved(outdir, resolved)
     opts = solver_options(run)

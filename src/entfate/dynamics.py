@@ -15,7 +15,7 @@ A ``Generator`` is compiled once, when it is built, into
 with L_H = -i (I⊗H - H^T⊗I) precomputed when H is a constant matrix
 (and rebuilt at t only when H is callable), and one dissipator D_k per
 jump channel, the bracket above.  ``liouvillian_matrix`` then only
-scales and adds these read-only d^2 x d^2 pieces, channel by channel,
+scales and adds these read-only 16 x 16 pieces, channel by channel,
 which gives the formula above at t bit for bit.
 
 Every state, trajectory and propagator comes from one flow, ``_flow``,
@@ -28,7 +28,7 @@ times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
 it between two times, and ``propagator_matrices`` flows the identity to
 give the maps Phi(t).
 
-A trajectory is one read-only (T, d, d) stack of density matrices.  Every
+A trajectory is one read-only (T, 4, 4) stack of density matrices.  Every
 propagated state passes through one repair routine, ``_repair_states``,
 which Hermitizes, checks and renormalizes a whole stack and diagonalizes
 it in one stacked eigensolve; ``evolve_state`` and ``apply_map`` hand it a
@@ -46,7 +46,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import PositivityLost, StepFailure
-from .states import QState
+from .states import D, QState, check_dims
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
@@ -66,6 +66,10 @@ class ExponentialRate:
 
     amplitude: float
     tau: float = 1.0
+
+    def __post_init__(self):
+        if not self.tau > 0.0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.exp(-t / self.tau)
@@ -88,7 +92,6 @@ class Generator:
     Generators, like their channels, compare and hash by identity.
     """
 
-    dims: tuple[int, int]
     hamiltonian: object = field(repr=False)
     jumps: tuple[JumpChannel, ...] = ()
     autonomous: bool = True
@@ -97,8 +100,8 @@ class Generator:
 
     def __post_init__(self):
         h = self.hamiltonian
-        lh = None if callable(h) else _hamiltonian_superop(h, self.dim)
-        ds = tuple(_dissipator(ch.operator, self.dim) for ch in self.jumps)
+        lh = None if callable(h) else _hamiltonian_superop(h)
+        ds = tuple(_dissipator(ch.operator) for ch in self.jumps)
         for m in (lh, *ds):
             if m is not None:
                 m.setflags(write=False)
@@ -107,50 +110,49 @@ class Generator:
 
     def __reduce__(self):
         # pickle the Lindblad data only; unpickling compiles it again
-        return (Generator, (self.dims, self.hamiltonian, self.jumps, self.autonomous))
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1]
+        return (Generator, (self.hamiltonian, self.jumps, self.autonomous))
 
     def ham(self, t: float) -> np.ndarray:
         h = self.hamiltonian
         return h(t) if callable(h) else h
 
 
-def _hamiltonian_superop(h: np.ndarray, d: int) -> np.ndarray:
+def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """-i (I⊗H - H^T⊗I)."""
-    eye = np.eye(d)
+    eye = np.eye(D)
     return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
-def _dissipator(lk: np.ndarray, d: int) -> np.ndarray:
+def _dissipator(lk: np.ndarray) -> np.ndarray:
     """conj(L)⊗L - 1/2 I⊗(L†L) - 1/2 (L†L)^T⊗I."""
-    eye = np.eye(d)
+    eye = np.eye(D)
     lklk = lk.conj().T @ lk
     return np.kron(lk.conj(), lk) - 0.5 * np.kron(eye, lklk) - 0.5 * np.kron(lklk.T, eye)
 
 
-def make_generator(dims, hamiltonian=None, jumps=(), autonomous=None) -> Generator:
-    """Validate and build a Generator.
+def make_generator(dims=(2, 2), hamiltonian=None, jumps=(), autonomous=None) -> Generator:
+    """Validate and build a two-qubit Generator.
 
     Autonomy is auto-detected when not given: a constant-matrix
-    Hamiltonian plus only ConstantRate channels.  Hermiticity of H(t)
-    and nonnegativity of all rates are spot-checked at t in {0, 1, 10}.
+    Hamiltonian plus only ConstantRate channels.  Jump operators must be
+    finite; H(t) must be finite and Hermitian, and every rate finite and
+    nonnegative, at the spot-check times t in {0, 1, 10}.
     """
-    d = dims[0] * dims[1]
+    check_dims(dims)
     if hamiltonian is None:
-        hamiltonian = np.zeros((d, d), dtype=complex)
+        hamiltonian = np.zeros((D, D), dtype=complex)
     if not callable(hamiltonian):
         hamiltonian = np.asarray(hamiltonian, dtype=complex)
-        if hamiltonian.shape != (d, d):
-            raise ValueError(f"hamiltonian shape {hamiltonian.shape}, expected {(d, d)}")
+        if hamiltonian.shape != (D, D):
+            raise ValueError(f"hamiltonian shape {hamiltonian.shape}, expected {(D, D)}")
         hamiltonian.setflags(write=False)
     channels = []
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
-        if op.shape != (d, d):
-            raise ValueError(f"jump operator shape {op.shape}, expected {(d, d)}")
+        if op.shape != (D, D):
+            raise ValueError(f"jump operator shape {op.shape}, expected {(D, D)}")
+        if not np.isfinite(op).all():
+            raise ValueError("jump operator has a non-finite entry")
         op.setflags(write=False)
         if not callable(rate):
             rate = ConstantRate(float(rate))
@@ -160,16 +162,19 @@ def make_generator(dims, hamiltonian=None, jumps=(), autonomous=None) -> Generat
             isinstance(ch.rate, ConstantRate) for ch in channels
         )
     g = Generator(
-        dims=(int(dims[0]), int(dims[1])),
         hamiltonian=hamiltonian,
         jumps=tuple(channels),
         autonomous=bool(autonomous),
     )
     for t in _SPOT_CHECK_TIMES:
         h = g.ham(t)
+        if not np.isfinite(h).all():
+            raise ValueError(f"hamiltonian has a non-finite entry at t={t}")
         if np.max(np.abs(h - h.conj().T)) > 1e-12:
             raise ValueError(f"hamiltonian not Hermitian at t={t}")
         for ch in g.jumps:
+            if not np.isfinite(ch.rate(t)):
+                raise ValueError(f"non-finite rate {ch.rate(t)} at t={t}")
             if ch.rate(t) < 0.0:
                 raise ValueError(f"negative rate {ch.rate(t)} at t={t}")
     if g.autonomous:
@@ -186,15 +191,15 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).flatten(order="F")
 
 
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape((d, d), order="F")
+def unvec(v: np.ndarray) -> np.ndarray:
+    return np.asarray(v).reshape((D, D), order="F")
 
 
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
     """Column-stacking superoperator matrix of the generator at time t,
     a fresh writable array summed from the generator's compiled pieces."""
     if g.hamiltonian_part is None:
-        lmat = _hamiltonian_superop(g.ham(t), g.dim)
+        lmat = _hamiltonian_superop(g.ham(t))
     else:
         lmat = g.hamiltonian_part.copy()
     for ch, dk in zip(g.jumps, g.dissipators):
@@ -218,7 +223,7 @@ DEFAULT_OPTS = SolverOptions()
 class Trajectory:
     """A state propagated over a time grid, held as one stack.
 
-    ``matrices`` is a read-only (T, d, d) array whose entry k is the
+    ``matrices`` is a read-only (T, 4, 4) array whose entry k is the
     density matrix at ``times[k]``; entry 0 is that of ``initial``, the
     state the trajectory started from.  ``states`` wraps the stack as
     QStates, built once on first use, with ``states[0] is initial``.
@@ -228,15 +233,11 @@ class Trajectory:
     matrices: np.ndarray = field(repr=False)
     initial: QState
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.initial.dims
-
     def state(self, k: int) -> QState:
         """The grid state at ``times[k]``, without building ``states``."""
         if k == 0:
             return self.initial
-        return QState(*self.dims, matrix=self.matrices[k])
+        return QState(self.matrices[k])
 
     @cached_property
     def states(self) -> tuple[QState, ...]:
@@ -245,7 +246,7 @@ class Trajectory:
 
 def _repair_states(ms: np.ndarray) -> np.ndarray:
     """Re-Hermitize, clip round-off negativity and renormalize the trace of
-    every matrix of an (N, d, d) stack; return the repaired stack, read-only.
+    every matrix of an (N, 4, 4) stack; return the repaired stack, read-only.
 
     The first matrix, in stack order, that fails a check raises: a trace
     off 1 by more than 1e-9 gives StepFailure, an eigenvalue below
@@ -318,12 +319,9 @@ def propagate(
     """Propagate rho0 over the grid; every propagated state is repaired and
     validated, all in one stacked call."""
     t = _check_grid(t_grid)
-    d = g.dim
-    if rho0.dim != d:
-        raise ValueError(f"initial state dim {rho0.dim} vs generator dim {d}")
     ys = _flow(g, vec(rho0.matrix), t, opts)
     # row k of the stacked ys is vec(rho_k), and unvec is the transposed reshape
-    ms = np.stack(ys).reshape(-1, d, d).transpose(0, 2, 1)
+    ms = np.stack(ys).reshape(-1, D, D).transpose(0, 2, 1)
     ms = np.concatenate([rho0.matrix[None], _repair_states(ms[1:])])
     ms.setflags(write=False)
     return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0)
@@ -342,7 +340,7 @@ def evolve_state(
     if t_to == t_from:
         return rho
     y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[-1]
-    return QState(*g.dims, matrix=_repair_states(unvec(y, g.dim)[None])[0])
+    return QState(_repair_states(unvec(y)[None])[0])
 
 
 def propagator_matrices(
@@ -350,9 +348,8 @@ def propagator_matrices(
 ) -> list[np.ndarray]:
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, all from one flow of the identity."""
-    d = g.dim
-    phis = _flow(g, np.eye(d * d, dtype=complex), _check_grid(t_grid), opts)
-    tr_vec = vec(np.eye(d)).conj()
+    phis = _flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts)
+    tr_vec = vec(np.eye(D)).conj()
     residual = max(np.max(np.abs(tr_vec @ phi - tr_vec)) for phi in phis)
     if residual > 1e-8:
         raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
@@ -370,4 +367,4 @@ def propagator_matrix(
 
 def apply_map(phi: np.ndarray, s: QState) -> QState:
     """Apply a vectorized-operator map to a state and revalidate."""
-    return QState(*s.dims, matrix=_repair_states(unvec(phi @ vec(s.matrix), s.dim)[None])[0])
+    return QState(_repair_states(unvec(phi @ vec(s.matrix))[None])[0])

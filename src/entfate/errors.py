@@ -6,7 +6,7 @@ class EntfateError(Exception):
 
 
 class DimensionMismatch(EntfateError):
-    """Operands have incompatible Hilbert-space dimensions."""
+    """A matrix does not have the 4x4 shape of a two-qubit operator."""
 
 
 class NotAState(EntfateError):
@@ -14,11 +14,11 @@ class NotAState(EntfateError):
 
 
 class UnsupportedEnsemble(EntfateError):
-    """Requested ensemble is not defined for the given dimensions."""
+    """Requested ensemble kind is not defined."""
 
 
 class UnsupportedDimension(EntfateError):
-    """Operation requires PPT-decisive dimensions (2x2 or 2x3)."""
+    """Dimensions other than two qubits (2x2) were requested."""
 
 
 class PositivityLost(EntfateError):

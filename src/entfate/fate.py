@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, evolve_state, propagate
-from .errors import EntfateError, HorizonTooShort, UnsupportedDimension
+from .errors import EntfateError, HorizonTooShort
 from .geometry import concurrence, min_pt_eigenvalue, min_pt_eigenvalues
 from .states import EnsembleSpec, QState, sample, split_seed
 
@@ -108,8 +108,6 @@ def detect_fate(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> FateRecord:
     """Propagate rho0 over grid_points steps to the horizon and tag its fate."""
-    if rho0.dims != (2, 2):
-        raise UnsupportedDimension(f"fate detection needs 2x2, got {rho0.dims}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     grid = np.linspace(0.0, horizon, grid_points + 1)
@@ -130,8 +128,6 @@ def fate_of_trajectory(
     ``margins`` are the PT margins of the grid states when the caller has
     them already (as ``margin_curve`` does); otherwise they are computed
     in one stacked call."""
-    if traj.dims != (2, 2):
-        raise UnsupportedDimension(f"fate detection needs 2x2, got {traj.dims}")
     times = list(traj.times)
     if margins is None:
         margins = min_pt_eigenvalues(traj.matrices).tolist()
@@ -232,8 +228,6 @@ def fate_of_trajectory(
 
 def margin_curve(traj: Trajectory) -> list[tuple[float, float, float]]:
     """(time, PT margin, concurrence) per grid point, ready for CSV."""
-    if traj.dims != (2, 2):
-        raise UnsupportedDimension("margin_curve needs a 2x2 trajectory")
     margins = min_pt_eigenvalues(traj.matrices).tolist()
     return [
         (t, m, concurrence(s))
@@ -259,7 +253,7 @@ def _fate_task(args):
     """One ensemble sample; module-level so worker processes can pickle it."""
     g, spec, base_seed, index, horizon, grid_points, refine_tol, tol, opts = args
     spec_i = replace(spec, seed=split_seed(base_seed, index))
-    rho0 = sample(spec_i, g.dims)
+    rho0 = sample(spec_i)
     try:
         return detect_fate(g, rho0, horizon, grid_points, refine_tol, tol, opts)
     except EntfateError as exc:

@@ -1,11 +1,11 @@
 """Entanglement quantifiers and the {interior of S, boundary of S, E} trichotomy.
 
-For 2x2 (and 2x3) systems positivity of the partial transpose decides
-separability, so the signed minimum PT eigenvalue ("margin") is the
-single continuous quantity whose sign locates a state relative to the
-separable set: strictly positive margin means a whole PPT neighborhood
-(deeply separable), strictly negative means entangled, and zero means
-arbitrarily small perturbations flip the verdict (boundary).
+For two qubits positivity of the partial transpose decides separability,
+so the signed minimum PT eigenvalue ("margin") is the single continuous
+quantity whose sign locates a state relative to the separable set:
+strictly positive margin means a whole PPT neighborhood (deeply
+separable), strictly negative means entangled, and zero means arbitrarily
+small perturbations flip the verdict (boundary).
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimension
-from .states import QState, partial_transpose
+from .states import QState, partial_transpose, transpose_b
 
 DEFAULT_REGION_TOL = 1e-9
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
-
-PPT_DECISIVE_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -40,11 +37,9 @@ def min_pt_eigenvalue(s: QState) -> float:
 
 
 def min_pt_eigenvalues(matrices: np.ndarray) -> np.ndarray:
-    """``min_pt_eigenvalue`` of every two-qubit state of an (N, 4, 4) stack,
-    from one stacked partial transpose on B and one stacked eigensolve."""
-    n = len(matrices)
-    pt = matrices.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
-    return np.linalg.eigvalsh(pt)[:, 0]
+    """``min_pt_eigenvalue`` of every state of an (N, 4, 4) stack, from one
+    stacked partial transpose on B and one stacked eigensolve."""
+    return np.linalg.eigvalsh(transpose_b(matrices))[:, 0]
 
 
 def negativity(s: QState) -> float:
@@ -55,8 +50,6 @@ def negativity(s: QState) -> float:
 
 def concurrence(s: QState) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1]."""
-    if s.dims != (2, 2):
-        raise UnsupportedDimension(f"concurrence needs 2x2, got {s.dims}")
     rho = s.matrix
     w, v = np.linalg.eigh(rho)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
@@ -69,10 +62,6 @@ def concurrence(s: QState) -> float:
 def classify_region(s: QState, tol: float = DEFAULT_REGION_TOL) -> Region:
     """Trichotomy by the sign of the PT margin; ties at |margin| = tol
     classify as boundary."""
-    if s.dims not in PPT_DECISIVE_DIMS:
-        raise UnsupportedDimension(
-            f"PPT is not decisive for dims {s.dims}; use negativity as a witness"
-        )
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     margin = min_pt_eigenvalue(s)

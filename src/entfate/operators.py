@@ -21,16 +21,10 @@ def bell_vectors() -> list[np.ndarray]:
     return [phi_p, phi_m, psi_p, psi_m]
 
 
-def two_qubit_paulis(include_identity: bool = False) -> list[np.ndarray]:
-    """Tensor products of single-qubit Paulis (identity pair optional)."""
+def two_qubit_paulis() -> list[np.ndarray]:
+    """The 15 tensor products of single-qubit Paulis other than I⊗I."""
     singles = [EYE2, SX, SY, SZ]
-    out = []
-    for i, a in enumerate(singles):
-        for j, b in enumerate(singles):
-            if not include_identity and i == 0 and j == 0:
-                continue
-            out.append(np.kron(a, b))
-    return out
+    return [np.kron(a, b) for a in singles for b in singles][1:]
 
 
 def single_qubit_probe_vectors() -> list[np.ndarray]:

@@ -1,9 +1,13 @@
-"""Bipartite density operators, structural maps, and random-state ensembles.
+"""Two-qubit density operators, structural maps, and random-state ensembles.
 
 Conventions (fixed once, used everywhere):
+  * every state is a two-qubit (C^2 ⊗ C^2) density matrix of side D = 4,
   * dense row-major complex storage,
   * product basis |i_A j_B> with j_B varying fastest,
   * column-stacking vectorization lives in ``dynamics``.
+
+Only ``new_state`` and ``dynamics.make_generator`` take dimensions, and
+both accept (2, 2) alone.
 
 Randomness uses the counter-based Philox generator; per-sample streams
 are derived by spawn-key splitting so ensembles are reproducible and
@@ -16,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAState, UnsupportedEnsemble
+from .errors import DimensionMismatch, NotAState, UnsupportedDimension, UnsupportedEnsemble
 
+D = 4  # side of every density matrix: two qubits
 VALIDATION_TOL = 1e-10
 
 ENSEMBLE_KINDS = ("hilbert_schmidt_mixed", "haar_pure", "fixed_concurrence_pure")
@@ -25,19 +30,15 @@ ENSEMBLE_KINDS = ("hilbert_schmidt_mixed", "haar_pure", "fixed_concurrence_pure"
 
 @dataclass(frozen=True)
 class QState:
-    """A validated bipartite density operator on C^dim_a ⊗ C^dim_b."""
+    """A validated two-qubit density operator: a read-only 4x4 matrix."""
 
-    dim_a: int
-    dim_b: int
     matrix: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_a, self.dim_b)
+def check_dims(dims) -> None:
+    """The one dimension check: entfate is two-qubit only."""
+    if tuple(dims) != (2, 2):
+        raise UnsupportedDimension(f"two qubits only: dims must be (2, 2), got {tuple(dims)}")
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,19 @@ class EnsembleSpec:
             )
 
 
-def new_state(matrix, dim_a: int, dim_b: int, tol: float = VALIDATION_TOL) -> QState:
-    """Validate a matrix as a density operator and wrap it as a QState.
+def new_state(matrix, dim_a: int = 2, dim_b: int = 2, tol: float = VALIDATION_TOL) -> QState:
+    """Validate a matrix as a two-qubit density operator and wrap it as a QState.
 
     The matrix is symmetrized to (M + M†)/2 before the trace and PSD
-    checks; a Hermiticity deviation beyond ``tol`` is rejected first.
+    checks; a non-finite entry, then a Hermiticity deviation beyond
+    ``tol``, is rejected first.
     """
+    check_dims((dim_a, dim_b))
     m = np.asarray(matrix, dtype=complex)
-    d = dim_a * dim_b
-    if m.shape != (d, d):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match dims {dim_a}x{dim_b} (side {d})"
-        )
+    if m.shape != (D, D):
+        raise DimensionMismatch(f"matrix shape {m.shape}, expected {(D, D)}")
+    if not np.isfinite(m).all():
+        raise NotAState("matrix has a non-finite entry")
     herm_dev = np.max(np.abs(m - m.conj().T))
     if herm_dev > tol:
         raise NotAState(f"not Hermitian: max |M - M†| = {herm_dev:.3e} > {tol:.1e}")
@@ -80,7 +82,13 @@ def new_state(matrix, dim_a: int, dim_b: int, tol: float = VALIDATION_TOL) -> QS
     if min_eig < -tol:
         raise NotAState(f"not PSD: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
     m.setflags(write=False)
-    return QState(dim_a=dim_a, dim_b=dim_b, matrix=m)
+    return QState(m)
+
+
+def transpose_b(m: np.ndarray) -> np.ndarray:
+    """Partial transpose on B of a two-qubit operator (not necessarily a
+    state), or of every matrix of an (N, 4, 4) stack."""
+    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(m.shape)
 
 
 def partial_transpose(s: QState, subsystem: str = "B") -> np.ndarray:
@@ -89,34 +97,28 @@ def partial_transpose(s: QState, subsystem: str = "B") -> np.ndarray:
     Returns a Hermitian, unit-trace matrix (not necessarily PSD).
     Applying it twice is the identity.
     """
-    da, db = s.dim_a, s.dim_b
-    r = s.matrix.reshape(da, db, da, db)
+    if subsystem == "B":
+        return transpose_b(s.matrix)
     if subsystem == "A":
-        r = r.transpose(2, 1, 0, 3)
-    elif subsystem == "B":
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return np.ascontiguousarray(r.reshape(da * db, da * db))
+        return np.ascontiguousarray(transpose_b(s.matrix).T)  # T_A = T ∘ T_B
+    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def partial_trace(s: QState, keep: str = "A") -> QState:
-    """Reduced state on the kept subsystem."""
-    da, db = s.dim_a, s.dim_b
-    r = s.matrix.reshape(da, db, da, db)
+def partial_trace(s: QState, keep: str = "A") -> np.ndarray:
+    """Reduced 2x2 density matrix of the kept qubit, read-only."""
+    r = s.matrix.reshape(2, 2, 2, 2)
     if keep == "A":
         red = np.einsum("ijkj->ik", r)
-        return new_state(red, da, 1)
-    if keep == "B":
+    elif keep == "B":
         red = np.einsum("ijil->jl", r)
-        return new_state(red, db, 1)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    else:
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    red.setflags(write=False)
+    return red
 
 
 def trace_distance(a: QState, b: QState) -> float:
     """Half the trace norm of a - b."""
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
     eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
     return 0.5 * float(np.sum(np.abs(eigs)))
 
@@ -138,49 +140,43 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * phases
 
 
-def sample(spec: EnsembleSpec, dims: tuple[int, int] = (2, 2)) -> QState:
-    """Draw one state from the ensemble. Pure function of (spec, dims)."""
-    da, db = dims
-    d = da * db
+def hilbert_schmidt_state(rng: np.random.Generator) -> QState:
+    """A Hilbert-Schmidt random state GG†/tr(GG†), G complex Ginibre, drawn from rng."""
+    g = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+    m = g @ g.conj().T
+    return new_state(m / np.trace(m).real)
+
+
+def sample(spec: EnsembleSpec) -> QState:
+    """Draw one state from the ensemble. Pure function of spec."""
     rng = _rng(spec.seed)
     if spec.kind == "hilbert_schmidt_mixed":
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        return new_state(m, da, db)
+        return hilbert_schmidt_state(rng)
     if spec.kind == "haar_pure":
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v = rng.normal(size=D) + 1j * rng.normal(size=D)
         v /= np.linalg.norm(v)
-        return new_state(np.outer(v, v.conj()), da, db)
+        return new_state(np.outer(v, v.conj()))
     if spec.kind == "fixed_concurrence_pure":
-        if dims != (2, 2):
-            raise UnsupportedEnsemble(
-                f"fixed_concurrence_pure requires 2x2 dims, got {dims}"
-            )
         # Schmidt form cos(t)|00> + sin(t)|11>, concurrence sin(2t),
         # then independent Haar-random local unitaries on each side.
         theta = 0.5 * np.arcsin(spec.target_concurrence)
-        psi = np.zeros(4, dtype=complex)
+        psi = np.zeros(D, dtype=complex)
         psi[0] = np.cos(theta)
         psi[3] = np.sin(theta)
         u = np.kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
         v = u @ psi
-        return new_state(np.outer(v, v.conj()), 2, 2)
+        return new_state(np.outer(v, v.conj()))
     raise UnsupportedEnsemble(spec.kind)
 
 
-def max_entangled(d: int = 2) -> QState:
-    """Projector onto (1/sqrt(d)) sum_i |ii>."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    v /= np.sqrt(d)
-    return new_state(np.outer(v, v.conj()), d, d)
+def max_entangled() -> QState:
+    """Projector onto the Bell state (|00> + |11>)/sqrt(2)."""
+    v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+    return new_state(np.outer(v, v.conj()))
 
 
-def basis_state(i: int, j: int, dims: tuple[int, int] = (2, 2)) -> QState:
+def basis_state(i: int, j: int) -> QState:
     """Computational-basis product projector |i j><i j|."""
-    da, db = dims
-    v = np.zeros(da * db, dtype=complex)
-    v[i * db + j] = 1.0
-    return new_state(np.outer(v, v.conj()), da, db)
+    v = np.zeros(D, dtype=complex)
+    v[2 * i + j] = 1.0
+    return new_state(np.outer(v, v.conj()))

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 import entfate as ef
 from entfate.asymptotics import CLASS4_MIN_C
 from entfate.dynamics import ExponentialRate, liouvillian_matrix, make_generator, unvec, vec
-from entfate.errors import (
-    BadParams,
-    Inconclusive,
-    NotConverged,
-    OscillatoryAsymptotics,
-    UnsupportedDimension,
-)
+from entfate.errors import BadParams, Inconclusive, NotConverged, OscillatoryAsymptotics
 from entfate.operators import EYE2, SZ, two_qubit_paulis
 
 
@@ -59,8 +53,8 @@ class TestStationarySetAutonomous:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            px = unvec(p @ vec(x), 4)
-            px_dag = unvec(p @ vec(x.conj().T), 4)
+            px = unvec(p @ vec(x))
+            px_dag = unvec(p @ vec(x.conj().T))
             assert np.max(np.abs(px_dag - px.conj().T)) < 1e-10
         # every diagonal state is a fixed point, hence a member
         for _ in range(10):
@@ -226,15 +220,6 @@ class TestClassifyTheoremClass:
         assert cls.class_id == 4
         assert "Bell" in cls.min_probe
         assert abs(cls.min_margin - (1 - 3 * np.exp(-2.0)) / 4) < 1e-6
-
-    def test_unsupported_dims(self):
-        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(3, 3))
-        from entfate.asymptotics import AsymptoticSet
-
-        replacement = np.outer(vec(s.matrix), vec(np.eye(9)).conj())
-        aset = AsymptoticSet(cardinality="one", dims=(3, 3), map_matrix=replacement, state=s)
-        with pytest.raises(UnsupportedDimension):
-            ef.classify_theorem_class(aset)
 
 
 def ry(theta):

@@ -185,6 +185,48 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (
+                {"generator": {"explicit": {"jumps": [{"operator": BELL, "rate": float("nan")}]}}},
+                "generator.explicit.jumps[0].rate.value must be finite",
+            ),
+            ({**catalog_config(2), "run": {"horizon": float("nan")}}, "run.horizon must be finite"),
+            ({**catalog_config(2), "run": {"atol": float("inf")}}, "run.atol must be finite"),
+            (
+                {**catalog_config(2), "initial_state": {"matrix": [
+                    [[float("nan"), 0.0], *row[1:]] if i == 0 else row for i, row in enumerate(BELL)
+                ]}},
+                "initial_state.matrix: matrix has a non-finite entry",
+            ),
+            (
+                {"generator": {"explicit": {"jumps": [
+                    {"operator": BELL, "rate": {"kind": "exponential", "amplitude": 1.0, "tau": 0}}
+                ]}}},
+                "generator.explicit.jumps[0].rate: tau must be positive",
+            ),
+            (
+                {"generator": {"explicit": {"hamiltonian": [
+                    [[float("inf"), 0.0], *row[1:]] if i == 0 else row for i, row in enumerate(ZERO)
+                ]}}},
+                "generator.explicit.hamiltonian: matrix has a non-finite entry",
+            ),
+            (
+                {"generator": {"catalog": {"class_id": 2, "params": {"gamma": float("inf")}}}},
+                "generator.catalog: non-finite rate",
+            ),
+        ],
+        ids=["nan-rate", "nan-horizon", "inf-atol", "nan-initial-state", "zero-tau",
+             "inf-hamiltonian", "inf-catalog-gamma"],
+    )
+    def test_non_finite_input_is_named(self, tmp_path, capsys, payload, field):
+        # Python's json writes and reads NaN and Infinity
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text() or "tau" in field
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_empty_kernel_writes_classification_error(self, tmp_path):
         # no Liouvillian eigenvalue is within 1e-30 of zero
         cfg = write_config(tmp_path / "c.json", catalog_config(1, kernel_tol=1e-30))

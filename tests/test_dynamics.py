@@ -36,8 +36,7 @@ def random_generator(seed, n_jumps=2):
 
 def reference_liouvillian(g, t):
     """The Liouvillian assembled from Kronecker products at every call."""
-    d = g.dim
-    eye = np.eye(d)
+    eye = np.eye(4)
     h = g.ham(t)
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for ch in g.jumps:
@@ -146,6 +145,30 @@ class TestMakeGenerator:
                 autonomous=True,
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"hamiltonian": np.diag([0.0, np.nan, 0.0, 0.0])}, "hamiltonian has a non-finite"),
+            ({"hamiltonian": lambda t: np.diag([0.0, 0.0, np.inf if t > 5 else 1.0, 0.0])},
+             "hamiltonian has a non-finite entry at t=10"),
+            ({"jumps": [(np.diag([np.inf, 0.0, 0.0, 0.0]), 1.0)]}, "jump operator has a non-finite"),
+            ({"jumps": [(np.kron(SMINUS, EYE2), np.nan)]}, "non-finite rate"),
+            ({"jumps": [(np.kron(SMINUS, EYE2), ExponentialRate(np.inf))]}, "non-finite rate"),
+            ({"jumps": [(np.kron(SMINUS, EYE2), lambda t: np.nan if t == 1.0 else 1.0)]},
+             "non-finite rate nan at t=1"),
+        ],
+        ids=["nan-hamiltonian", "inf-hamiltonian-at-t", "inf-operator", "nan-rate",
+             "inf-amplitude", "nan-rate-at-t"],
+    )
+    def test_rejects_non_finite_input(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            make_generator((2, 2), **kwargs)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    def test_exponential_rate_needs_positive_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ExponentialRate(1.0, tau)
+
     def test_autonomy_autodetected(self):
         g = make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ConstantRate(1.0))])
         assert g.autonomous
@@ -173,14 +196,14 @@ class TestLiouvillianMatrix:
             assert np.max(np.abs(tr @ lmat)) < 1e-12
 
     def test_single_qubit_decay_populations(self):
-        # d/dt of |1><1| under L=sigma-, gamma=1: +1 on |0><0|, -1 on |1><1|
-        g = make_generator((2, 1), jumps=[(SMINUS, ConstantRate(1.0))])
+        # d/dt of |10><10| under L=sigma-⊗I, gamma=1: +1 on |00><00|, -1 on |10><10|
+        g = make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ConstantRate(1.0))])
         lmat = liouvillian_matrix(g, 0.0)
-        rho1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        drho = unvec(lmat @ vec(rho1), 2)
+        rho10 = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+        drho = unvec(lmat @ vec(rho10))
         assert abs(drho[0, 0] - 1.0) < 1e-14
-        assert abs(drho[1, 1] + 1.0) < 1e-14
-        assert np.max(np.abs(drho - np.diag(np.diag(drho)))) < 1e-14
+        assert abs(drho[2, 2] + 1.0) < 1e-14
+        assert np.max(np.abs(drho - np.diag([1.0, 0.0, -1.0, 0.0]))) < 1e-14
 
 
 class TestCompiledGenerator:
@@ -357,7 +380,7 @@ class TestPropagatorMatrix:
         phi = ef.propagator_matrix(g, t)
         for seed in range(5):
             s = random_state(seed)
-            via_map = unvec(phi @ vec(s.matrix), 4)
+            via_map = unvec(phi @ vec(s.matrix))
             traj = ef.propagate(g, s, [0.0, t])
             assert (
                 0.5 * np.sum(np.abs(np.linalg.eigvalsh(via_map - traj.states[-1].matrix)))
@@ -494,7 +517,7 @@ class TestStackedTrajectory:
         states = traj.states
         assert traj.states is states and states[0] is rho0 and len(states) == 21
         for k, s in enumerate(states):
-            assert s.dims == (2, 2) and not s.matrix.flags.writeable
+            assert s.matrix.shape == (4, 4) and not s.matrix.flags.writeable
             assert np.array_equal(s.matrix, traj.matrices[k])
             assert np.array_equal(traj.state(k).matrix, s.matrix)
         assert traj.state(0) is rho0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import entfate as ef
-from entfate.errors import HorizonTooShort, UnsupportedDimension
+from entfate.errors import HorizonTooShort
 from entfate.fate import wilson_interval
 
 GAMMA = 1.0
@@ -73,12 +73,6 @@ class TestDetectFate:
         g = ef.catalog_generator(3)
         with pytest.raises(HorizonTooShort):
             ef.detect_fate(g, ef.basis_state(0, 1), horizon=0.5)
-
-    def test_wrong_dims(self):
-        g = ef.catalog_generator(1)
-        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(2, 3))
-        with pytest.raises(UnsupportedDimension):
-            ef.detect_fate(g, s, horizon=1.0)
 
     def test_bad_horizon(self):
         g = ef.catalog_generator(1)
@@ -224,9 +218,3 @@ class TestFateOfTrajectory:
         rec = ef.fate_of_trajectory(g, traj, opts=opts)
         assert rec == ef.detect_fate(g, rho0, horizon, grid_points=200, opts=opts)
         assert rec.death_time is not None or rec.birth_time is not None
-
-    def test_wrong_dims(self):
-        g = ef.make_generator((2, 3))
-        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(2, 3))
-        with pytest.raises(UnsupportedDimension):
-            ef.fate_of_trajectory(g, ef.propagate(g, s, [0.0, 1.0]))

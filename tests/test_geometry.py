@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import entfate as ef
-from entfate.errors import UnsupportedDimension
 
 
 def werner(w):
@@ -50,11 +49,6 @@ class TestConcurrence:
     @pytest.mark.parametrize("w", [0.0, 0.2, 1.0 / 3.0, 0.7, 1.0])
     def test_werner_closed_form(self, w):
         assert abs(ef.concurrence(werner(w)) - max(0.0, (3 * w - 1) / 2)) < 1e-10
-
-    def test_wrong_dims(self):
-        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(2, 3))
-        with pytest.raises(UnsupportedDimension):
-            ef.concurrence(s)
 
 
 class TestNegativity:
@@ -111,11 +105,6 @@ class TestClassifyRegion:
         # margin 0.25 with tol exactly 0.25 must classify as boundary
         r = ef.classify_region(ef.new_state(np.eye(4) / 4, 2, 2), tol=0.25)
         assert r.tag == "boundary"
-
-    def test_unsupported_dims(self):
-        s = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0), dims=(3, 3))
-        with pytest.raises(UnsupportedDimension):
-            ef.classify_region(s)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import entfate as ef
-from entfate.errors import DimensionMismatch, NotAState, UnsupportedEnsemble
+from entfate.errors import DimensionMismatch, NotAState, UnsupportedDimension, UnsupportedEnsemble
+from entfate.states import transpose_b
 
 
 def random_state(seed):
@@ -24,8 +25,9 @@ def pt_oracle(rho, da, db):
 class TestNewState:
     def test_maximally_mixed(self):
         s = ef.new_state(np.eye(4) / 4, 2, 2)
-        assert s.dims == (2, 2)
+        assert s.matrix.shape == (4, 4) and not s.matrix.flags.writeable
         assert abs(np.trace(s.matrix) - 1) < 1e-14
+        assert np.array_equal(ef.new_state(np.eye(4) / 4).matrix, s.matrix)
 
     def test_pure_product_projector(self):
         s = ef.basis_state(0, 0)
@@ -45,9 +47,13 @@ class TestNewState:
         with pytest.raises(NotAState, match="trace"):
             ef.new_state(np.eye(4) / 2, 2, 2)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            ef.new_state(np.eye(4) / 4, 2, 3)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        # every "> tol" comparison is False for NaN, so this is checked first
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NotAState, match="non-finite"):
+            ef.new_state(m, 2, 2)
 
     def test_symmetrization_absorbs_roundoff(self):
         m = np.eye(4, dtype=complex) / 4
@@ -84,6 +90,18 @@ class TestPartialTranspose:
             again = pt.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
             assert np.max(np.abs(again - s.matrix)) < 1e-14
 
+    def test_stack_matches_each_state(self):
+        ms = np.stack([random_state(seed).matrix for seed in range(30)])
+        pts = transpose_b(ms)
+        assert pts.shape == (30, 4, 4)
+        for m, pt in zip(ms, pts):
+            assert np.array_equal(pt, pt_oracle(m, 2, 2))
+            assert np.array_equal(pt, ef.partial_transpose(ef.new_state(m), "B"))
+
+    def test_bad_subsystem(self):
+        with pytest.raises(ValueError):
+            ef.partial_transpose(ef.max_entangled(), "C")
+
     def test_subsystem_a(self):
         s = random_state(7)
         pa = ef.partial_transpose(s, "A")
@@ -99,7 +117,8 @@ class TestPartialTranspose:
 class TestPartialTrace:
     def test_bell_reduction(self):
         red = ef.partial_trace(ef.max_entangled(), "A")
-        assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
+        assert red.shape == (2, 2) and not red.flags.writeable
+        assert np.allclose(red, np.eye(2) / 2, atol=1e-14)
 
     def test_product_factor_recovery(self):
         rng = np.random.default_rng(3)
@@ -111,13 +130,14 @@ class TestPartialTrace:
             rb = zb @ zb.conj().T
             rb /= np.trace(rb).real
             s = ef.new_state(np.kron(ra, rb), 2, 2)
-            assert np.max(np.abs(ef.partial_trace(s, "A").matrix - ra)) < 1e-12
-            assert np.max(np.abs(ef.partial_trace(s, "B").matrix - rb)) < 1e-12
+            assert np.max(np.abs(ef.partial_trace(s, "A") - ra)) < 1e-12
+            assert np.max(np.abs(ef.partial_trace(s, "B") - rb)) < 1e-12
 
     def test_trace_preserved(self):
         for seed in range(20):
             red = ef.partial_trace(random_state(seed), "B")
-            assert abs(np.trace(red.matrix) - 1) < 1e-12
+            assert abs(np.trace(red) - 1) < 1e-12
+            assert np.array_equal(red, red.conj().T)
 
 
 class TestTraceDistance:
@@ -132,12 +152,6 @@ class TestTraceDistance:
         for seed in range(100):
             a, b, c = (random_state(3 * seed + k) for k in range(3))
             assert ef.trace_distance(a, c) <= ef.trace_distance(a, b) + ef.trace_distance(b, c) + 1e-12
-
-    def test_dim_mismatch(self):
-        a = random_state(1)
-        b = ef.new_state(np.eye(2) / 2, 2, 1)
-        with pytest.raises(DimensionMismatch):
-            ef.trace_distance(a, b)
 
 
 class TestSample:
@@ -157,10 +171,9 @@ class TestSample:
             s = ef.sample(spec)
             assert abs(ef.concurrence(s) - target) < 1e-12
 
-    def test_fixed_concurrence_needs_two_qubits(self):
-        spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=1, target_concurrence=0.5)
+    def test_unknown_kind(self):
         with pytest.raises(UnsupportedEnsemble):
-            ef.sample(spec, dims=(2, 3))
+            ef.EnsembleSpec("werner", seed=1)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
@@ -186,3 +199,21 @@ class TestSample:
     def test_split_seed_distinct(self):
         seeds = {ef.split_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ef.new_state(np.eye(4) / 4, 2, 3), UnsupportedDimension),
+        (lambda: ef.new_state(np.eye(2) / 2, 2, 1), UnsupportedDimension),
+        (lambda: ef.new_state(np.eye(9) / 9, 3, 3), UnsupportedDimension),
+        (lambda: ef.make_generator((2, 3)), UnsupportedDimension),
+        (lambda: ef.new_state(np.eye(3) / 3), DimensionMismatch),
+    ],
+    ids=["new_state-2x3", "new_state-2x1", "new_state-3x3", "make_generator-2x3", "wrong-shape"],
+)
+def test_dimension_edges(call, error):
+    """The only two calls that take dimensions accept (2, 2) alone, and a
+    matrix of the wrong shape is still a DimensionMismatch."""
+    with pytest.raises(error):
+        call()
