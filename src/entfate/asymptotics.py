@@ -13,11 +13,12 @@ propagator, the norm and tolerance of its convergence check.  One
 constructor builds every set and checks that P∞(I/4) is a state.
 A singleton set also carries its state P∞(I/4).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
-placed by the trichotomy directly; a larger set is probed by images of
-deterministic product and Bell states and of random states.  The margin
-is concave along mixtures, so its minimum sits at an extreme point; a
-seesaw from each product and Bell state searches for it.  Class 6 (every
-member entangled) is claimed only with a bound on all of A.
+placed by the trichotomy directly.  A larger set is probed by one stack:
+product and Bell projectors, random states, and a seesaw result from each
+product and Bell state (the margin is concave along mixtures, so its minimum
+sits at an extreme point, which the seesaw seeks).  P∞ maps the stack in one
+call, and one stacked eigensolve gives every margin.  Class 6 (every member
+entangled) is claimed only with a bound on all of A.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     NotConverged,
     OscillatoryAsymptotics,
 )
-from .geometry import classify_region, min_pt_eigenvalue
+from .geometry import check_positive, classify_region, min_pt_eigenvalue, min_pt_eigenvalues
 from .operators import (
     EYE2,
     SMINUS,
@@ -68,7 +69,7 @@ CLASS4_MIN_C = np.log(3.0) + 0.5
 CLASS6_MIN_C = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticSet:
     cardinality: str  # one | many
     map_matrix: np.ndarray = field(repr=False)  # P∞; the set is P∞(D)
@@ -169,14 +170,14 @@ def representative(a: AsymptoticSet) -> QState:
     """Any member of the set (the canonical one for singletons)."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, new_state(np.eye(D) / D))
+    return QState(apply_map(a.map_matrix, (np.eye(D) / D)[None])[0])
 
 
 def sample_member(a: AsymptoticSet, rng: np.random.Generator) -> QState:
     """Draw a random member of the asymptotic set."""
     if a.state is not None:
         return a.state
-    return apply_map(a.map_matrix, hilbert_schmidt_state(rng))
+    return QState(apply_map(a.map_matrix, hilbert_schmidt_state(rng).matrix[None])[0])
 
 
 def membership_residual(a: AsymptoticSet, s: QState) -> float:
@@ -203,15 +204,6 @@ def _pure_probes() -> list[tuple[str, np.ndarray]]:
     probes = [(f"product |{la}{lb}>", np.kron(va, vb)) for la, va in singles for lb, vb in singles]
     bells = zip(["Phi+", "Phi-", "Psi+", "Psi-"], bell_vectors())
     return probes + [(f"Bell {name}", b) for name, b in bells]
-
-
-def _image_probes(a: AsymptoticSet, n_probes: int, seed: int) -> list[tuple[str, QState]]:
-    probes = [(f"image({label})", new_state(np.outer(v, v.conj())))
-              for label, v in _pure_probes()]
-    rng = np.random.default_rng(seed)
-    for i in range(n_probes):
-        probes.append((f"image(random #{i})", hilbert_schmidt_state(rng)))
-    return [(label, apply_map(a.map_matrix, st)) for label, st in probes]
 
 
 def _pt_adjoint(a: AsymptoticSet, y: np.ndarray) -> np.ndarray:
@@ -241,6 +233,7 @@ def classify_theorem_class(
     seed: int = 0,
 ) -> TheoremClass:
     """Assign the asymptotic set to one of the six classes."""
+    check_positive("tol", tol)
     if a.cardinality == "one":
         region = classify_region(representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
@@ -254,21 +247,24 @@ def classify_theorem_class(
             tol=tol,
             probes=(("representative", region.margin),),
         )
-    states = _image_probes(a, n_probes, seed)
-    for label, v in _pure_probes():
-        x = _seesaw_min(a, v)
-        pure = new_state(np.outer(x, x.conj()))
-        states.append((f"seesaw from {label}", apply_map(a.map_matrix, pure)))
-    margins = [(label, min_pt_eigenvalue(st)) for label, st in states]
+    labels, kets = zip(*_pure_probes())
+    rng = np.random.default_rng(seed)
+    probes = [np.outer(v, v.conj()) for v in kets]
+    probes += [hilbert_schmidt_state(rng).matrix for _ in range(n_probes)]
+    probes += [np.outer(x, x.conj()) for x in (_seesaw_min(a, v) for v in kets)]
+    ms = np.stack(probes)  # Hermitized as new_state does: np.outer(x, x†) may not be Hermitian
+    images = apply_map(a.map_matrix, 0.5 * (ms + ms.conj().transpose(0, 2, 1)))
+    names = [f"image({s})" for s in labels] + [f"image(random #{i})" for i in range(n_probes)]
+    names += [f"seesaw from {s}" for s in labels]
+    values = min_pt_eigenvalues(images)
     bound = np.inf
-    top = states[int(np.argmax([m for _, m in margins]))][1]
-    if min_pt_eigenvalue(top) < -tol:
+    if values.max() < -tol:
         # every ρ in D has margin(P∞ρ) <= <y|T_B P∞(ρ)|y> <= λ_max(P∞†(T_B|y><y|))
-        y = np.linalg.eigh(transpose_b(top.matrix))[1][:, 0]
+        y = np.linalg.eigh(transpose_b(images[values.argmax()]))[1][:, 0]
         bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
         if bound >= -tol:  # no bound below -tol: try the centre as a last member
-            margins.append(("image(I/4)", min_pt_eigenvalue(representative(a))))
-    values = np.array([m for _, m in margins])
+            names.append("image(I/4)")
+            values = np.append(values, min_pt_eigenvalue(representative(a)))
     # margins equal to 1e-12 are ties, won by the first: a fixed probe before a search
     i_min = int(np.flatnonzero(values <= values.min() + 1e-12)[0])
     i_max = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
@@ -282,23 +278,17 @@ def classify_theorem_class(
                 f"members is {bound:.3e}, not below -{tol:.1e}"
             )
         class_id = 6
-    elif np.any(np.abs(values) <= tol) or (mn < -tol and mx > tol):
+    else:  # mn <= tol and mx >= -tol: a margin within ±tol, or margins of both signs
         class_id = 5
-    else:
-        hist = np.histogram(values, bins=10)
-        raise Inconclusive(
-            f"margins in [{mn:.3e}, {mx:.3e}] exclude classes 4/6 but no probe "
-            f"certifies boundary contact within ±{tol:.1e}; histogram {hist}"
-        )
     return TheoremClass(
         class_id=class_id,
         cardinality="many",
         min_margin=mn,
         max_margin=mx,
-        min_probe=margins[i_min][0],
-        max_probe=margins[i_max][0],
+        min_probe=names[i_min],
+        max_probe=names[i_max],
         tol=tol,
-        probes=tuple(margins),
+        probes=tuple(zip(names, values.tolist())),
     )
 
 

@@ -79,7 +79,9 @@ _RUN_DEFAULTS = {
     "n_probes": DEFAULT_N_PROBES,
 }
 _ENSEMBLE_DEFAULTS = {"kind": "hilbert_schmidt_mixed", "seed": 0, "target_concurrence": 0.0}
-_OUTPUT_DEFAULTS = {"directory": ".", "formats": ["csv", "json"]}
+_OUTPUT_DEFAULTS = {"directory": "."}
+# the whole-number run fields and their least values; every other run field is positive
+_WHOLE = {"grid_points": 2, "n_samples": 1, "workers": 1, "n_probes": 0, "seed": 0}
 
 
 class ConfigError(Exception):
@@ -125,17 +127,24 @@ def _object(value, field: str) -> dict:
 
 
 def _number(obj: dict, key: str, field: str, default=None) -> float:
-    """obj[key] (or the default) as a float; a missing, non-numeric or
-    non-finite value (Python's json reads NaN and Infinity) is a
-    ConfigError naming ``field.key``."""
+    """obj[key] (or the default) as a float; a missing, non-numeric (a JSON
+    boolean included) or non-finite value (Python's json reads NaN and
+    Infinity) is a ConfigError naming ``field.key``."""
     value = obj.get(key, default)
     if value is None:
         raise ConfigError(f"{field}.{key} is missing")
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}.{key} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{field}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _whole(obj: dict, key: str, field: str, least: int) -> None:
+    """Check obj[key] as ``_number`` does, and as a whole number >= least."""
+    value = _number(obj, key, field)
+    if value != int(value) or value < least:
+        raise ConfigError(f"{field}.{key} must be a whole number >= {least}, got {obj[key]!r}")
 
 
 def resolve_config(cfg: dict, args) -> dict:
@@ -157,14 +166,12 @@ def resolve_config(cfg: dict, args) -> dict:
         out["directory"] = args.out
     resolved["output"] = out
     for key in _RUN_DEFAULTS:
-        if key != "seed" or run[key] is not None:
-            _number(run, key, "run")
-    if run["horizon"] <= 0:
-        raise ConfigError(f"run.horizon must be positive, got {run['horizon']}")
-    if int(run["grid_points"]) < 2:
-        raise ConfigError(f"run.grid_points must be >= 2, got {run['grid_points']}")
-    if int(run["n_samples"]) < 1:
-        raise ConfigError(f"run.n_samples must be >= 1, got {run['n_samples']}")
+        if key not in _WHOLE:
+            if _number(run, key, "run") <= 0.0:
+                raise ConfigError(f"run.{key} must be positive, got {run[key]!r}")
+        elif key != "seed" or run[key] is not None:
+            _whole(run, key, "run", _WHOLE[key])
+    _whole(ens, "seed", "ensemble", 0)
     return resolved
 
 
@@ -408,7 +415,7 @@ def cmd_catalog(args) -> int:
             "generator": {"catalog": {"class_id": class_id, "params": params}},
             "ensemble": dict(_ENSEMBLE_DEFAULTS),
             "run": {"horizon": 30.0, "grid_points": 400, "n_samples": 100, "seed": 0},
-            "output": {"directory": f"class_{class_id}", "formats": ["csv", "json"]},
+            "output": {"directory": f"class_{class_id}"},
         }
         path = outdir / f"catalog_class_{class_id}.json"
         path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
@@ -422,18 +429,19 @@ def make_parser() -> argparse.ArgumentParser:
         description="Two-qubit open-system entanglement-fate simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("simulate", cmd_simulate, True),
-        ("classify", cmd_classify, True),
-        ("fates", cmd_fates, True),
-        ("catalog", cmd_catalog, False),
+    for name, fn in (
+        ("simulate", cmd_simulate),
+        ("classify", cmd_classify),
+        ("fates", cmd_fates),
+        ("catalog", cmd_catalog),
     ):
         p = sub.add_parser(name)
-        if needs_config:
+        if name != "catalog":
             p.add_argument("--config", required=True, help="path to a JSON scenario config")
+            p.add_argument("--seed", type=int, help="seed override")
+        if name == "fates":
+            p.add_argument("--workers", type=int, help="parallel workers for the ensemble")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--workers", type=int, help="parallel workers for ensembles")
         p.set_defaults(fn=fn)
     return parser
 

@@ -28,11 +28,11 @@ times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
 it between two times, and ``propagator_matrices`` flows the identity to
 give the maps Phi(t).
 
-A trajectory is one read-only (T, 4, 4) stack of density matrices.  Every
-propagated state passes through one repair routine, ``_repair_states``,
-which Hermitizes, checks and renormalizes a whole stack and diagonalizes
-it in one stacked eigensolve; ``evolve_state`` and ``apply_map`` hand it a
-stack of one.  QState objects are built only where a caller asks for them.
+A trajectory is one read-only (T, 4, 4) stack of density matrices, and
+``vec``/``unvec`` act on whole stacks.  Every propagated or mapped state
+passes through ``_repair_states``, which repairs a stack with one stacked
+eigensolve; ``evolve_state`` hands it a stack of one, ``apply_map`` a stack
+of images.  QState objects are built only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -188,11 +188,11 @@ def make_generator(dims=(2, 2), hamiltonian=None, jumps=(), autonomous=None) -> 
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).flatten(order="F")
+    return np.swapaxes(m, -1, -2).reshape(*np.shape(m)[:-2], D * D)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v).reshape((D, D), order="F")
+    return np.reshape(v, (*np.shape(v)[:-1], D, D)).swapaxes(-1, -2)
 
 
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
@@ -320,9 +320,7 @@ def propagate(
     validated, all in one stacked call."""
     t = _check_grid(t_grid)
     ys = _flow(g, vec(rho0.matrix), t, opts)
-    # row k of the stacked ys is vec(rho_k), and unvec is the transposed reshape
-    ms = np.stack(ys).reshape(-1, D, D).transpose(0, 2, 1)
-    ms = np.concatenate([rho0.matrix[None], _repair_states(ms[1:])])
+    ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(np.stack(ys))[1:])])
     ms.setflags(write=False)
     return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0)
 
@@ -365,6 +363,7 @@ def propagator_matrix(
     return propagator_matrices(g, [0.0, t] if t > 0.0 else [0.0], opts)[-1]
 
 
-def apply_map(phi: np.ndarray, s: QState) -> QState:
-    """Apply a vectorized-operator map to a state and revalidate."""
-    return QState(_repair_states(unvec(phi @ vec(s.matrix))[None])[0])
+def apply_map(phi: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Map every state of an (N, 4, 4) stack in one product, bit for bit
+    phi @ vec(ms[k]) each, and repair the images in one stacked call."""
+    return _repair_states(unvec((phi @ vec(ms)[..., None])[..., 0]))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, evolve_state, propagate
 from .errors import EntfateError, HorizonTooShort
-from .geometry import concurrence, min_pt_eigenvalue, min_pt_eigenvalues
+from .geometry import check_positive, concurrence, min_pt_eigenvalue, min_pt_eigenvalues
 from .states import EnsembleSpec, QState, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
@@ -75,9 +75,12 @@ def _margin_at(g, traj, t, opts):
 
 def _bisect(g, traj, t_lo, t_hi, on_lo_side, refine_tol, opts):
     """Halve (t_lo, t_hi) down to refine_tol, keeping t_lo where the margin
-    is ``on_lo_side`` and t_hi where it is not; return the midpoint."""
+    is ``on_lo_side`` and t_hi where it is not; return the midpoint.  Stops
+    early once no float lies strictly inside the interval."""
     while t_hi - t_lo > refine_tol:
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
         if on_lo_side(_margin_at(g, traj, t_mid, opts)):
             t_lo = t_mid
         else:
@@ -108,8 +111,7 @@ def detect_fate(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> FateRecord:
     """Propagate rho0 over grid_points steps to the horizon and tag its fate."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    check_positive("horizon", horizon)
     grid = np.linspace(0.0, horizon, grid_points + 1)
     return fate_of_trajectory(g, propagate(g, rho0, grid, opts), refine_tol, tol, opts)
 
@@ -128,6 +130,8 @@ def fate_of_trajectory(
     ``margins`` are the PT margins of the grid states when the caller has
     them already (as ``margin_curve`` does); otherwise they are computed
     in one stacked call."""
+    check_positive("refine_tol", refine_tol)
+    check_positive("tol", tol)
     times = list(traj.times)
     if margins is None:
         margins = min_pt_eigenvalues(traj.matrices).tolist()

@@ -31,6 +31,12 @@ class Region:
     tol: float
 
 
+def check_positive(name: str, value: float) -> None:
+    """A tolerance or horizon must be positive and finite (NaN is neither)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def min_pt_eigenvalue(s: QState) -> float:
     """Minimum eigenvalue of the partial transpose (on B); negative iff NPT."""
     return float(np.linalg.eigvalsh(partial_transpose(s, "B"))[0])
@@ -62,8 +68,7 @@ def concurrence(s: QState) -> float:
 def classify_region(s: QState, tol: float = DEFAULT_REGION_TOL) -> Region:
     """Trichotomy by the sign of the PT margin; ties at |margin| = tol
     classify as boundary."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_positive("tol", tol)
     margin = min_pt_eigenvalue(s)
     if margin < -tol:
         tag = "entangled"

@@ -28,9 +28,10 @@ VALIDATION_TOL = 1e-10
 ENSEMBLE_KINDS = ("hilbert_schmidt_mixed", "haar_pure", "fixed_concurrence_pure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QState:
-    """A validated two-qubit density operator: a read-only 4x4 matrix."""
+    """A validated two-qubit density operator: a read-only 4x4 matrix.
+    States, like generators, compare and hash by identity."""
 
     matrix: np.ndarray = field(repr=False)
 

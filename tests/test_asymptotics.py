@@ -5,10 +5,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entfate as ef
-from entfate.asymptotics import CLASS4_MIN_C
-from entfate.dynamics import ExponentialRate, liouvillian_matrix, make_generator, unvec, vec
+from entfate.asymptotics import CLASS4_MIN_C, _pt_adjoint, _pure_probes, _seesaw_min
+from entfate.dynamics import (
+    ExponentialRate,
+    _repair_states,
+    liouvillian_matrix,
+    make_generator,
+    unvec,
+    vec,
+)
 from entfate.errors import BadParams, Inconclusive, NotConverged, OscillatoryAsymptotics
 from entfate.operators import EYE2, SZ, two_qubit_paulis
+from entfate.states import hilbert_schmidt_state, transpose_b
 
 
 def random_state(seed):
@@ -235,52 +243,183 @@ def rotated_ket(i, j):
     return np.kron(U_A[:, i], U_B[:, j])
 
 
+def rotated_dephasing():
+    """A is the diagonal states in the basis |u_i v_j>; its margin is
+    min p_ij, zero at the member |u_0 v_0>."""
+    return make_generator(
+        (2, 2),
+        jumps=[
+            (np.kron(U_A @ SZ @ U_A.conj().T, EYE2), 1.0),
+            (np.kron(EYE2, U_B @ SZ @ U_B.conj().T), 1.0),
+        ],
+    )
+
+
+def rotated_subspace():
+    """Pumping |u_0 v_1> -> |u_0 v_0> and |u_1 v_0> -> |u_1 v_1>: A is every
+    state on span{|u_0 v_0>, |u_1 v_1>}, margins in [-1/2, 0]."""
+    a, b = rotated_ket(0, 0), rotated_ket(1, 1)
+    return make_generator(
+        (2, 2),
+        jumps=[
+            (np.outer(a, rotated_ket(0, 1).conj()), 1.0),
+            (np.outer(b, rotated_ket(1, 0).conj()), 1.0),
+        ],
+    )
+
+
+def coherent_pumping():
+    """As ``rotated_subspace``, but the pumped coherence keeps every probe
+    image NPT while the member |u_0 v_0> is separable."""
+    a, b = rotated_ket(0, 0), rotated_ket(1, 1)
+    return make_generator(
+        (2, 2),
+        jumps=[
+            (np.outer((a + b) / np.sqrt(2), rotated_ket(0, 1).conj()), 1.0),
+            (np.outer(a, rotated_ket(1, 0).conj()), 0.5),
+        ],
+    )
+
+
 class TestRotatedBoundary:
     def test_rotated_dephasing_is_class5(self):
-        # A is the diagonal states in the basis |u_i v_j>; its margin is
-        # min p_ij, zero at the member |u_0 v_0>
-        g = make_generator(
-            (2, 2),
-            jumps=[
-                (np.kron(U_A @ SZ @ U_A.conj().T, EYE2), 1.0),
-                (np.kron(EYE2, U_B @ SZ @ U_B.conj().T), 1.0),
-            ],
-        )
-        aset, cls = ef.classify_generator(g)
+        aset, cls = ef.classify_generator(rotated_dephasing())
         assert aset.diagnostics["kernel_dim"] == 4
         assert cls.class_id == 5
         assert abs(cls.min_margin) <= cls.tol
         assert cls.max_margin > 0.2
 
     def test_rotated_subspace_is_class5(self):
-        # pumping |u_0 v_1> -> |u_0 v_0> and |u_1 v_0> -> |u_1 v_1>: A is every
-        # state on span{|u_0 v_0>, |u_1 v_1>}, margins in [-1/2, 0]
-        a, b = rotated_ket(0, 0), rotated_ket(1, 1)
-        g = make_generator(
-            (2, 2),
-            jumps=[
-                (np.outer(a, rotated_ket(0, 1).conj()), 1.0),
-                (np.outer(b, rotated_ket(1, 0).conj()), 1.0),
-            ],
-        )
-        _, cls = ef.classify_generator(g)
+        _, cls = ef.classify_generator(rotated_subspace())
         assert cls.class_id == 5
         assert cls.min_margin == pytest.approx(-0.5, abs=1e-9)
         assert abs(cls.max_margin) <= cls.tol
 
     def test_class6_needs_a_bound_on_all_members(self):
-        # as above, but the pumped coherence keeps every probe image NPT while
-        # the member |u_0 v_0> is separable: this must not come back as class 6
-        a, b = rotated_ket(0, 0), rotated_ket(1, 1)
-        g = make_generator(
-            (2, 2),
-            jumps=[
-                (np.outer((a + b) / np.sqrt(2), rotated_ket(0, 1).conj()), 1.0),
-                (np.outer(a, rotated_ket(1, 0).conj()), 0.5),
-            ],
-        )
+        # every probe image is NPT, but a member is separable: not class 6
         with pytest.raises(Inconclusive):
-            ef.classify_generator(g)
+            ef.classify_generator(coherent_pumping())
+
+
+def asymptotic_set(g):
+    if g.autonomous:
+        return ef.stationary_set_autonomous(g)
+    return ef.asymptotic_set_nonautonomous(g)
+
+
+def per_probe_classification(a, tol=ef.asymptotics.DEFAULT_CLASS_TOL, n_probes=50, seed=0):
+    """The per-probe loop that the probe stack replaced: every probe is
+    built as a QState, then mapped, repaired and measured on its own."""
+
+    def image(m):
+        raw = (a.map_matrix @ m.flatten(order="F")).reshape((4, 4), order="F")
+        return ef.QState(_repair_states(raw[None])[0])
+
+    pure = _pure_probes()
+    probes = [(f"image({label})", ef.new_state(np.outer(v, v.conj()))) for label, v in pure]
+    rng = np.random.default_rng(seed)
+    probes += [(f"image(random #{i})", hilbert_schmidt_state(rng)) for i in range(n_probes)]
+    states = [(label, image(s.matrix)) for label, s in probes]
+    for label, v in pure:
+        x = _seesaw_min(a, v)
+        states.append((f"seesaw from {label}", image(ef.new_state(np.outer(x, x.conj())).matrix)))
+    margins = [(label, ef.min_pt_eigenvalue(s)) for label, s in states]
+    bound = np.inf
+    top = states[int(np.argmax([m for _, m in margins]))][1]
+    if ef.min_pt_eigenvalue(top) < -tol:
+        y = np.linalg.eigh(transpose_b(top.matrix))[1][:, 0]
+        bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
+        if bound >= -tol:
+            margins.append(("image(I/4)", ef.min_pt_eigenvalue(image(np.eye(4) / 4))))
+    values = np.array([m for _, m in margins])
+    i_min = int(np.flatnonzero(values <= values.min() + 1e-12)[0])
+    i_max = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
+    mn, mx = float(values[i_min]), float(values[i_max])
+    if mn > tol:
+        class_id = 4
+    elif mx < -tol:
+        if bound >= -tol:
+            raise Inconclusive(
+                f"every probe is NPT (max margin {mx:.3e}) but the bound on all "
+                f"members is {bound:.3e}, not below -{tol:.1e}"
+            )
+        class_id = 6
+    elif np.any(np.abs(values) <= tol) or (mn < -tol and mx > tol):
+        class_id = 5
+    else:
+        raise AssertionError("no margin within ±tol, and not both signs")
+    return ef.TheoremClass(
+        class_id, "many", mn, mx, margins[i_min][0], margins[i_max][0], tol, tuple(margins)
+    )
+
+
+MANY_STATE_GENERATORS = {
+    "class4": lambda: ef.catalog_generator(4),
+    "class5": lambda: ef.catalog_generator(5),
+    "class6": lambda: ef.catalog_generator(6),
+    "rotated-dephasing": rotated_dephasing,
+    "rotated-subspace": rotated_subspace,
+    "coherent-pumping": coherent_pumping,
+}
+
+
+class TestProbeStack:
+    """A many-state set is probed as one stack: one map application, one
+    repair and one eigensolve, with the per-probe loop's outputs."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7919])
+    @pytest.mark.parametrize("name", list(MANY_STATE_GENERATORS))
+    def test_equals_per_probe_loop(self, name, seed):
+        aset = asymptotic_set(MANY_STATE_GENERATORS[name]())
+        assert aset.cardinality == "many"
+        try:
+            want = per_probe_classification(aset, seed=seed)
+        except Inconclusive as exc:
+            with pytest.raises(Inconclusive) as got:
+                ef.classify_theorem_class(aset, seed=seed)
+            assert str(got.value) == str(exc)
+            return
+        got = ef.classify_theorem_class(aset, seed=seed)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("class_id", [4, 5, 6])
+    def test_one_map_application_and_one_eigensolve(self, monkeypatch, class_id):
+        from entfate import asymptotics
+
+        aset = asymptotic_set(ef.catalog_generator(class_id))
+        calls = {"apply_map": [], "min_pt_eigenvalues": [], "min_pt_eigenvalue": []}
+        for name, log in calls.items():
+            def counting(*args, _fn=getattr(asymptotics, name), _log=log):
+                _log.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(asymptotics, name, counting)
+        cls = ef.classify_theorem_class(aset, n_probes=7)
+        assert cls.class_id == class_id
+        assert {name: len(log) for name, log in calls.items()} == {
+            "apply_map": 1, "min_pt_eigenvalues": 1, "min_pt_eigenvalue": 0
+        }
+        assert calls["apply_map"][0][1].shape == (20 + 7 + 20, 4, 4)
+        assert len(cls.probes) == 47
+
+    def test_no_random_probes(self):
+        aset = asymptotic_set(ef.catalog_generator(5))
+        cls = ef.classify_theorem_class(aset, n_probes=0)
+        assert cls == per_probe_classification(aset, n_probes=0)
+        assert not any("random" in label for label, _ in cls.probes)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("class_id", [2, 5])
+    def test_tol_must_be_positive_and_finite(self, class_id, tol):
+        aset = asymptotic_set(ef.catalog_generator(class_id))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ef.classify_theorem_class(aset, tol=tol)
+
+    def test_sets_compare_by_identity(self):
+        a, b = (ef.classify_generator(ef.catalog_generator(5))[0] for _ in range(2))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
 
 
 class TestCatalog:

@@ -89,6 +89,32 @@ class TestCatalogCommand:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "catalog_class_6.json").exists()
 
+    def test_configs_carry_no_formats(self, tmp_path, capsys):
+        main(["catalog", "--out", str(tmp_path)])
+        cfg = json.loads((tmp_path / "catalog_class_1.json").read_text())
+        assert cfg["output"] == {"directory": "class_1"}
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(tmp_path / "catalog_class_1.json"),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["output"] == {"directory": str(out)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "--seed", "3"],
+            ["catalog", "--workers", "2"],
+            ["classify", "--config", "c.json", "--workers", "2"],
+            ["simulate", "--config", "c.json", "--workers", "2"],
+        ],
+        ids=["catalog-seed", "catalog-workers", "classify-workers", "simulate-workers"],
+    )
+    def test_flags_that_did_nothing_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_emitted_configs_round_trip(self, tmp_path, capsys):
         main(["catalog", "--out", str(tmp_path)])
         for class_id in (2, 5):
@@ -226,6 +252,75 @@ class TestConfigErrors:
         assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text() or "tau" in field
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -0.1])
+    @pytest.mark.parametrize(
+        "key",
+        ["horizon", "rtol", "atol", "class_tol", "fate_tol", "refine_tol", "kernel_tol",
+         "convergence_tol", "classify_horizon"],
+    )
+    def test_non_positive_run_field_is_named(self, tmp_path, capsys, monkeypatch, key, value):
+        # refine_tol: 0 used to bisect forever
+        import entfate.cli
+        import entfate.fate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagated before the config was checked")
+
+        monkeypatch.setattr(entfate.cli, "propagate", refuse)
+        monkeypatch.setattr(entfate.fate, "propagate", refuse)
+        cfg = write_config(tmp_path / "c.json", catalog_config(1, **{key: value}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"run.{key} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("fates", catalog_config(2, seed=-1), "run.seed must be a whole number >= 0"),
+            ("simulate", catalog_config(2, seed=-1), "run.seed must be a whole number >= 0"),
+            ("simulate", catalog_config(2, seed=1.5), "run.seed must be a whole number >= 0"),
+            ("simulate", catalog_config(2, seed=True), "run.seed must be a number"),
+            ("fates", {**catalog_config(2), "ensemble": {"seed": -4}},
+             "ensemble.seed must be a whole number >= 0"),
+            ("simulate", {**catalog_config(2), "ensemble": {"seed": -4}},
+             "ensemble.seed must be a whole number >= 0"),
+            ("simulate", catalog_config(2, grid_points=2.9), "run.grid_points must be a whole number >= 2"),
+            ("simulate", catalog_config(2, grid_points=1), "run.grid_points must be a whole number >= 2"),
+            ("fates", catalog_config(2, n_samples=1.5), "run.n_samples must be a whole number >= 1"),
+            ("fates", catalog_config(2, n_samples=0), "run.n_samples must be a whole number >= 1"),
+            ("fates", catalog_config(2, workers=0), "run.workers must be a whole number >= 1"),
+            ("fates", catalog_config(2, workers=1.5), "run.workers must be a whole number >= 1"),
+            ("classify", catalog_config(5, n_probes=-3), "run.n_probes must be a whole number >= 0"),
+            ("simulate", catalog_config(2, horizon=True), "run.horizon must be a number"),
+            ("classify", catalog_config(5, class_tol=False), "run.class_tol must be a number"),
+            # used to print class 4 for this class-5 generator
+            ("classify", catalog_config(5, class_tol=-0.1), "run.class_tol must be positive"),
+            ("fates", catalog_config(2, fate_tol=0), "run.fate_tol must be positive"),
+        ],
+        ids=[
+            "fates-negative-seed", "simulate-negative-seed", "fractional-seed", "boolean-seed",
+            "fates-negative-ensemble-seed", "simulate-negative-ensemble-seed",
+            "fractional-grid-points", "one-grid-point", "fractional-n-samples", "zero-n-samples",
+            "zero-workers", "fractional-workers", "negative-n-probes", "boolean-horizon",
+            "boolean-class-tol", "negative-class-tol", "zero-fate-tol",
+        ],
+    )
+    def test_bad_number_is_named(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fates"])
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", catalog_config(2))
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "run.seed must be a whole number >= 0" in capsys.readouterr().err
+
+    def test_whole_valued_float_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", catalog_config(1, horizon=2.0, grid_points=4.0))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 5
 
     def test_empty_kernel_writes_classification_error(self, tmp_path):
         # no Liouvillian eigenvalue is within 1e-30 of zero

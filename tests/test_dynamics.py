@@ -12,6 +12,7 @@ from entfate.dynamics import (
     ConstantRate,
     ExponentialRate,
     _repair_states,
+    apply_map,
     liouvillian_matrix,
     make_generator,
     unvec,
@@ -521,3 +522,49 @@ class TestStackedTrajectory:
             assert np.array_equal(s.matrix, traj.matrices[k])
             assert np.array_equal(traj.state(k).matrix, s.matrix)
         assert traj.state(0) is rho0
+
+
+class TestApplyMap:
+    """A map is applied to a whole stack of states in one product and one
+    stacked repair, with the outputs of the per-state application."""
+
+    def test_vec_and_unvec_act_on_stacks(self):
+        rng = np.random.default_rng(3)
+        ms = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        vs = vec(ms)
+        assert vs.shape == (5, 16)
+        for m, v in zip(ms, vs):
+            assert np.array_equal(v, m.flatten(order="F"))
+            assert np.array_equal(vec(m), v)
+            assert np.array_equal(unvec(v), m)
+        assert np.array_equal(unvec(vs), ms)
+        assert vec(ms[:0]).shape == (0, 16) and unvec(vs[:0]).shape == (0, 4, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["mixed", "pure", "clipped"]), min_size=1, max_size=30),
+    )
+    def test_stack_matches_per_state_application(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u = np.linalg.qr(z)[0]
+        phi = np.kron(u.conj(), u)  # vec(U rho U†): keeps each spectrum, so clipped stays clipped
+        ms = np.stack([propagated_like(rng, k) for k in kinds])
+        images = apply_map(phi, ms)
+        assert images.shape == ms.shape and not images.flags.writeable
+        for m, img, kind in zip(ms, images, kinds):
+            raw = (phi @ m.flatten(order="F")).reshape((4, 4), order="F")
+            assert np.array_equal(img, reference_repair_state(raw))
+            if kind == "clipped":
+                assert np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))[0] < 0.0
+
+    def test_first_failure_in_stack_order_raises(self):
+        ms = TestStackedTrajectory.failing_stack(positivity_at=2, drift_at=5)
+        with pytest.raises(PositivityLost) as got:
+            apply_map(np.eye(16), ms)
+        with pytest.raises(PositivityLost) as want:
+            for m in ms[:3]:
+                reference_repair_state(m)
+        assert str(got.value) == str(want.value)
+

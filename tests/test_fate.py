@@ -79,6 +79,30 @@ class TestDetectFate:
         with pytest.raises(ValueError):
             ef.detect_fate(g, ef.max_entangled(), horizon=0.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        g = ef.catalog_generator(1)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            ef.detect_fate(g, ef.max_entangled(), horizon=horizon)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["refine_tol", "tol"])
+    def test_bad_tolerances(self, name, bad):
+        # refine_tol = -1 used to bisect forever
+        g = ef.catalog_generator(1)
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ef.detect_fate(g, ef.max_entangled(), horizon=10.0, **{name: bad})
+        traj = ef.propagate(g, ef.max_entangled(), np.linspace(0.0, 10.0, 41))
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ef.fate_of_trajectory(g, traj, **{name: bad})
+
+    def test_refine_tol_below_float_spacing_terminates(self):
+        # the bisection stops once no float lies strictly inside its interval
+        rec = ef.detect_fate(
+            ef.catalog_generator(1), ef.max_entangled(), 10.0, grid_points=40, refine_tol=1e-300
+        )
+        assert rec.death_time == pytest.approx(np.log(3.0), abs=1e-9)
+
 
 class TestMarginCurve:
     def test_constant_zero_generator(self):

@@ -110,6 +110,12 @@ class TestClassifyRegion:
         with pytest.raises(ValueError):
             ef.classify_region(ef.max_entangled(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a NaN tol used to tag every state boundary
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ef.classify_region(ef.max_entangled(), tol=tol)
+
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(17)
         for seed in range(30):

@@ -62,6 +62,15 @@ class TestNewState:
         assert np.max(np.abs(s.matrix - s.matrix.conj().T)) == 0.0
 
 
+class TestQStateIdentity:
+    def test_equality_is_identity_and_hashable(self):
+        # equal matrices, distinct states: a generated __eq__ would compare arrays
+        s, t = ef.max_entangled(), ef.max_entangled()
+        assert s == s and s != t and not (s == t)
+        assert {s: 1, t: 2}[s] == 1
+        assert len({s, t, s}) == 2
+
+
 class TestPartialTranspose:
     def test_identity_fixed(self):
         s = ef.new_state(np.eye(4) / 4, 2, 2)
