@@ -9,6 +9,7 @@ entanglement fates.
 from .asymptotics import (
     AsymptoticSet,
     TheoremClass,
+    asymptotic_set,
     asymptotic_set_nonautonomous,
     catalog_generator,
     classify_generator,

@@ -1,7 +1,7 @@
 """Asymptotic sets of Lindblad dynamics and the six-class classification.
 
 Every asymptotic set is held as the image A = P∞(D) of the state set D
-under one linear map P∞ on vectorized operators:
+under one linear map P∞ on vectorized operators, which ``asymptotic_set`` picks:
 
   * autonomous dynamics   -- the spectral projector onto the Liouvillian
                              kernel, which fixes every stationary state,
@@ -121,7 +121,7 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
         "spectral_gap": float(min(-w.real[~kernel])) if k < w.size else 0.0,
         "peripheral_eigenvalues": [],
     }
-    return _asymptotic_set(proj, k == 1, diagnostics)
+    return _set_of_map(proj, k == 1, diagnostics)
 
 
 def asymptotic_set_nonautonomous(
@@ -142,10 +142,23 @@ def asymptotic_set_nonautonomous(
     eye = vec(np.eye(D))
     traceless = float(np.max(np.abs(phi - np.outer(phi @ eye / D, eye))))
     diagnostics = {"convergence_residual": residual, "traceless_residual": traceless}
-    return _asymptotic_set(phi, traceless <= tol, diagnostics)
+    return _set_of_map(phi, traceless <= tol, diagnostics)
 
 
-def _asymptotic_set(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
+def asymptotic_set(
+    g: Generator,
+    kernel_tol: float = DEFAULT_KERNEL_TOL,
+    horizon: float = DEFAULT_NONAUTONOMOUS_HORIZON,
+    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
+    opts: SolverOptions = DEFAULT_OPTS,
+) -> AsymptoticSet:
+    """The set of g: the Liouvillian kernel if g is autonomous, else the converged propagator's."""
+    if g.autonomous:
+        return stationary_set_autonomous(g, tol=kernel_tol)
+    return asymptotic_set_nonautonomous(g, horizon=horizon, tol=convergence_tol, opts=opts)
+
+
+def _set_of_map(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
     """The set P∞(D), once its centre P∞(I/4) is checked to be a state;
     a singleton keeps the centre, clipped only when needed, as its state."""
     ref = unvec(p_inf @ vec(np.eye(D) / D))
@@ -302,11 +315,8 @@ def classify_generator(
     seed: int = 0,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> tuple[AsymptoticSet, TheoremClass]:
-    """Full pipeline: asymptotic set, then theorem class."""
-    if g.autonomous:
-        aset = stationary_set_autonomous(g, tol=kernel_tol)
-    else:
-        aset = asymptotic_set_nonautonomous(g, horizon=horizon, tol=convergence_tol, opts=opts)
+    """Full pipeline: ``asymptotic_set``, then ``classify_theorem_class``."""
+    aset = asymptotic_set(g, kernel_tol, horizon, convergence_tol, opts)
     return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 
 

@@ -15,7 +15,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,8 +26,9 @@ from .asymptotics import (
     DEFAULT_KERNEL_TOL,
     DEFAULT_N_PROBES,
     DEFAULT_NONAUTONOMOUS_HORIZON,
+    asymptotic_set,
     catalog_generator,
-    classify_generator,
+    classify_theorem_class,
     membership_residual,
 )
 from .dynamics import ConstantRate, ExponentialRate, SolverOptions, make_generator, propagate
@@ -82,6 +82,7 @@ _ENSEMBLE_DEFAULTS = {"kind": "hilbert_schmidt_mixed", "seed": 0, "target_concur
 _OUTPUT_DEFAULTS = {"directory": "."}
 # the whole-number run fields and their least values; every other run field is positive
 _WHOLE = {"grid_points": 2, "n_samples": 1, "workers": 1, "n_probes": 0, "seed": 0}
+_WHOLE_MAX = 2**64 - 1  # the largest seed of a 64-bit generator bounds every whole number
 
 
 class ConfigError(Exception):
@@ -112,7 +113,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -128,23 +129,25 @@ def _object(value, field: str) -> dict:
 
 def _number(obj: dict, key: str, field: str, default=None) -> float:
     """obj[key] (or the default) as a float; a missing, non-numeric (a JSON
-    boolean included) or non-finite value (Python's json reads NaN and
-    Infinity) is a ConfigError naming ``field.key``."""
+    boolean included) or non-finite value (Python's json reads NaN, Infinity
+    and integers beyond the float range) is a ConfigError naming ``field.key``."""
     value = obj.get(key, default)
     if value is None:
         raise ConfigError(f"{field}.{key} is missing")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # compares an int exactly, never overflows
         raise ConfigError(f"{field}.{key} must be finite, got {value!r}")
     return float(value)
 
 
 def _whole(obj: dict, key: str, field: str, least: int) -> None:
-    """Check obj[key] as ``_number`` does, and as a whole number >= least."""
+    """Check obj[key] as ``_number`` does, and as a whole number in [least, _WHOLE_MAX]."""
     value = _number(obj, key, field)
-    if value != int(value) or value < least:
-        raise ConfigError(f"{field}.{key} must be a whole number >= {least}, got {obj[key]!r}")
+    if value != int(value) or not least <= int(obj[key]) <= _WHOLE_MAX:
+        raise ConfigError(
+            f"{field}.{key} must be a whole number >= {least} and <= {_WHOLE_MAX}, got {obj[key]!r}"
+        )
 
 
 def resolve_config(cfg: dict, args) -> dict:
@@ -259,15 +262,12 @@ def _write_resolved(outdir: Path, resolved: dict) -> None:
     )
 
 
-def classify_options(run: dict) -> dict:
-    """Keyword arguments of ``classify_generator`` from a resolved run."""
+def asymptotic_set_options(run: dict) -> dict:
+    """Keyword arguments of ``asymptotic_set`` from a resolved run."""
     return {
-        "class_tol": float(run["class_tol"]),
         "kernel_tol": float(run["kernel_tol"]),
         "horizon": float(run["classify_horizon"]),
         "convergence_tol": float(run["convergence_tol"]),
-        "n_probes": int(run["n_probes"]),
-        "seed": int(run["seed"] or 0),
         "opts": solver_options(run),
     }
 
@@ -291,33 +291,19 @@ def cmd_simulate(args) -> int:
     rho0 = _initial_state(cfg, resolved)
     outdir = Path(resolved["output"]["directory"])
     _write_resolved(outdir, resolved)
-    opts = solver_options(run)
     grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
-    traj = propagate(g, rho0, grid, opts)
-    curve = margin_curve(traj)
-    record = fate_of_trajectory(
-        g,
-        traj,
-        refine_tol=float(run["refine_tol"]),
-        tol=float(run["fate_tol"]),
-        opts=opts,
-        margins=[m for _, m, _ in curve],
-    )
-    dist_to_a = None
+    traj = propagate(g, rho0, grid, solver_options(run))
+    record = fate_of_trajectory(traj, float(run["refine_tol"]), float(run["fate_tol"]))
+    header, rows = "t,margin,concurrence", [list(row) for row in margin_curve(traj)]
     try:
-        aset, _ = classify_generator(g, **classify_options(run))
-        dist_to_a = [membership_residual(aset, s) for s in traj.states]
-    except EntfateError:
-        pass
-    header = "t,margin,concurrence"
-    if dist_to_a is not None:
+        aset = asymptotic_set(g, **asymptotic_set_options(run))
+    except EntfateError as exc:
+        print(f"trace_distance_to_A omitted: {type(exc).__name__}", file=sys.stderr)
+    else:
         header += ",trace_distance_to_A"
-    lines = [header]
-    for i, (t, m, c) in enumerate(curve):
-        row = f"{_fmt(t)},{_fmt(m)},{_fmt(c)}"
-        if dist_to_a is not None:
-            row += f",{_fmt(dist_to_a[i])}"
-        lines.append(row)
+        for row, s in zip(rows, traj.states):
+            row.append(membership_residual(aset, s))
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
     (outdir / "trajectory.csv").write_text("\n".join(lines) + "\n")
     _write_json(outdir / "summary.json", {"fate": dataclasses.asdict(record)})
     print(f"fate {record.fate_tag}")
@@ -332,7 +318,10 @@ def cmd_classify(args) -> int:
     outdir = Path(resolved["output"]["directory"])
     _write_resolved(outdir, resolved)
     try:
-        aset, cls = classify_generator(g, **classify_options(run))
+        aset = asymptotic_set(g, **asymptotic_set_options(run))
+        cls = classify_theorem_class(
+            aset, float(run["class_tol"]), int(run["n_probes"]), int(run["seed"] or 0)
+        )
     except (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement) as exc:
         _write_json(
             outdir / "classification.json",

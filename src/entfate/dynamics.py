@@ -28,11 +28,11 @@ times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
 it between two times, and ``propagator_matrices`` flows the identity to
 give the maps Phi(t).
 
-A trajectory is one read-only (T, 4, 4) stack of density matrices, and
-``vec``/``unvec`` act on whole stacks.  Every propagated or mapped state
-passes through ``_repair_states``, which repairs a stack with one stacked
-eigensolve; ``evolve_state`` hands it a stack of one, ``apply_map`` a stack
-of images.  QState objects are built only where a caller asks for them.
+A trajectory is one read-only (T, 4, 4) stack of density matrices with the
+generator and options that made it; ``vec``/``unvec`` act on whole stacks.
+Every propagated or mapped state passes through ``_repair_states``, which
+repairs a stack with one stacked eigensolve (a stack of one from
+``evolve_state``, of images from ``apply_map``); QStates are built on request.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import PositivityLost, StepFailure
+from .geometry import min_pt_eigenvalues
 from .states import D, QState, check_dims
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
@@ -221,17 +222,20 @@ DEFAULT_OPTS = SolverOptions()
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A state propagated over a time grid, held as one stack.
+    """A state propagated over a time grid by ``generator`` with ``opts``.
 
     ``matrices`` is a read-only (T, 4, 4) array whose entry k is the
     density matrix at ``times[k]``; entry 0 is that of ``initial``, the
-    state the trajectory started from.  ``states`` wraps the stack as
-    QStates, built once on first use, with ``states[0] is initial``.
+    state the trajectory started from.  Built once on first use, ``states``
+    wraps the stack as QStates, with ``states[0] is initial``, and
+    ``margins`` is their read-only array of PT margins.
     """
 
     times: tuple[float, ...]
     matrices: np.ndarray = field(repr=False)
     initial: QState
+    generator: Generator = field(repr=False)
+    opts: SolverOptions
 
     def state(self, k: int) -> QState:
         """The grid state at ``times[k]``, without building ``states``."""
@@ -242,6 +246,12 @@ class Trajectory:
     @cached_property
     def states(self) -> tuple[QState, ...]:
         return tuple(self.state(k) for k in range(len(self.times)))
+
+    @cached_property
+    def margins(self) -> np.ndarray:
+        margins = min_pt_eigenvalues(self.matrices)
+        margins.setflags(write=False)
+        return margins
 
 
 def _repair_states(ms: np.ndarray) -> np.ndarray:
@@ -322,7 +332,7 @@ def propagate(
     ys = _flow(g, vec(rho0.matrix), t, opts)
     ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(np.stack(ys))[1:])])
     ms.setflags(write=False)
-    return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0)
+    return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, generator=g, opts=opts)
 
 
 def evolve_state(

@@ -1,9 +1,9 @@
 """Entanglement fates of single trajectories and ensemble proportions.
 
-The PT margin m(t) is tracked along a propagated trajectory.  Definite
-sign changes (from below -tol to above +tol or vice versa) are refined
-by bisection with dense re-integration.  A trajectory is tagged by its
-final behavior:
+The PT margin m(t) is read off a propagated trajectory.  Definite sign
+changes (from below -tol to above +tol or vice versa) are refined by
+bisection, re-integrating with the generator and solver options the
+trajectory carries.  A trajectory is tagged by its final behavior:
 
   * never_entangled          -- m stayed >= -tol throughout,
   * sudden_death             -- m crossed to definitely positive and
@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, evolve_state, propagate
 from .errors import EntfateError, HorizonTooShort
-from .geometry import check_positive, concurrence, min_pt_eigenvalue, min_pt_eigenvalues
+from .geometry import check_positive, concurrence, min_pt_eigenvalue
 from .states import EnsembleSpec, QState, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
@@ -66,14 +66,15 @@ class FateStats:
     exemplars: dict  # tag -> first seed index attaining it
 
 
-def _margin_at(g, traj, t, opts):
+def _margin_at(traj, t):
     """Margin at an off-grid time, re-integrating from the nearest
-    earlier grid state."""
+    earlier grid state with the trajectory's generator and options."""
     i = bisect_right(traj.times, t) - 1
-    return min_pt_eigenvalue(evolve_state(g, traj.state(i), traj.times[i], t, opts))
+    rho = evolve_state(traj.generator, traj.state(i), traj.times[i], t, traj.opts)
+    return min_pt_eigenvalue(rho)
 
 
-def _bisect(g, traj, t_lo, t_hi, on_lo_side, refine_tol, opts):
+def _bisect(traj, t_lo, t_hi, on_lo_side, refine_tol):
     """Halve (t_lo, t_hi) down to refine_tol, keeping t_lo where the margin
     is ``on_lo_side`` and t_hi where it is not; return the midpoint.  Stops
     early once no float lies strictly inside the interval."""
@@ -81,7 +82,7 @@ def _bisect(g, traj, t_lo, t_hi, on_lo_side, refine_tol, opts):
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break
-        if on_lo_side(_margin_at(g, traj, t_mid, opts)):
+        if on_lo_side(_margin_at(traj, t_mid)):
             t_lo = t_mid
         else:
             t_hi = t_mid
@@ -113,36 +114,25 @@ def detect_fate(
     """Propagate rho0 over grid_points steps to the horizon and tag its fate."""
     check_positive("horizon", horizon)
     grid = np.linspace(0.0, horizon, grid_points + 1)
-    return fate_of_trajectory(g, propagate(g, rho0, grid, opts), refine_tol, tol, opts)
+    return fate_of_trajectory(propagate(g, rho0, grid, opts), refine_tol, tol)
 
 
 def fate_of_trajectory(
-    g: Generator,
-    traj: Trajectory,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    tol: float = DEFAULT_FATE_TOL,
-    opts: SolverOptions = DEFAULT_OPTS,
-    margins: list[float] | None = None,
+    traj: Trajectory, refine_tol: float = DEFAULT_REFINE_TOL, tol: float = DEFAULT_FATE_TOL
 ) -> FateRecord:
-    """Track the PT margin of a trajectory of g and tag its fate; crossings
-    are refined by re-integrating from the trajectory's grid states.
-
-    ``margins`` are the PT margins of the grid states when the caller has
-    them already (as ``margin_curve`` does); otherwise they are computed
-    in one stacked call."""
+    """Tag the fate of a trajectory from its PT margins; crossings are
+    refined by re-integrating from its grid states with its generator and
+    solver options."""
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = list(traj.times)
-    if margins is None:
-        margins = min_pt_eigenvalues(traj.matrices).tolist()
-    elif len(margins) != len(times):
-        raise ValueError(f"{len(margins)} margins for {len(times)} grid states")
+    margins = traj.margins.tolist()
 
     # one subdivision pass through near-tangential intervals: both ends
     # near zero and the neighboring slopes flip (interior extremum risk)
     refined_t, refined_m = [times[0]], [margins[0]]
     for i in range(1, len(times)):
-        floor = 100.0 * opts.atol  # ignore integrator noise around zero
+        floor = 100.0 * traj.opts.atol  # ignore integrator noise around zero
         near = (
             floor < abs(margins[i - 1]) < 10.0 * tol
             and floor < abs(margins[i]) < 10.0 * tol
@@ -154,7 +144,7 @@ def fate_of_trajectory(
             if extremum_risk or np.sign(margins[i - 1]) != np.sign(margins[i]):
                 t_mid = 0.5 * (times[i - 1] + times[i])
                 refined_t.append(t_mid)
-                refined_m.append(_margin_at(g, traj, t_mid, opts))
+                refined_m.append(_margin_at(traj, t_mid))
         refined_t.append(times[i])
         refined_m.append(margins[i])
     times, margins = refined_t, refined_m
@@ -177,7 +167,7 @@ def fate_of_trajectory(
     up = [e for e in events if e[0] == +1]
     down = [e for e in events if e[0] == -1]
     # the margin at an event's t_lo has the sign opposite to its direction
-    refine = lambda e: _bisect(g, traj, e[1], e[2], lambda m: e[0] * m < 0.0, refine_tol, opts)
+    refine = lambda e: _bisect(traj, e[1], e[2], lambda m: e[0] * m < 0.0, refine_tol)
 
     initially_entangled = margins[0] < -tol
     birth_time = None
@@ -190,7 +180,7 @@ def fate_of_trajectory(
             # -tol threshold crossing directly
             first_ent = next(i for i, m in enumerate(margins) if m < -tol)
             t_lo, t_hi = times[first_ent - 1], times[first_ent]
-            birth_time = _bisect(g, traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol, opts)
+            birth_time = _bisect(traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol)
     death_time = None
     if up:
         last_up = up[-1]
@@ -232,10 +222,9 @@ def fate_of_trajectory(
 
 def margin_curve(traj: Trajectory) -> list[tuple[float, float, float]]:
     """(time, PT margin, concurrence) per grid point, ready for CSV."""
-    margins = min_pt_eigenvalues(traj.matrices).tolist()
     return [
         (t, m, concurrence(s))
-        for t, m, s in zip(traj.times, margins, traj.states)
+        for t, m, s in zip(traj.times, traj.margins.tolist(), traj.states)
     ]
 
 

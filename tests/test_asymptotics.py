@@ -301,12 +301,6 @@ class TestRotatedBoundary:
             ef.classify_generator(coherent_pumping())
 
 
-def asymptotic_set(g):
-    if g.autonomous:
-        return ef.stationary_set_autonomous(g)
-    return ef.asymptotic_set_nonautonomous(g)
-
-
 def per_probe_classification(a, tol=ef.asymptotics.DEFAULT_CLASS_TOL, n_probes=50, seed=0):
     """The per-probe loop that the probe stack replaced: every probe is
     built as a QState, then mapped, repaired and measured on its own."""
@@ -370,7 +364,7 @@ class TestProbeStack:
     @pytest.mark.parametrize("seed", [0, 3, 7919])
     @pytest.mark.parametrize("name", list(MANY_STATE_GENERATORS))
     def test_equals_per_probe_loop(self, name, seed):
-        aset = asymptotic_set(MANY_STATE_GENERATORS[name]())
+        aset = ef.asymptotic_set(MANY_STATE_GENERATORS[name]())
         assert aset.cardinality == "many"
         try:
             want = per_probe_classification(aset, seed=seed)
@@ -387,7 +381,7 @@ class TestProbeStack:
     def test_one_map_application_and_one_eigensolve(self, monkeypatch, class_id):
         from entfate import asymptotics
 
-        aset = asymptotic_set(ef.catalog_generator(class_id))
+        aset = ef.asymptotic_set(ef.catalog_generator(class_id))
         calls = {"apply_map": [], "min_pt_eigenvalues": [], "min_pt_eigenvalue": []}
         for name, log in calls.items():
             def counting(*args, _fn=getattr(asymptotics, name), _log=log):
@@ -404,7 +398,7 @@ class TestProbeStack:
         assert len(cls.probes) == 47
 
     def test_no_random_probes(self):
-        aset = asymptotic_set(ef.catalog_generator(5))
+        aset = ef.asymptotic_set(ef.catalog_generator(5))
         cls = ef.classify_theorem_class(aset, n_probes=0)
         assert cls == per_probe_classification(aset, n_probes=0)
         assert not any("random" in label for label, _ in cls.probes)
@@ -412,7 +406,7 @@ class TestProbeStack:
     @pytest.mark.parametrize("tol", [0.0, -0.1, float("nan"), float("inf")])
     @pytest.mark.parametrize("class_id", [2, 5])
     def test_tol_must_be_positive_and_finite(self, class_id, tol):
-        aset = asymptotic_set(ef.catalog_generator(class_id))
+        aset = ef.asymptotic_set(ef.catalog_generator(class_id))
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ef.classify_theorem_class(aset, tol=tol)
 

@@ -17,6 +17,7 @@ BELL = [
     [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
 ]
 ZERO = [[[0.0, 0.0]] * 4] * 4
+SEED_RANGE = "must be a whole number >= 0 and <= 18446744073709551615"
 
 
 def write_config(path, payload):
@@ -136,6 +137,13 @@ class TestConfigErrors:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
+
+    def test_integer_beyond_json_digit_limit(self, tmp_path, capsys):
+        # json reads at most 4300 digits of an integer; more used to end in ValueError
+        p = tmp_path / "bad.json"
+        p.write_text('{"run": {"seed": ' + "9" * 5000 + "}}")
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
 
     def test_zero_horizon_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", catalog_config(1, horizon=0))
@@ -296,6 +304,16 @@ class TestConfigErrors:
             # used to print class 4 for this class-5 generator
             ("classify", catalog_config(5, class_tol=-0.1), "run.class_tol must be positive"),
             ("fates", catalog_config(2, fate_tol=0), "run.fate_tol must be positive"),
+            # a seed keys a 64-bit generator; larger ones used to end in OverflowError
+            ("simulate", catalog_config(2, seed=2**64), f"run.seed {SEED_RANGE}"),
+            ("fates", catalog_config(2, seed=2**64), f"run.seed {SEED_RANGE}"),
+            ("simulate", catalog_config(2, seed=1e20), f"run.seed {SEED_RANGE}"),
+            ("simulate", {**catalog_config(2), "ensemble": {"seed": 2**64}},
+             f"ensemble.seed {SEED_RANGE}"),
+            # integers beyond the float range used to end in OverflowError
+            ("simulate", catalog_config(2, seed=10**400), "run.seed must be finite"),
+            ("simulate", catalog_config(2, horizon=10**400), "run.horizon must be finite"),
+            ("classify", catalog_config(5, n_probes=-(10**400)), "run.n_probes must be finite"),
         ],
         ids=[
             "fates-negative-seed", "simulate-negative-seed", "fractional-seed", "boolean-seed",
@@ -303,6 +321,8 @@ class TestConfigErrors:
             "fractional-grid-points", "one-grid-point", "fractional-n-samples", "zero-n-samples",
             "zero-workers", "fractional-workers", "negative-n-probes", "boolean-horizon",
             "boolean-class-tol", "negative-class-tol", "zero-fate-tol",
+            "simulate-seed-2^64", "fates-seed-2^64", "float-seed-1e20", "ensemble-seed-2^64",
+            "seed-400-digits", "horizon-400-digits", "n-probes-400-digits",
         ],
     )
     def test_bad_number_is_named(self, tmp_path, capsys, command, payload, field):
@@ -310,17 +330,31 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "fates"])
-    def test_negative_seed_flag_is_named(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, seed, field",
+        [
+            ("simulate", "-1", "run.seed must be a whole number >= 0"),
+            ("fates", "-1", "run.seed must be a whole number >= 0"),
+            ("simulate", str(2**64), f"run.seed {SEED_RANGE}"),
+            ("fates", str(2**64), f"run.seed {SEED_RANGE}"),
+        ],
+        ids=["simulate", "fates", "simulate-2^64", "fates-2^64"],
+    )
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys, command, seed, field):
         cfg = write_config(tmp_path / "c.json", catalog_config(2))
-        assert main([command, "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
-        assert "run.seed must be a whole number >= 0" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--seed", seed]) == 2
+        assert field in capsys.readouterr().err
 
     def test_whole_valued_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", catalog_config(1, horizon=2.0, grid_points=4.0))
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 5
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", catalog_config(1, horizon=2.0, grid_points=4))
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path), "--seed", str(2**64 - 1)]
+        assert main(argv) == 0
 
     def test_empty_kernel_writes_classification_error(self, tmp_path):
         # no Liouvillian eigenvalue is within 1e-30 of zero
@@ -350,6 +384,54 @@ class TestSimulate:
         assert header.startswith("t,margin,concurrence")
         assert "trace_distance_to_A" in header
 
+    def test_distance_to_set_needs_no_classification(self, tmp_path, monkeypatch):
+        # classify on this generator is Inconclusive (exit 4), which used to drop
+        # the distance column from simulate without a word
+        import entfate.asymptotics
+        import entfate.cli
+        from test_asymptotics import coherent_pumping
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ef.classify_theorem_class(*args, **kwargs)
+
+        monkeypatch.setattr(entfate.asymptotics, "classify_theorem_class", counting)
+        monkeypatch.setattr(entfate.cli, "classify_theorem_class", counting)
+        jumps = [
+            {"operator": [[[z.real, z.imag] for z in row] for row in ch.operator],
+             "rate": ch.rate.value}
+            for ch in coherent_pumping().jumps
+        ]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "generator": {"explicit": {"jumps": jumps}},
+                "initial_state": {"matrix": BELL},
+                "run": {"horizon": 10.0, "grid_points": 50},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        assert header == "t,margin,concurrence,trace_distance_to_A"
+        assert len(rows) == 51 and all(len(r.split(",")) == 4 for r in rows)
+        assert calls == []
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "cls")]) == 4
+        assert len(calls) == 1
+
+    def test_unbuildable_set_is_reported(self, tmp_path, capsys):
+        # no Liouvillian eigenvalue is within 1e-30 of zero
+        cfg = write_config(
+            tmp_path / "c.json", catalog_config(1, horizon=2.0, grid_points=4, kernel_tol=1e-30)
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_text().splitlines()[0] == "t,margin,concurrence"
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["trace_distance_to_A omitted: NoTraceOneElement"]
+
     def test_class5_distance_to_many_state_set(self, tmp_path):
         # dephasing keeps the Bell populations and kills its coherences, so the
         # trajectory starts at trace distance 1/2 from A (the diagonal states)
@@ -372,6 +454,7 @@ class TestSimulate:
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
 
     def test_class2_margins_computed_once(self, tmp_path, monkeypatch):
+        import entfate.dynamics
         import entfate.fate
 
         stacked_rows, single, refinements = [], [], []
@@ -388,7 +471,7 @@ class TestSimulate:
             refinements.append(args)
             return ef.evolve_state(*args, **kwargs)
 
-        monkeypatch.setattr(entfate.fate, "min_pt_eigenvalues", counting_margins)
+        monkeypatch.setattr(entfate.dynamics, "min_pt_eigenvalues", counting_margins)
         monkeypatch.setattr(entfate.fate, "min_pt_eigenvalue", counting_margin)
         monkeypatch.setattr(entfate.fate, "evolve_state", counting_evolve)
         cfg = write_config(

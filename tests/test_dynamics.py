@@ -509,10 +509,14 @@ class TestStackedTrajectory:
         assert calls[0][0].shape == (399, 4, 4)
         assert traj.matrices.shape == (400, 4, 4)
 
-    def test_stack_is_read_only_and_states_are_views(self):
+    def test_stack_is_read_only_and_states_are_views(self, monkeypatch):
+        from entfate import dynamics
+
         g = ef.catalog_generator(2)
         rho0 = random_state(4)
-        traj = ef.propagate(g, rho0, np.linspace(0.0, 5.0, 21))
+        opts = ef.SolverOptions(rtol=1e-8, atol=1e-11)
+        traj = ef.propagate(g, rho0, np.linspace(0.0, 5.0, 21), opts)
+        assert traj.generator is g and traj.opts is opts
         assert not traj.matrices.flags.writeable
         assert np.array_equal(traj.matrices[0], rho0.matrix)
         states = traj.states
@@ -522,6 +526,20 @@ class TestStackedTrajectory:
             assert np.array_equal(s.matrix, traj.matrices[k])
             assert np.array_equal(traj.state(k).matrix, s.matrix)
         assert traj.state(0) is rho0
+        # the margins come from one stacked call, made on first use only
+        calls = []
+
+        def counting(ms):
+            calls.append(ms)
+            return ef.min_pt_eigenvalues(ms)
+
+        monkeypatch.setattr(dynamics, "min_pt_eigenvalues", counting)
+        margins = traj.margins
+        assert traj.margins is margins and len(calls) == 1 and calls[0] is traj.matrices
+        assert not margins.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            margins[0] = 0.0
+        assert np.array_equal(margins, ef.min_pt_eigenvalues(traj.matrices))
 
 
 class TestApplyMap:

@@ -94,7 +94,7 @@ class TestDetectFate:
             ef.detect_fate(g, ef.max_entangled(), horizon=10.0, **{name: bad})
         traj = ef.propagate(g, ef.max_entangled(), np.linspace(0.0, 10.0, 41))
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            ef.fate_of_trajectory(g, traj, **{name: bad})
+            ef.fate_of_trajectory(traj, **{name: bad})
 
     def test_refine_tol_below_float_spacing_terminates(self):
         # the bisection stops once no float lies strictly inside its interval
@@ -239,6 +239,6 @@ class TestFateOfTrajectory:
         g = ef.catalog_generator(class_id)
         grid = np.linspace(0.0, horizon, 201)
         traj = ef.propagate(g, rho0, grid, opts)
-        rec = ef.fate_of_trajectory(g, traj, opts=opts)
+        rec = ef.fate_of_trajectory(traj)
         assert rec == ef.detect_fate(g, rho0, horizon, grid_points=200, opts=opts)
         assert rec.death_time is not None or rec.birth_time is not None
