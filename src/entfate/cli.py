@@ -80,9 +80,17 @@ _RUN_DEFAULTS = {
 }
 _ENSEMBLE_DEFAULTS = {"kind": "hilbert_schmidt_mixed", "seed": 0, "target_concurrence": 0.0}
 _OUTPUT_DEFAULTS = {"directory": "."}
-# the whole-number run fields and their least values; every other run field is positive
-_WHOLE = {"grid_points": 2, "n_samples": 1, "workers": 1, "n_probes": 0, "seed": 0}
-_WHOLE_MAX = 2**64 - 1  # the largest seed of a 64-bit generator bounds every whole number
+_SEED_RANGE = (0, 2**64 - 1)  # the seeds of a 64-bit generator
+# the whole-number run fields and their ranges; every other run field is positive.
+# The upper bounds keep a run's allocations and processes small: a grid's shared
+# propagator stack takes 4 KB per point (410 MB at 100,000 points).
+_WHOLE = {
+    "grid_points": (2, 100_000),
+    "n_samples": (1, 10**6),
+    "workers": (1, 64),
+    "n_probes": (0, 100_000),
+    "seed": _SEED_RANGE,
+}
 
 
 class ConfigError(Exception):
@@ -141,12 +149,13 @@ def _number(obj: dict, key: str, field: str, default=None) -> float:
     return float(value)
 
 
-def _whole(obj: dict, key: str, field: str, least: int) -> None:
-    """Check obj[key] as ``_number`` does, and as a whole number in [least, _WHOLE_MAX]."""
+def _whole(obj: dict, key: str, field: str, bounds: tuple[int, int]) -> None:
+    """Check obj[key] as ``_number`` does, and as a whole number in [least, most]."""
+    least, most = bounds
     value = _number(obj, key, field)
-    if value != int(value) or not least <= int(obj[key]) <= _WHOLE_MAX:
+    if value != int(value) or not least <= int(obj[key]) <= most:
         raise ConfigError(
-            f"{field}.{key} must be a whole number >= {least} and <= {_WHOLE_MAX}, got {obj[key]!r}"
+            f"{field}.{key} must be a whole number >= {least} and <= {most}, got {obj[key]!r}"
         )
 
 
@@ -174,7 +183,7 @@ def resolve_config(cfg: dict, args) -> dict:
                 raise ConfigError(f"run.{key} must be positive, got {run[key]!r}")
         elif key != "seed" or run[key] is not None:
             _whole(run, key, "run", _WHOLE[key])
-    _whole(ens, "seed", "ensemble", 0)
+    _whole(ens, "seed", "ensemble", _SEED_RANGE)
     return resolved
 
 

@@ -24,9 +24,12 @@ the first of a list of times to each later one.  Autonomous generators
 step by cached matrix exponentials exp(L dt) (scaling and squaring);
 non-autonomous ones take one adaptive embedded Runge-Kutta solve of
 order 5 with an order-4 error estimate (Dormand-Prince), sampled at the
-times.  ``propagate`` flows one state over a grid, ``evolve_state`` flows
-it between two times, and ``propagator_matrices`` flows the identity to
-give the maps Phi(t).
+times.  ``propagator_matrices`` flows the identity to give the maps
+Phi(t) at every time of a grid, and ``evolve_state`` flows one state
+between two times.  ``propagate`` maps a state through a grid's maps in
+one stacked product; the maps are computed once per generator, grid and
+options, and kept for the next ``propagate`` with the same three (a
+one-entry memo, so every sample of an ensemble run shares one stack).
 
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 generator and options that made it; ``vec``/``unvec`` act on whole stacks.
@@ -51,6 +54,11 @@ from .states import D, QState, check_dims
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
+# (generator, grid bytes, opts, maps) of the last grid propagated, replaced in one
+# assignment so a reader never pairs one key with another key's maps.  Not kept on
+# the Generator: an RK45 solve puts a generator in a reference cycle (solver and
+# right-hand-side closure), so a dead one would hold its maps until a cyclic GC.
+_LAST_STACK = None
 
 
 @dataclass(frozen=True)
@@ -293,44 +301,56 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) -> list:
+def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) -> np.ndarray:
     """Carry y0 -- one vectorized operator, or a block of them as columns --
-    from times[0] to every time in ``times``; entry k is y(times[k])."""
-    ys = [y0]
-    if times.size == 1:
-        return ys
-    if g.autonomous:
-        lmat = liouvillian_matrix(g, 0.0)
-        cache: dict[float, np.ndarray] = {}
-        for dt in np.diff(times):
-            key = round(float(dt), 15)
-            if key not in cache:
-                cache[key] = expm(lmat * dt)
-            ys.append(cache[key] @ ys[-1])
-        return ys
-    shape = y0.shape
-    sol = solve_ivp(
-        lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(shape)).ravel(),
-        (times[0], times[-1]),
-        y0.ravel(),
-        method="RK45",
-        t_eval=times,
-        rtol=opts.rtol,
-        atol=opts.atol,
-    )
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return ys + [sol.y[:, k].reshape(shape) for k in range(1, len(times))]
+    from times[0] to every time in ``times``; entry k of the returned
+    (len(times), *y0.shape) stack is y(times[k])."""
+    if times.size > 1 and not g.autonomous:
+        sol = solve_ivp(
+            lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
+            (times[0], times[-1]),
+            y0.ravel(),
+            method="RK45",
+            t_eval=times,
+            rtol=opts.rtol,
+            atol=opts.atol,
+        )
+        if not sol.success:
+            raise StepFailure(sol.message)
+        return np.ascontiguousarray(np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0))
+    ys = np.empty((times.size, *y0.shape), dtype=complex)
+    ys[0] = y0
+    lmat = liouvillian_matrix(g, 0.0) if times.size > 1 else None
+    cache: dict[float, np.ndarray] = {}
+    for k, dt in enumerate(np.diff(times), start=1):
+        key = round(float(dt), 15)
+        if key not in cache:
+            cache[key] = expm(lmat * dt)
+        np.matmul(cache[key], ys[k - 1], out=ys[k])
+    return ys
+
+
+def _grid_propagators(g: Generator, t: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """``propagator_matrices(g, t, opts)``, reused while g, t and opts repeat."""
+    global _LAST_STACK
+    key = t.tobytes()
+    last = _LAST_STACK
+    if last is not None and last[0] is g and last[1] == key and last[2] == opts:
+        return last[3]
+    phis = propagator_matrices(g, t, opts)
+    _LAST_STACK = (g, key, opts, phis)
+    return phis
 
 
 def propagate(
     g: Generator, rho0: QState, t_grid, opts: SolverOptions = DEFAULT_OPTS
 ) -> Trajectory:
-    """Propagate rho0 over the grid; every propagated state is repaired and
-    validated, all in one stacked call."""
+    """Map rho0 through the grid's propagators Phi(t_k) in one stacked
+    product; every propagated state is repaired and validated, all in one
+    stacked call."""
     t = _check_grid(t_grid)
-    ys = _flow(g, vec(rho0.matrix), t, opts)
-    ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(np.stack(ys))[1:])])
+    ys = _grid_propagators(g, t, opts)[1:] @ vec(rho0.matrix)
+    ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))])
     ms.setflags(write=False)
     return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, generator=g, opts=opts)
 
@@ -353,14 +373,16 @@ def evolve_state(
 
 def propagator_matrices(
     g: Generator, t_grid, opts: SolverOptions = DEFAULT_OPTS
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """The linear maps Phi(t) on vectorized operators at every time of a
-    grid starting at 0, all from one flow of the identity."""
+    grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
+    the identity."""
     phis = _flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts)
     tr_vec = vec(np.eye(D)).conj()
-    residual = max(np.max(np.abs(tr_vec @ phi - tr_vec)) for phi in phis)
+    residual = np.max(np.abs(tr_vec @ phis - tr_vec))
     if residual > 1e-8:
         raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
+    phis.setflags(write=False)
     return phis
 
 

@@ -314,6 +314,22 @@ class TestConfigErrors:
             ("simulate", catalog_config(2, seed=10**400), "run.seed must be finite"),
             ("simulate", catalog_config(2, horizon=10**400), "run.horizon must be finite"),
             ("classify", catalog_config(5, n_probes=-(10**400)), "run.n_probes must be finite"),
+            # run sizes are bounded; 10**18 grid points used to end in _ArrayMemoryError
+            ("simulate", catalog_config(2, grid_points=10**18),
+             "run.grid_points must be a whole number >= 2 and <= 100000"),
+            ("simulate", catalog_config(2, grid_points=100_001),
+             "run.grid_points must be a whole number >= 2 and <= 100000"),
+            ("fates", catalog_config(2, grid_points=100_001),
+             "run.grid_points must be a whole number >= 2 and <= 100000"),
+            ("fates", catalog_config(2, n_samples=10**6 + 1),
+             "run.n_samples must be a whole number >= 1 and <= 1000000"),
+            ("fates", catalog_config(2, n_samples=2**64 - 1),
+             "run.n_samples must be a whole number >= 1 and <= 1000000"),
+            ("fates", catalog_config(2, workers=65), "run.workers must be a whole number >= 1 and <= 64"),
+            ("fates", catalog_config(2, workers=2**64 - 1),
+             "run.workers must be a whole number >= 1 and <= 64"),
+            ("classify", catalog_config(5, n_probes=100_001),
+             "run.n_probes must be a whole number >= 0 and <= 100000"),
         ],
         ids=[
             "fates-negative-seed", "simulate-negative-seed", "fractional-seed", "boolean-seed",
@@ -323,12 +339,42 @@ class TestConfigErrors:
             "boolean-class-tol", "negative-class-tol", "zero-fate-tol",
             "simulate-seed-2^64", "fates-seed-2^64", "float-seed-1e20", "ensemble-seed-2^64",
             "seed-400-digits", "horizon-400-digits", "n-probes-400-digits",
+            "simulate-grid-points-10^18", "simulate-grid-points-100001", "fates-grid-points-100001",
+            "n-samples-1000001", "n-samples-2^64-1", "workers-65", "workers-2^64-1",
+            "n-probes-100001",
         ],
     )
-    def test_bad_number_is_named(self, tmp_path, capsys, command, payload, field):
+    def test_bad_number_is_named(self, tmp_path, capsys, monkeypatch, command, payload, field):
+        # every bad number is refused by resolve_config: before the generator is
+        # built, anything is allocated for the run or any process starts
+        import entfate.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator built before the config was checked")
+
+        monkeypatch.setattr(entfate.cli, "build_generator", refuse)
         cfg = write_config(tmp_path / "c.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_workers_flag_beyond_bound_is_named(self, tmp_path, capsys, monkeypatch):
+        import entfate.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr(entfate.cli, "fate_statistics", refuse)
+        cfg = write_config(tmp_path / "c.json", catalog_config(2))
+        assert main(["fates", "--config", cfg, "--out", str(tmp_path), "--workers", "65"]) == 2
+        assert "run.workers must be a whole number >= 1 and <= 64" in capsys.readouterr().err
+
+    def test_largest_run_sizes_resolve(self):
+        from entfate.cli import resolve_config
+
+        run = {"grid_points": 100_000, "n_samples": 10**6, "workers": 64, "n_probes": 100_000,
+               "seed": 2**64 - 1}
+        resolved = resolve_config({**catalog_config(2, **run), "ensemble": {"seed": 2**64 - 1}}, None)
+        assert {k: resolved["run"][k] for k in run} == run
 
     @pytest.mark.parametrize(
         "command, seed, field",

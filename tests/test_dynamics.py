@@ -1,4 +1,6 @@
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -445,6 +447,91 @@ class TestOneFlow:
         assert ef.evolve_state(g, s, 1.5, 1.5) is s
         traj = ef.propagate(g, s, [0.0])
         assert traj.times == (0.0,) and traj.states[0] is s
+
+
+def count_propagator_stacks(monkeypatch):
+    """Record every ``propagator_matrices`` call that ``propagate`` makes,
+    starting from an empty memo."""
+    from entfate import dynamics
+
+    calls = []
+    original = dynamics.propagator_matrices
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "propagator_matrices", counting)
+    monkeypatch.setattr(dynamics, "_LAST_STACK", None)
+    return calls
+
+
+class TestGridPropagators:
+    """propagate maps its state through the grid's propagator stack, which
+    is computed once per generator, grid and options."""
+
+    GRID = np.linspace(0.0, 3.0, 31)
+    OPTS = ef.SolverOptions(rtol=1e-8, atol=1e-11)
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    def test_trajectory_is_the_repaired_stacked_product(self, g):
+        s = random_state(6)
+        traj = ef.propagate(g, s, self.GRID, self.OPTS)
+        phis = ef.propagator_matrices(g, self.GRID, self.OPTS)
+        assert phis.shape == (31, 16, 16) and not phis.flags.writeable
+        raw = np.stack([phis[k] @ vec(s.matrix) for k in range(1, len(self.GRID))])
+        assert np.array_equal(traj.matrices[0], s.matrix)
+        assert np.array_equal(traj.matrices[1:], _repair_states(unvec(raw)))
+
+    def test_stack_is_recomputed_only_when_its_key_changes(self, monkeypatch):
+        from entfate import dynamics
+
+        calls = count_propagator_stacks(monkeypatch)
+        g, h = ef.catalog_generator(6), ef.catalog_generator(6)
+        s = random_state(7)
+        ef.propagate(g, s, self.GRID, self.OPTS)
+        # an equal grid and equal options, as other objects, share the stack
+        ef.propagate(g, random_state(8), list(self.GRID), ef.SolverOptions(rtol=1e-8, atol=1e-11))
+        assert len(calls) == 1
+
+        def cold(*args):
+            monkeypatch.setattr(dynamics, "_LAST_STACK", None)
+            return ef.propagate(*args).matrices
+
+        loose = ef.SolverOptions(rtol=1e-7, atol=1e-10)
+        coarse = np.linspace(0.0, 3.0, 21)
+        for args in ((g, s, self.GRID, loose), (g, s, coarse, loose), (h, s, coarse, loose),
+                     (g, s, self.GRID, self.OPTS)):
+            before = len(calls)
+            warm = ef.propagate(*args).matrices
+            assert len(calls) == before + 1 and calls[-1][0] is args[0]
+            assert np.array_equal(warm, cold(*args))
+
+    def test_threads_alternating_generators_match_a_serial_run(self):
+        # a reader that paired one generator with the other's maps would
+        # return that generator's trajectory
+        gens = (random_generator(3), ef.catalog_generator(6))
+        states = [random_state(k) for k in range(6)]
+
+        def run(first):
+            return [
+                ef.propagate(gens[(first + k) % 2], s, self.GRID, self.OPTS).matrices
+                for _ in range(2)
+                for k, s in enumerate(states)
+            ]
+
+        serial = [run(0), run(1)]
+        firsts = (0, 1, 0, 1)  # more threads than the two cores of a small host
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(firsts)) as pool:
+                threaded = list(pool.map(run, firsts, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for first, got in zip(firsts, threaded):
+            assert all(np.array_equal(a, b) for a, b in zip(serial[first], got, strict=True))
 
 
 class TestStackedTrajectory:

@@ -204,6 +204,30 @@ class TestFateStatistics:
         assert len(errors) == stats.failures
         assert all(r.startswith("HorizonTooShort: ") for r in errors)
 
+    def test_run_computes_one_propagator_stack(self, monkeypatch):
+        from test_dynamics import count_propagator_stacks
+
+        calls = count_propagator_stacks(monkeypatch)
+        g = ef.catalog_generator(6)
+        spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=5)
+        opts = ef.SolverOptions(rtol=1e-7, atol=1e-10)
+        stats, _ = ef.fate_statistics(g, spec, n=12, horizon=12.0, grid_points=200, opts=opts)
+        assert stats.failures == 0
+        assert len(calls) == 1 and calls[0][0] is g
+
+    def test_tolerances_that_fail_the_identity_flow_fail_every_sample(self, monkeypatch):
+        from test_dynamics import count_propagator_stacks
+
+        calls = count_propagator_stacks(monkeypatch)
+        # the stiff quench blows up under these tolerances without overflowing
+        g = ef.catalog_generator(6, c=100.0)
+        spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=5)
+        opts = ef.SolverOptions(rtol=1.0, atol=1.0)
+        stats, records = ef.fate_statistics(g, spec, n=4, horizon=12.0, grid_points=200, opts=opts)
+        assert stats.failure_reasons == {"StepFailure": 4}
+        assert all(r.startswith("StepFailure: trace-preservation residual") for r in records)
+        assert len(calls) == 4  # a failed flow is not kept
+
     def test_n_must_be_positive(self):
         g = ef.catalog_generator(1)
         spec = ef.EnsembleSpec("haar_pure", seed=0)
