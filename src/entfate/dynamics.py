@@ -18,24 +18,34 @@ jump channel, the bracket above.  ``liouvillian_matrix`` then only
 scales and adds these read-only 16 x 16 pieces, channel by channel,
 which gives the formula above at t bit for bit.
 
-Every state, trajectory and propagator comes from one flow, ``_flow``,
-which carries a vectorized operator, or a block of them as columns, from
-the first of a list of times to each later one.  Autonomous generators
-step by cached matrix exponentials exp(L dt) (scaling and squaring);
-non-autonomous ones take one adaptive embedded Runge-Kutta solve of
-order 5 with an order-4 error estimate (Dormand-Prince), sampled at the
-times.  ``propagator_matrices`` flows the identity to give the maps
-Phi(t) at every time of a grid, and ``evolve_state`` flows one state
-between two times.  ``propagate`` maps a state through a grid's maps in
-one stacked product; the maps are computed once per generator, grid and
-options, and kept for the next ``propagate`` with the same three (a
-one-entry memo, so every sample of an ensemble run shares one stack).
+Every state, trajectory and propagator comes from one flow, which
+carries a vectorized operator, or a block of them as columns, from the
+first of a list of times to each later one.  Autonomous generators step
+by matrix exponentials exp(L dt) (scaling and squaring), one per run of
+steps equal to within round-off (``_exp_steps``); non-autonomous ones
+take one adaptive embedded Runge-Kutta solve of order 5 with an order-4
+error estimate (Dormand-Prince), sampled at the times (``_rk45``).
+``_flow`` picks one: ``propagator_matrices`` flows the identity to give
+the maps Phi(t) at every time of a grid, and ``evolve_state`` flows one
+state between two times.
+
+``propagate`` maps a state through the maps of a ``PropagatorSource``:
+one per generator, grid and options, kept for the next ``propagate``
+with the same three (a one-entry memo, so every sample of an ensemble
+run shares one source).  A source flows the identity once over its grid
+and also gives Phi(t) between grid times: from the RK45 solve's step
+interpolants (the solve that gave the grid maps), or as
+exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i for an
+autonomous generator.  Only sources keep interpolants; the other flows
+drop them.
 
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
-generator and options that made it; ``vec``/``unvec`` act on whole stacks.
-Every propagated or mapped state passes through ``_repair_states``, which
+source that made it; ``state_at`` gives its state at any time of its span
+through that source.  ``vec``/``unvec`` act on whole stacks.  Every
+propagated or mapped state passes through ``_repair_states``, which
 repairs a stack with one stacked eigensolve (a stack of one from
-``evolve_state``, of images from ``apply_map``); QStates are built on request.
+``evolve_state`` and ``state_at``, of images from ``apply_map``); QStates
+are built on request.
 """
 
 from __future__ import annotations
@@ -54,11 +64,12 @@ from .states import D, QState, check_dims
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
-# (generator, grid bytes, opts, maps) of the last grid propagated, replaced in one
-# assignment so a reader never pairs one key with another key's maps.  Not kept on
-# the Generator: an RK45 solve puts a generator in a reference cycle (solver and
-# right-hand-side closure), so a dead one would hold its maps until a cyclic GC.
-_LAST_STACK = None
+STEP_RTOL = 1e-13  # grid steps this close, relative to the step, share one exp(L dt)
+# (grid bytes, source) of the last grid propagated, replaced in one assignment so a
+# reader never pairs one key with another key's source.  Not kept on the Generator:
+# an RK45 solve puts a generator in a reference cycle (solver and right-hand-side
+# closure), so a dead one would hold its source until a cyclic GC.
+_LAST_SOURCE = None
 
 
 @dataclass(frozen=True)
@@ -230,26 +241,40 @@ DEFAULT_OPTS = SolverOptions()
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A state propagated over a time grid by ``generator`` with ``opts``.
+    """A state propagated over a time grid through ``source``.
 
     ``matrices`` is a read-only (T, 4, 4) array whose entry k is the
     density matrix at ``times[k]``; entry 0 is that of ``initial``, the
-    state the trajectory started from.  Built once on first use, ``states``
-    wraps the stack as QStates, with ``states[0] is initial``, and
-    ``margins`` is their read-only array of PT margins.
+    state the trajectory started from.  ``generator`` and ``opts`` are
+    those of the source.  Built once on first use, ``states`` wraps the
+    stack as QStates, with ``states[0] is initial``, and ``margins`` is
+    their read-only array of PT margins.
     """
 
     times: tuple[float, ...]
     matrices: np.ndarray = field(repr=False)
     initial: QState
-    generator: Generator = field(repr=False)
-    opts: SolverOptions
+    source: PropagatorSource = field(repr=False)
+
+    @property
+    def generator(self) -> Generator:
+        return self.source.generator
+
+    @property
+    def opts(self) -> SolverOptions:
+        return self.source.opts
 
     def state(self, k: int) -> QState:
         """The grid state at ``times[k]``, without building ``states``."""
         if k == 0:
             return self.initial
         return QState(self.matrices[k])
+
+    def state_at(self, t: float) -> QState:
+        """The state at any time t in [0, times[-1]]: ``initial`` mapped
+        through the source's Phi(t) and repaired like the grid states."""
+        y = self.source.at(t) @ vec(self.initial.matrix)
+        return QState(_repair_states(unvec(y)[None])[0])
 
     @cached_property
     def states(self) -> tuple[QState, ...]:
@@ -301,45 +326,107 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
+def _rk45(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
+          dense: bool = False):
+    """One RK45 solve carrying y0 from times[0] over ``times``: the
+    (len(times), *y0.shape) stack of y(times[k]), and the solve's step
+    interpolants (t -> flat y(t)) when ``dense``, else None."""
+    sol = solve_ivp(
+        lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
+        (times[0], times[-1]),
+        y0.ravel(),
+        method="RK45",
+        t_eval=times,
+        dense_output=dense,
+        rtol=opts.rtol,
+        atol=opts.atol,
+    )
+    if not sol.success:
+        raise StepFailure(sol.message)
+    return np.ascontiguousarray(np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)), sol.sol
+
+
+def _exp_steps(lmat: np.ndarray | None, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Carry y0 from times[0] over ``times`` by exp(L dt) steps; a step equal
+    to the previous one within STEP_RTOL reuses its exponential."""
+    ys = np.empty((times.size, *y0.shape), dtype=complex)
+    ys[0] = y0
+    step, dt_step = None, 0.0
+    for k, dt in enumerate(np.diff(times), start=1):
+        if step is None or abs(dt - dt_step) > STEP_RTOL * dt_step:
+            step, dt_step = expm(lmat * dt), dt
+        np.matmul(step, ys[k - 1], out=ys[k])
+    return ys
+
+
 def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) -> np.ndarray:
     """Carry y0 -- one vectorized operator, or a block of them as columns --
     from times[0] to every time in ``times``; entry k of the returned
     (len(times), *y0.shape) stack is y(times[k])."""
     if times.size > 1 and not g.autonomous:
-        sol = solve_ivp(
-            lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
-            (times[0], times[-1]),
-            y0.ravel(),
-            method="RK45",
-            t_eval=times,
-            rtol=opts.rtol,
-            atol=opts.atol,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        return np.ascontiguousarray(np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0))
-    ys = np.empty((times.size, *y0.shape), dtype=complex)
-    ys[0] = y0
-    lmat = liouvillian_matrix(g, 0.0) if times.size > 1 else None
-    cache: dict[float, np.ndarray] = {}
-    for k, dt in enumerate(np.diff(times), start=1):
-        key = round(float(dt), 15)
-        if key not in cache:
-            cache[key] = expm(lmat * dt)
-        np.matmul(cache[key], ys[k - 1], out=ys[k])
-    return ys
+        return _rk45(g, y0, times, opts)[0]
+    return _exp_steps(liouvillian_matrix(g, 0.0) if times.size > 1 else None, y0, times)
 
 
-def _grid_propagators(g: Generator, t: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """``propagator_matrices(g, t, opts)``, reused while g, t and opts repeat."""
-    global _LAST_STACK
-    key = t.tobytes()
-    last = _LAST_STACK
-    if last is not None and last[0] is g and last[1] == key and last[2] == opts:
-        return last[3]
-    phis = propagator_matrices(g, t, opts)
-    _LAST_STACK = (g, key, opts, phis)
+def _trace_preserving(phis: np.ndarray) -> np.ndarray:
+    """The stack of maps, read-only, once every one preserves the trace."""
+    tr_vec = vec(np.eye(D)).conj()
+    residual = np.max(np.abs(tr_vec @ phis - tr_vec))
+    if residual > 1e-8:
+        raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
+    phis.setflags(write=False)
     return phis
+
+
+class PropagatorSource:
+    """The maps Phi(t) of one generator over one grid with one set of
+    solver options, from one flow of the identity.
+
+    ``maps`` is the read-only (T, 16, 16) stack of Phi at the grid times
+    ``times``; ``at(t)`` gives Phi at any t in [0, times[-1]].  Between
+    grid times a non-autonomous source evaluates the step interpolants of
+    the RK45 solve that gave ``maps``, and an autonomous one computes
+    exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i, with
+    L assembled once.
+    """
+
+    def __init__(self, g: Generator, times: np.ndarray, opts: SolverOptions):
+        self.generator = g
+        self.times = times = np.array(times)
+        times.setflags(write=False)
+        self.opts = opts
+        eye = np.eye(D * D, dtype=complex)
+        self._dense = self._lmat = None
+        if times.size > 1 and not g.autonomous:
+            maps, self._dense = _rk45(g, eye, times, opts, dense=True)
+        else:
+            self._lmat = liouvillian_matrix(g, 0.0) if times.size > 1 else None
+            maps = _exp_steps(self._lmat, eye, times)
+        self.maps = _trace_preserving(maps)
+
+    def at(self, t: float) -> np.ndarray:
+        """Phi(t) for t in [0, times[-1]]; the grid map itself at a grid time."""
+        times = self.times
+        if not 0.0 <= t <= times[-1]:
+            raise ValueError(f"t={t!r} outside the source's span [0, {times[-1]!r}]")
+        i = int(np.searchsorted(times, t, side="right")) - 1
+        if t == times[i]:
+            return self.maps[i]
+        if self._dense is not None:
+            return self._dense(t).reshape(D * D, D * D)
+        return expm(self._lmat * (t - times[i])) @ self.maps[i]
+
+
+def _grid_source(g: Generator, t: np.ndarray, opts: SolverOptions) -> PropagatorSource:
+    """``PropagatorSource(g, t, opts)``, reused while g, t and opts repeat."""
+    global _LAST_SOURCE
+    key = t.tobytes()
+    last = _LAST_SOURCE
+    if last is not None and last[0] == key and last[1].generator is g and last[1].opts == opts:
+        return last[1]
+    source = PropagatorSource(g, t, opts)
+    _LAST_SOURCE = (key, source)
+    return source
 
 
 def propagate(
@@ -347,12 +434,13 @@ def propagate(
 ) -> Trajectory:
     """Map rho0 through the grid's propagators Phi(t_k) in one stacked
     product; every propagated state is repaired and validated, all in one
-    stacked call."""
+    stacked call.  The trajectory keeps the grid's ``PropagatorSource``."""
     t = _check_grid(t_grid)
-    ys = _grid_propagators(g, t, opts)[1:] @ vec(rho0.matrix)
+    source = _grid_source(g, t, opts)
+    ys = source.maps[1:] @ vec(rho0.matrix)
     ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))])
     ms.setflags(write=False)
-    return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, generator=g, opts=opts)
+    return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, source=source)
 
 
 def evolve_state(
@@ -362,7 +450,7 @@ def evolve_state(
     t_to: float,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> QState:
-    """Dense output: re-integrate a single state from t_from to t_to."""
+    """Integrate a single state from t_from to t_to in a flow of its own."""
     if t_to < t_from:
         raise ValueError("t_to must be >= t_from")
     if t_to == t_from:
@@ -377,13 +465,7 @@ def propagator_matrices(
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
     the identity."""
-    phis = _flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts)
-    tr_vec = vec(np.eye(D)).conj()
-    residual = np.max(np.abs(tr_vec @ phis - tr_vec))
-    if residual > 1e-8:
-        raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
-    phis.setflags(write=False)
-    return phis
+    return _trace_preserving(_flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts))
 
 
 def propagator_matrix(

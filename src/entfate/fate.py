@@ -2,8 +2,8 @@
 
 The PT margin m(t) is read off a propagated trajectory.  Definite sign
 changes (from below -tol to above +tol or vice versa) are refined by
-bisection, re-integrating with the generator and solver options the
-trajectory carries.  A trajectory is tagged by its final behavior:
+bisection on the trajectory's off-grid states, which its propagator
+source gives without a new solve (``Trajectory.state_at``).  A trajectory is tagged by its final behavior:
 
   * never_entangled          -- m stayed >= -tol throughout,
   * sudden_death             -- m crossed to definitely positive and
@@ -19,13 +19,12 @@ HorizonTooShort rather than guessing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, evolve_state, propagate
+from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, propagate
 from .errors import EntfateError, HorizonTooShort
 from .geometry import check_positive, concurrence, min_pt_eigenvalue
 from .states import EnsembleSpec, QState, sample, split_seed
@@ -67,11 +66,8 @@ class FateStats:
 
 
 def _margin_at(traj, t):
-    """Margin at an off-grid time, re-integrating from the nearest
-    earlier grid state with the trajectory's generator and options."""
-    i = bisect_right(traj.times, t) - 1
-    rho = evolve_state(traj.generator, traj.state(i), traj.times[i], t, traj.opts)
-    return min_pt_eigenvalue(rho)
+    """Margin at an off-grid time, from the trajectory's propagator source."""
+    return min_pt_eigenvalue(traj.state_at(t))
 
 
 def _bisect(traj, t_lo, t_hi, on_lo_side, refine_tol):
@@ -121,8 +117,8 @@ def fate_of_trajectory(
     traj: Trajectory, refine_tol: float = DEFAULT_REFINE_TOL, tol: float = DEFAULT_FATE_TOL
 ) -> FateRecord:
     """Tag the fate of a trajectory from its PT margins; crossings are
-    refined by re-integrating from its grid states with its generator and
-    solver options."""
+    refined by bisection on its states between grid times, which its
+    propagator source gives (``Trajectory.state_at``)."""
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = list(traj.times)

@@ -499,11 +499,12 @@ class TestSimulate:
         assert dist[-1] < 1e-9
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
 
-    def test_class2_margins_computed_once(self, tmp_path, monkeypatch):
+    def test_class1_margins_computed_once(self, tmp_path, monkeypatch):
         import entfate.dynamics
         import entfate.fate
 
         stacked_rows, single, refinements = [], [], []
+        state_at = entfate.dynamics.Trajectory.state_at
 
         def counting_margins(ms):
             stacked_rows.append(len(ms))
@@ -513,25 +514,30 @@ class TestSimulate:
             single.append(s)
             return ef.min_pt_eigenvalue(s)
 
-        def counting_evolve(*args, **kwargs):
-            refinements.append(args)
-            return ef.evolve_state(*args, **kwargs)
+        def counting_state_at(traj, t):
+            refinements.append(t)
+            return state_at(traj, t)
 
         monkeypatch.setattr(entfate.dynamics, "min_pt_eigenvalues", counting_margins)
         monkeypatch.setattr(entfate.fate, "min_pt_eigenvalue", counting_margin)
-        monkeypatch.setattr(entfate.fate, "evolve_state", counting_evolve)
+        monkeypatch.setattr(entfate.dynamics.Trajectory, "state_at", counting_state_at)
         cfg = write_config(
             tmp_path / "c.json",
             {
-                "generator": {"catalog": {"class_id": 2, "params": {}}},
+                "generator": {"catalog": {"class_id": 1, "params": {}}},
                 "initial_state": {"matrix": BELL},
-                "run": {"horizon": 30.0, "grid_points": 100},
+                "run": {"horizon": 10.0, "grid_points": 100},
             },
         )
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # the Werner margin (1 - 3 e^-t)/4 dies at ln 3, between grid times
+        fate = json.loads((out / "summary.json").read_text())["fate"]
+        assert fate["death_time"] == pytest.approx(np.log(3.0), abs=1e-5)
         # the grid margins come from one stacked call, then one margin per
         # off-grid refinement point
         assert stacked_rows == [101]
+        assert len(refinements) > 0
         assert sum(stacked_rows) + len(single) == 101 + len(refinements)
 
     def test_class6_propagates_once(self, tmp_path, monkeypatch):
@@ -664,17 +670,26 @@ class TestFates:
         assert len(rows) == 21
 
     def test_worker_invariance_bytes(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                "generator": {"catalog": {"class_id": 2, "params": {}}},
-                "ensemble": {"kind": "hilbert_schmidt_mixed", "seed": 13},
-                "run": {"horizon": 20.0, "grid_points": 200, "n_samples": 12},
-            },
-        )
-        outputs = []
-        for w, name in ((1, "w1"), (2, "w2")):
-            out = tmp_path / name
-            assert main(["fates", "--config", cfg, "--out", str(out), "--workers", str(w)]) == 0
-            outputs.append((out / "fates.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        # class 2 steps by exponentials; class 6 is non-autonomous, so each
+        # worker builds its own RK45 source and bisects on its interpolants
+        runs = {
+            2: {"horizon": 20.0, "grid_points": 200, "n_samples": 12},
+            6: {"horizon": 12.0, "grid_points": 200, "n_samples": 16,
+                "rtol": 1e-7, "atol": 1e-10},
+        }
+        for class_id, run in runs.items():
+            cfg = write_config(
+                tmp_path / f"c{class_id}.json",
+                {
+                    "generator": {"catalog": {"class_id": class_id, "params": {}}},
+                    "ensemble": {"kind": "hilbert_schmidt_mixed", "seed": 13},
+                    "run": run,
+                },
+            )
+            outputs = []
+            for w in (1, 2):
+                out = tmp_path / f"c{class_id}w{w}"
+                assert main(["fates", "--config", cfg, "--out", str(out), "--workers", str(w)]) == 0
+                outputs.append((out / "fates.csv").read_bytes())
+            assert outputs[0] == outputs[1]
+            assert len(outputs[0].splitlines()) == 1 + run["n_samples"]

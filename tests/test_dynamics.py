@@ -425,6 +425,31 @@ class TestOneFlow:
         for t, phi in zip(self.TIMES[1:-1], phis[1:-1]):
             assert np.max(np.abs(ef.propagator_matrix(g, t) - phi)) < 1e-7
 
+    def test_steps_equal_to_round_off_share_one_exponential(self, monkeypatch):
+        from entfate import dynamics
+
+        calls = []
+        expm_ = dynamics.expm
+
+        def counting(m):
+            calls.append(m)
+            return expm_(m)
+
+        monkeypatch.setattr(dynamics, "expm", counting)
+        g = ef.catalog_generator(2)
+        lmat = liouvillian_matrix(g, 0.0)
+        # the steps of these grids differ in their last bits
+        for grid in (np.linspace(0.0, 30.0, 401), np.linspace(0.0, 12.0, 201)):
+            assert len(set(np.diff(grid).tolist())) > 1
+            before = len(calls)
+            phis = ef.propagator_matrices(g, grid)
+            assert len(calls) == before + 1
+            for t, phi in zip(grid[::50], phis[::50]):
+                assert np.max(np.abs(phi - expm_(lmat * t))) < 1e-10
+        before = len(calls)
+        ef.propagator_matrices(g, [0.0, 1.0, 2.0, 2.5, 3.0])
+        assert len(calls) == before + 2
+
     def test_propagator_matrices_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             ef.propagator_matrices(random_generator(0), [0.5, 1.0])
@@ -450,19 +475,19 @@ class TestOneFlow:
 
 
 def count_propagator_stacks(monkeypatch):
-    """Record every ``propagator_matrices`` call that ``propagate`` makes,
-    starting from an empty memo."""
+    """Record every ``PropagatorSource`` that ``propagate`` builds, starting
+    from an empty memo."""
     from entfate import dynamics
 
     calls = []
-    original = dynamics.propagator_matrices
+    original = dynamics.PropagatorSource
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dynamics, "propagator_matrices", counting)
-    monkeypatch.setattr(dynamics, "_LAST_STACK", None)
+    monkeypatch.setattr(dynamics, "PropagatorSource", counting)
+    monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
     return calls
 
 
@@ -496,7 +521,7 @@ class TestGridPropagators:
         assert len(calls) == 1
 
         def cold(*args):
-            monkeypatch.setattr(dynamics, "_LAST_STACK", None)
+            monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
             return ef.propagate(*args).matrices
 
         loose = ef.SolverOptions(rtol=1e-7, atol=1e-10)
@@ -515,11 +540,13 @@ class TestGridPropagators:
         states = [random_state(k) for k in range(6)]
 
         def run(first):
-            return [
-                ef.propagate(gens[(first + k) % 2], s, self.GRID, self.OPTS).matrices
-                for _ in range(2)
-                for k, s in enumerate(states)
-            ]
+            out = []
+            for _ in range(2):
+                for k, s in enumerate(states):
+                    traj = ef.propagate(gens[(first + k) % 2], s, self.GRID, self.OPTS)
+                    out.append(traj.matrices)
+                    out += [traj.state_at(t).matrix for t in (0.05, 1.37, 2.99)]
+            return out
 
         serial = [run(0), run(1)]
         firsts = (0, 1, 0, 1)  # more threads than the two cores of a small host
@@ -532,6 +559,61 @@ class TestGridPropagators:
             sys.setswitchinterval(interval)
         for first, got in zip(firsts, threaded):
             assert all(np.array_equal(a, b) for a, b in zip(serial[first], got, strict=True))
+
+
+class TestPropagatorSource:
+    """A trajectory's source gives its state at any time of its span: the
+    grid state at a grid time, and between grid times the state that a
+    flow restarted from the nearest earlier grid state reaches."""
+
+    GRID = np.linspace(0.0, 3.0, 13)
+    OFF_GRID = (0.01, 0.4, 1.3, 2.2, 2.999)
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    def test_state_at_a_grid_time_is_the_grid_state(self, g):
+        traj = ef.propagate(g, random_state(1), self.GRID)
+        for k, t in enumerate(traj.times):
+            assert np.max(np.abs(traj.state_at(t).matrix - traj.matrices[k])) < 1e-12
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    def test_state_at_matches_a_restarted_flow(self, g):
+        traj = ef.propagate(g, random_state(1), self.GRID)
+        for t in self.OFF_GRID:
+            i = int(np.searchsorted(self.GRID, t, side="right")) - 1
+            restarted = ef.evolve_state(g, traj.state(i), traj.times[i], t)
+            assert np.max(np.abs(traj.state_at(t).matrix - restarted.matrix)) < 1e-9
+
+    @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
+                             ids=["autonomous", "nonautonomous"])
+    @pytest.mark.parametrize("t", [-1e-12, 3.0 + 1e-9, np.nan])
+    def test_state_at_outside_the_span_raises(self, g, t):
+        traj = ef.propagate(g, random_state(1), self.GRID)
+        with pytest.raises(ValueError, match="outside the source's span"):
+            traj.state_at(t)
+
+    def test_only_grid_sources_keep_interpolants(self, monkeypatch):
+        from entfate import dynamics
+
+        dense = []
+        solve_ivp = dynamics.solve_ivp
+
+        def recording(*args, **kwargs):
+            dense.append(kwargs.get("dense_output", False))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", recording)
+        monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
+        g = ef.catalog_generator(6)
+        ef.asymptotic_set(g)
+        ef.asymptotic_set(ef.catalog_generator(4))
+        ef.propagator_matrix(g, 2.0)
+        ef.propagator_matrices(g, self.GRID)
+        ef.evolve_state(g, random_state(1), 0.5, 2.0)
+        assert len(dense) == 5 and not any(dense)
+        ef.propagate(g, random_state(1), self.GRID)
+        assert dense[5:] == [True]
 
 
 class TestStackedTrajectory:

@@ -205,15 +205,27 @@ class TestFateStatistics:
         assert all(r.startswith("HorizonTooShort: ") for r in errors)
 
     def test_run_computes_one_propagator_stack(self, monkeypatch):
+        from entfate import dynamics
         from test_dynamics import count_propagator_stacks
 
         calls = count_propagator_stacks(monkeypatch)
+        solves = []
+        solve_ivp = dynamics.solve_ivp
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
         g = ef.catalog_generator(6)
         spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=5)
         opts = ef.SolverOptions(rtol=1e-7, atol=1e-10)
-        stats, _ = ef.fate_statistics(g, spec, n=12, horizon=12.0, grid_points=200, opts=opts)
+        stats, records = ef.fate_statistics(g, spec, n=12, horizon=12.0, grid_points=200, opts=opts)
         assert stats.failures == 0
         assert len(calls) == 1 and calls[0][0] is g
+        # the births are bisected on the source's interpolants, with no solve of their own
+        assert any(rec.birth_time is not None for rec in records)
+        assert len(solves) == 1
 
     def test_tolerances_that_fail_the_identity_flow_fail_every_sample(self, monkeypatch):
         from test_dynamics import count_propagator_stacks
