@@ -377,12 +377,14 @@ def cmd_fates(args) -> int:
         opts=solver_options(run),
         workers=int(run["workers"]),
     )
-    lines = ["seed_index,initial_concurrence,fate_tag,death_time,final_margin"]
+    lines = ["seed_index,initial_concurrence,fate_tag,death_time,final_margin,"
+             "birth_time,revival_times"]
     for i, rec in enumerate(records):
         if isinstance(rec, FateRecord):
             lines.append(
                 f"{i},{_fmt(rec.initial_concurrence)},{rec.fate_tag},"
-                f"{_fmt(rec.death_time)},{_fmt(rec.final_margin)}"
+                f"{_fmt(rec.death_time)},{_fmt(rec.final_margin)},"
+                f"{_fmt(rec.birth_time)},{';'.join(map(_fmt, rec.revival_times))}"
             )
     (outdir / "fates.csv").write_text("\n".join(lines) + "\n")
     _write_json(outdir / "fates_summary.json", dataclasses.asdict(stats))

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -65,11 +65,6 @@ from .states import D, QState, check_dims
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
 STEP_RTOL = 1e-13  # grid steps this close, relative to the step, share one exp(L dt)
-# (grid bytes, source) of the last grid propagated, replaced in one assignment so a
-# reader never pairs one key with another key's source.  Not kept on the Generator:
-# an RK45 solve puts a generator in a reference cycle (solver and right-hand-side
-# closure), so a dead one would hold its source until a cyclic GC.
-_LAST_SOURCE = None
 
 
 @dataclass(frozen=True)
@@ -321,6 +316,8 @@ def _check_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
         raise ValueError("t_grid must be a 1-d grid starting at 0")
+    if not np.isfinite(t).all():
+        raise ValueError("t_grid times must be finite")
     if t.size > 1 and np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
     return t
@@ -417,16 +414,13 @@ class PropagatorSource:
         return expm(self._lmat * (t - times[i])) @ self.maps[i]
 
 
-def _grid_source(g: Generator, t: np.ndarray, opts: SolverOptions) -> PropagatorSource:
-    """``PropagatorSource(g, t, opts)``, reused while g, t and opts repeat."""
-    global _LAST_SOURCE
-    key = t.tobytes()
-    last = _LAST_SOURCE
-    if last is not None and last[0] == key and last[1].generator is g and last[1].opts == opts:
-        return last[1]
-    source = PropagatorSource(g, t, opts)
-    _LAST_SOURCE = (key, source)
-    return source
+# Not kept on the Generator: an RK45 solve puts it in a reference cycle, so a dead
+# generator would hold its source until a cyclic GC.
+@lru_cache(maxsize=1)
+def _grid_source(g: Generator, grid_bytes: bytes, opts: SolverOptions) -> PropagatorSource:
+    """``PropagatorSource`` of g over the grid with these float64 bytes, reused
+    while g (by identity), the grid and opts (by value) repeat."""
+    return PropagatorSource(g, np.frombuffer(grid_bytes), opts)
 
 
 def propagate(
@@ -436,7 +430,7 @@ def propagate(
     product; every propagated state is repaired and validated, all in one
     stacked call.  The trajectory keeps the grid's ``PropagatorSource``."""
     t = _check_grid(t_grid)
-    source = _grid_source(g, t, opts)
+    source = _grid_source(g, t.tobytes(), opts)
     ys = source.maps[1:] @ vec(rho0.matrix)
     ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))])
     ms.setflags(write=False)
@@ -451,6 +445,8 @@ def evolve_state(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> QState:
     """Integrate a single state from t_from to t_to in a flow of its own."""
+    if not (math.isfinite(t_from) and math.isfinite(t_to)):
+        raise ValueError("t_from and t_to must be finite")
     if t_to < t_from:
         raise ValueError("t_to must be >= t_from")
     if t_to == t_from:
@@ -472,8 +468,8 @@ def propagator_matrix(
     g: Generator, t: float, opts: SolverOptions = DEFAULT_OPTS
 ) -> np.ndarray:
     """The linear map Phi(t) on vectorized operators."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     return propagator_matrices(g, [0.0, t] if t > 0.0 else [0.0], opts)[-1]
 
 

@@ -1,9 +1,18 @@
 """Entanglement fates of single trajectories and ensemble proportions.
 
-The PT margin m(t) is read off a propagated trajectory.  Definite sign
-changes (from below -tol to above +tol or vice versa) are refined by
-bisection on the trajectory's off-grid states, which its propagator
-source gives without a new solve (``Trajectory.state_at``).  A trajectory is tagged by its final behavior:
+The PT margin m(t) is read off a propagated trajectory.  One scan of the
+margins records its definite sign events (from below -tol to above +tol
+or back), which alternate in direction.  Three times are read from the
+events, each refined by bisection on the trajectory's off-grid states,
+which its propagator source gives without a new solve
+(``Trajectory.state_at``):
+
+  * birth   -- the first entry into entanglement, from a separable or an
+               undecided start (None when m starts below -tol),
+  * death   -- the last exit from entanglement, with no re-entry after it,
+  * revival -- each re-entry into entanglement after a death.
+
+A trajectory is tagged by its final behavior:
 
   * never_entangled          -- m stayed >= -tol throughout,
   * sudden_death             -- m crossed to definitely positive and
@@ -116,9 +125,12 @@ def detect_fate(
 def fate_of_trajectory(
     traj: Trajectory, refine_tol: float = DEFAULT_REFINE_TOL, tol: float = DEFAULT_FATE_TOL
 ) -> FateRecord:
-    """Tag the fate of a trajectory from its PT margins; crossings are
-    refined by bisection on its states between grid times, which its
-    propagator source gives (``Trajectory.state_at``)."""
+    """Tag the fate of a trajectory from its PT margins, with its birth
+    time (first entry into entanglement, from a separable or an undecided
+    start), death time (last exit, with no re-entry after it) and revival
+    times (each re-entry after a death).  Crossings are refined by
+    bisection on its states between grid times, which its propagator
+    source gives (``Trajectory.state_at``)."""
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = list(traj.times)
@@ -126,9 +138,9 @@ def fate_of_trajectory(
 
     # one subdivision pass through near-tangential intervals: both ends
     # near zero and the neighboring slopes flip (interior extremum risk)
+    floor = 100.0 * traj.opts.atol  # ignore integrator noise around zero
     refined_t, refined_m = [times[0]], [margins[0]]
     for i in range(1, len(times)):
-        floor = 100.0 * traj.opts.atol  # ignore integrator noise around zero
         near = (
             floor < abs(margins[i - 1]) < 10.0 * tol
             and floor < abs(margins[i]) < 10.0 * tol
@@ -145,8 +157,10 @@ def fate_of_trajectory(
         refined_m.append(margins[i])
     times, margins = refined_t, refined_m
 
-    # definite sign events: below -tol <-> above +tol
-    events = []  # (direction, t_lo, t_hi) with direction +1 = upward
+    # definite sign events, below -tol <-> above +tol, as (direction, t_lo,
+    # t_hi) with direction +1 = upward; they alternate in direction
+    events = []
+    first_ent = None  # index of the first margin below -tol
     state = 0  # -1 entangled, +1 separable, 0 undecided
     last_idx = 0
     for i, m in enumerate(margins):
@@ -154,40 +168,25 @@ def fate_of_trajectory(
         if cur != 0:
             if state != 0 and cur != state:
                 events.append((cur, times[last_idx], times[i]))
+            if cur < 0 and first_ent is None:
+                first_ent = i
             state = cur
             last_idx = i
-
-    ever_entangled = any(m < -tol for m in margins)
     final_margin = margins[-1]
 
-    up = [e for e in events if e[0] == +1]
-    down = [e for e in events if e[0] == -1]
     # the margin at an event's t_lo has the sign opposite to its direction
     refine = lambda e: _bisect(traj, e[1], e[2], lambda m: e[0] * m < 0.0, refine_tol)
-
-    initially_entangled = margins[0] < -tol
-    birth_time = None
-    if not initially_entangled and ever_entangled:
-        if down:
-            birth_time = refine(down[0])
-        else:
-            # margin left [-tol, tol] downward without a definite positive
-            # excursion first (e.g. a boundary initial state): refine the
-            # -tol threshold crossing directly
-            first_ent = next(i for i, m in enumerate(margins) if m < -tol)
-            t_lo, t_hi = times[first_ent - 1], times[first_ent]
-            birth_time = _bisect(traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol)
-    death_time = None
-    if up:
-        last_up = up[-1]
-        after_down = [e for e in down if e[1] >= last_up[2]]
-        if not after_down:
-            death_time = refine(last_up)
-    revival_times = tuple(
-        refine(e)
-        for e in down
-        if up and e[1] >= up[0][2] and (birth_time is None or e[1] > up[0][1])
-    )
+    birth_time = death_time = None
+    if events and events[0][0] < 0:
+        birth_time = refine(events[0])
+    elif first_ent:
+        # entangled straight from an undecided start (e.g. a boundary
+        # initial state): refine the -tol threshold crossing directly
+        t_lo, t_hi = times[first_ent - 1], times[first_ent]
+        birth_time = _bisect(traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol)
+    if events and events[-1][0] > 0:
+        death_time = refine(events[-1])
+    revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
 
     limit = _aitken_limit(margins) if len(margins) >= 3 else final_margin
 
@@ -195,13 +194,13 @@ def fate_of_trajectory(
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
-            tag = "revival" if (up and down) else "asymptotically_entangled"
+            tag = "revival" if revival_times else "asymptotically_entangled"
         else:
             raise HorizonTooShort(
                 f"margin {final_margin:.3e} still trending at horizon "
                 f"(extrapolated limit {limit:.3e})"
             )
-    elif ever_entangled:
+    elif first_ent is not None:
         tag = "sudden_death" if death_time is not None else "asymptotic_death"
     else:
         tag = "never_entangled"

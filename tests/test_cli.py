@@ -666,7 +666,10 @@ class TestFates:
         assert abs(sum(summary["fractions"].values()) - 1.0) < 1e-12
         assert summary["counts"]["asymptotically_entangled"] == 0
         rows = (out / "fates.csv").read_text().splitlines()
-        assert rows[0] == "seed_index,initial_concurrence,fate_tag,death_time,final_margin"
+        assert rows[0] == (
+            "seed_index,initial_concurrence,fate_tag,death_time,final_margin,"
+            "birth_time,revival_times"
+        )
         assert len(rows) == 21
 
     def test_worker_invariance_bytes(self, tmp_path):

@@ -1,6 +1,9 @@
+import os
 import pickle
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +404,10 @@ class TestPropagatorMatrix:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ef.propagator_matrix(random_generator(0), -1.0)
+        # NaN fails both t < 0 and t > 0, and used to give the identity
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                ef.propagator_matrix(ef.catalog_generator(2), t)
 
 
 class TestOneFlow:
@@ -455,6 +462,36 @@ class TestOneFlow:
             ef.propagator_matrices(random_generator(0), [0.5, 1.0])
         with pytest.raises(ValueError):
             ef.propagator_matrices(random_generator(0), [0.0, 1.0, 1.0])
+        # np.diff(t) <= 0 is False for NaN; these grids ended in LinAlgError
+        g = ef.catalog_generator(2)
+        for grid in ([0.0, np.nan], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                ef.propagator_matrices(g, grid)
+            with pytest.raises(ValueError, match="must be finite"):
+                ef.propagate(g, ef.max_entangled(), grid)
+
+    def test_evolve_state_rejects_non_finite_times(self):
+        g = ef.catalog_generator(2)
+        for t_from, t_to in ((0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ef.evolve_state(g, ef.max_entangled(), t_from, t_to)
+
+    def test_nan_grid_fails_fast_on_a_nonautonomous_generator(self):
+        # the RK45 solve over [0, nan] never returned; a child process
+        # turns a regression into a failure instead of a hung suite
+        src = str(Path(ef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import entfate as ef\n"
+            "try:\n"
+            "    ef.propagate(ef.catalog_generator(6), ef.max_entangled(), [0.0, float('nan')])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "t_grid times must be finite" in proc.stdout
 
     @pytest.mark.parametrize("g", [random_generator(3), ef.catalog_generator(6)],
                              ids=["autonomous", "nonautonomous"])
@@ -487,7 +524,7 @@ def count_propagator_stacks(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(dynamics, "PropagatorSource", counting)
-    monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
+    dynamics._grid_source.cache_clear()
     return calls
 
 
@@ -521,7 +558,7 @@ class TestGridPropagators:
         assert len(calls) == 1
 
         def cold(*args):
-            monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
+            dynamics._grid_source.cache_clear()
             return ef.propagate(*args).matrices
 
         loose = ef.SolverOptions(rtol=1e-7, atol=1e-10)
@@ -604,7 +641,7 @@ class TestPropagatorSource:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", recording)
-        monkeypatch.setattr(dynamics, "_LAST_SOURCE", None)
+        dynamics._grid_source.cache_clear()
         g = ef.catalog_generator(6)
         ef.asymptotic_set(g)
         ef.asymptotic_set(ef.catalog_generator(4))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entfate as ef
 from entfate.errors import HorizonTooShort
-from entfate.fate import wilson_interval
+from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
 
 GAMMA = 1.0
 
@@ -278,3 +280,84 @@ class TestFateOfTrajectory:
         rec = ef.fate_of_trajectory(traj)
         assert rec == ef.detect_fate(g, rho0, horizon, grid_points=200, opts=opts)
         assert rec.death_time is not None or rec.birth_time is not None
+
+    def test_one_point_trajectory(self):
+        g = ef.catalog_generator(1)
+        for rho0, tag in ((ef.max_entangled(), "asymptotically_entangled"),
+                          (ef.basis_state(0, 1), "never_entangled")):
+            rec = ef.fate_of_trajectory(ef.propagate(g, rho0, [0.0]))
+            assert rec.fate_tag == tag
+            assert rec.birth_time is None and rec.death_time is None and not rec.revival_times
+
+
+def werner_of_margin(m):
+    """The Werner state w |Bell><Bell| + (1 - w) I/4, whose PT margin
+    (1 - 3w)/4 is m, for m in [-1/2, 1/4]."""
+    w = (1.0 - 4.0 * m) / 3.0
+    return ef.new_state(w * ef.max_entangled().matrix + (1.0 - w) * np.eye(4) / 4.0)
+
+
+class MarginTrajectory:
+    """A duck-typed trajectory whose PT margin follows m(t): its grid
+    margins are m at the grid times and ``state_at(t)`` is the Werner
+    state of margin m(t)."""
+
+    opts = ef.SolverOptions()
+
+    def __init__(self, m, times):
+        self.m = m
+        self.times = tuple(times)
+        self.margins = np.array([m(t) for t in self.times])
+        self.initial = werner_of_margin(self.margins[0])
+
+    def state_at(self, t):
+        return werner_of_margin(self.m(t))
+
+
+def undecided_then_reborn(t):
+    """Starts at margin 0, entangled on (0, 2), separable on (2, 4),
+    entangled again after 4."""
+    if t <= 2.0:
+        return -0.1 * np.sin(np.pi * t / 2.0)
+    if t <= 4.0:
+        return 0.1 * np.sin(np.pi * (t - 2.0) / 2.0)
+    return -0.1 * np.sin(np.pi * (min(t, 5.0) - 4.0) / 2.0)
+
+
+class TestSignEvents:
+    """Birth, death and revival times read off the alternating sign events."""
+
+    def test_birth_from_an_undecided_start_is_the_first_entry(self):
+        tol, refine_tol = DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL
+        traj = MarginTrajectory(undecided_then_reborn, np.linspace(0.0, 10.0, 201))
+        rec = ef.fate_of_trajectory(traj, refine_tol, tol)
+        first_crossing = 2.0 / np.pi * np.arcsin(tol / 0.1)  # -0.1 sin(pi t / 2) = -tol
+        assert abs(rec.birth_time - first_crossing) <= refine_tol
+        assert rec.birth_time < rec.revival_times[0]
+        assert rec.revival_times == (pytest.approx(4.0, abs=refine_tol),)
+        assert rec.death_time is None and rec.fate_tag == "revival"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nodes=st.lists(st.integers(-20, 10), min_size=1, max_size=8))
+    def test_times_follow_the_sign_changes(self, nodes):
+        # node values are multiples of 0.025 in [-0.5, 0.25], one time unit
+        # apart, with a flat final unit so the tail has converged; no two
+        # neighboring grid margins then lie near zero, so no subdivision
+        node_m = [0.025 * k for k in nodes + nodes[-1:]]
+        node_t = np.arange(len(node_m), dtype=float)
+        times = np.linspace(0.0, node_t[-1], 10 * len(nodes) + 1)
+        traj = MarginTrajectory(lambda t: float(np.interp(t, node_t, node_m)), times)
+        tol = DEFAULT_FATE_TOL
+        rec = ef.fate_of_trajectory(traj, tol=tol)
+        m = traj.margins
+        entangled = m < -tol
+        definite = m[np.abs(m) > tol]
+        assert (rec.birth_time is None) == (entangled[0] or not entangled.any())
+        # an exit: a grid time with m > tol after one with m < -tol
+        exits = [times[j] for j in range(len(m)) if m[j] > tol and entangled[:j].any()]
+        for r in rec.revival_times:
+            assert rec.birth_time is None or r > rec.birth_time
+            assert any(t < r for t in exits)
+        last_exit = definite.size > 0 and definite[-1] > tol and entangled.any()
+        assert (rec.death_time is not None) == last_exit
+        assert (rec.fate_tag == "revival") == (len(rec.revival_times) > 0 and m[-1] < -tol)
