@@ -48,7 +48,7 @@ from .errors import (
     NotConverged,
     OscillatoryAsymptotics,
 )
-from .geometry import check_positive, classify_region, min_pt_eigenvalue, min_pt_eigenvalues
+from .geometry import classify_region, min_pt_eigenvalue, min_pt_eigenvalues
 from .operators import (
     EYE2,
     SMINUS,
@@ -57,7 +57,15 @@ from .operators import (
     single_qubit_probe_vectors,
     two_qubit_paulis,
 )
-from .states import D, QState, hilbert_schmidt_state, new_state, trace_distance, transpose_b
+from .states import (
+    D,
+    QState,
+    check_positive,
+    hilbert_schmidt_state,
+    new_state,
+    trace_distance,
+    transpose_b,
+)
 
 DEFAULT_CLASS_TOL = 1e-7
 DEFAULT_KERNEL_TOL = 1e-9

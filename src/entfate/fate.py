@@ -35,8 +35,8 @@ import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, propagate
 from .errors import EntfateError, HorizonTooShort
-from .geometry import check_positive, concurrence, min_pt_eigenvalue
-from .states import EnsembleSpec, QState, sample, split_seed
+from .geometry import concurrence, min_pt_eigenvalue
+from .states import EnsembleSpec, QState, check_positive, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
 DEFAULT_GRID_POINTS = 400

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import QState, partial_transpose, transpose_b
+from .states import QState, check_positive, partial_transpose, transpose_b
 
 DEFAULT_REGION_TOL = 1e-9
 
@@ -29,12 +29,6 @@ class Region:
     tag: str  # deep_separable | boundary | entangled
     margin: float
     tol: float
-
-
-def check_positive(name: str, value: float) -> None:
-    """A tolerance or horizon must be positive and finite (NaN is neither)."""
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def min_pt_eigenvalue(s: QState) -> float:

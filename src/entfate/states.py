@@ -11,11 +11,14 @@ both accept (2, 2) alone.
 
 Randomness uses the counter-based Philox generator; per-sample streams
 are derived by spawn-key splitting so ensembles are reproducible and
-independent of worker count.
+independent of worker count.  Each thread keeps one Philox bit generator
+and re-keys it for every sample rather than building a new one; the
+streams are exactly those of a fresh ``Philox(key=seed)``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,12 @@ class QState:
     States, like generators, compare and hash by identity."""
 
     matrix: np.ndarray = field(repr=False)
+
+
+def check_positive(name: str, value: float) -> None:
+    """A tolerance or horizon must be positive and finite (NaN is neither)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_dims(dims) -> None:
@@ -59,24 +68,33 @@ class EnsembleSpec:
             )
 
 
+@np.errstate(invalid="ignore")
+def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|: inf or NaN, without a warning, when an entry is not
+    finite (inf - inf is NaN)."""
+    return np.abs(a - b).max()
+
+
 def new_state(matrix, dim_a: int = 2, dim_b: int = 2, tol: float = VALIDATION_TOL) -> QState:
     """Validate a matrix as a two-qubit density operator and wrap it as a QState.
 
     The matrix is symmetrized to (M + M†)/2 before the trace and PSD
     checks; a non-finite entry, then a Hermiticity deviation beyond
-    ``tol``, is rejected first.
+    ``tol``, is rejected first.  ``tol`` must be positive and finite.
     """
     check_dims((dim_a, dim_b))
+    check_positive("tol", tol)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (D, D):
         raise DimensionMismatch(f"matrix shape {m.shape}, expected {(D, D)}")
-    if not np.isfinite(m).all():
-        raise NotAState("matrix has a non-finite entry")
-    herm_dev = np.max(np.abs(m - m.conj().T))
-    if herm_dev > tol:
+    h = m.conj().T
+    herm_dev = _max_abs_difference(m, h)
+    if not herm_dev <= tol:
+        if not np.isfinite(m).all():
+            raise NotAState("matrix has a non-finite entry")
         raise NotAState(f"not Hermitian: max |M - M†| = {herm_dev:.3e} > {tol:.1e}")
-    m = 0.5 * (m + m.conj().T)
-    trace_dev = abs(np.trace(m).real - 1.0)
+    m = 0.5 * (m + h)
+    trace_dev = abs(m.trace().real - 1.0)
     if trace_dev > tol:
         raise NotAState(f"trace deviates from 1 by {trace_dev:.3e} > {tol:.1e}")
     min_eig = float(np.linalg.eigvalsh(m)[0])
@@ -130,22 +148,52 @@ def split_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+_thread = threading.local()
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """A generator with the stream of a fresh ``Generator(Philox(key=seed))``.
+
+    Each thread keeps one Philox and re-keys it: key [seed, 0], counter 0,
+    empty buffers.  The returned generator is re-keyed by the next call on
+    the same thread, so it must not be held across one.
+    """
+    try:
+        bitgen, rng, state = _thread.philox
+    except AttributeError:
+        bitgen = np.random.Philox(key=0)
+        rng = np.random.Generator(bitgen)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _thread.philox = bitgen, rng, state
+    state["state"]["key"][0] = seed
+    bitgen.state = state
+    return rng
+
+
+def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A complex Gaussian array, real parts then imaginary parts in one draw."""
+    z = rng.normal(size=(2, *shape))
+    return z[0] + 1j * z[1]
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(rng, d, d))
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
 
 
 def hilbert_schmidt_state(rng: np.random.Generator) -> QState:
     """A Hilbert-Schmidt random state GG†/tr(GG†), G complex Ginibre, drawn from rng."""
-    g = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+    g = _ginibre(rng, D, D)
     m = g @ g.conj().T
-    return new_state(m / np.trace(m).real)
+    return new_state(m / m.trace().real)
 
 
 def sample(spec: EnsembleSpec) -> QState:
@@ -154,7 +202,7 @@ def sample(spec: EnsembleSpec) -> QState:
     if spec.kind == "hilbert_schmidt_mixed":
         return hilbert_schmidt_state(rng)
     if spec.kind == "haar_pure":
-        v = rng.normal(size=D) + 1j * rng.normal(size=D)
+        v = _ginibre(rng, D)
         v /= np.linalg.norm(v)
         return new_state(np.outer(v, v.conj()))
     if spec.kind == "fixed_concurrence_pure":

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import entfate as ef
+from entfate import states
 from entfate.errors import DimensionMismatch, NotAState, UnsupportedDimension, UnsupportedEnsemble
 from entfate.states import transpose_b
 
@@ -47,13 +51,28 @@ class TestNewState:
         with pytest.raises(NotAState, match="trace"):
             ef.new_state(np.eye(4) / 2, 2, 2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)]
+    )
     def test_non_finite_entry_rejected(self, bad):
-        # every "> tol" comparison is False for NaN, so this is checked first
-        m = np.eye(4, dtype=complex) / 4
-        m[1, 2] = m[2, 1] = bad
-        with pytest.raises(NotAState, match="non-finite"):
-            ef.new_state(m, 2, 2)
+        # symmetric, on the diagonal, or alone in the upper or lower triangle:
+        # each must make the Hermiticity deviation non-finite, without a
+        # warning, and be reported as non-finite
+        for where in (((1, 2), (2, 1)), ((0, 0),), ((3, 3),), ((0, 3),), ((3, 0),)):
+            m = np.eye(4, dtype=complex) / 4
+            for ij in where:
+                m[ij] = bad
+            with pytest.raises(NotAState, match="non-finite"):
+                ef.new_state(m, 2, 2)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # every "> tol" check is False under a NaN tol, which would pass
+        # 5I - 2J (trace 12, eigenvalue -3) as a state
+        bad = 5.0 * np.eye(4) - 2.0 * np.ones((4, 4))
+        for m in (bad, np.eye(4) / 4):
+            with pytest.raises(ValueError, match="tol"):
+                ef.new_state(m, 2, 2, tol=tol)
 
     def test_symmetrization_absorbs_roundoff(self):
         m = np.eye(4, dtype=complex) / 4
@@ -208,6 +227,114 @@ class TestSample:
     def test_split_seed_distinct(self):
         seeds = {ef.split_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+def fresh_sample(spec):
+    """Each ensemble built the long way: a fresh Philox keyed by the seed
+    and separate real and imaginary normal draws."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
+
+    def ginibre(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if spec.kind == "hilbert_schmidt_mixed":
+        g = ginibre(4, 4)
+        m = g @ g.conj().T
+        return ef.new_state(m / np.trace(m).real)
+    if spec.kind == "haar_pure":
+        v = ginibre(4)
+        v /= np.linalg.norm(v)
+        return ef.new_state(np.outer(v, v.conj()))
+    units = []
+    for _ in range(2):
+        q, r = np.linalg.qr(ginibre(2, 2))
+        units.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    theta = 0.5 * np.arcsin(spec.target_concurrence)
+    v = np.kron(*units) @ np.array([np.cos(theta), 0, 0, np.sin(theta)], dtype=complex)
+    return ef.new_state(np.outer(v, v.conj()))
+
+
+SPECS = [
+    ("hilbert_schmidt_mixed", 0.0),
+    ("haar_pure", 0.0),
+    ("fixed_concurrence_pure", 0.6),
+]
+
+
+class TestRekeyedStream:
+    @pytest.mark.parametrize("kind, c", SPECS, ids=[k for k, _ in SPECS])
+    def test_bit_identical_to_fresh_philox(self, kind, c):
+        for base in (0, 3, 7919):
+            for i in range(300):
+                spec = ef.EnsembleSpec(kind, seed=ef.split_seed(base, i), target_concurrence=c)
+                assert ef.sample(spec).matrix.tobytes() == fresh_sample(spec).matrix.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1])
+    def test_partial_draw_does_not_leak(self, seed):
+        spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=seed)
+        rng = states._rng(seed ^ 1)
+        rng.normal(size=3)  # leaves buffered words behind
+        rng.integers(0, 2**32, dtype=np.uint32)  # leaves a buffered half word
+        assert ef.sample(spec).matrix.tobytes() == fresh_sample(spec).matrix.tobytes()
+        # a half word left behind (after an odd count) must not reach 32-bit draws
+        for count in (1, 2):
+            states._rng(seed ^ 1).integers(0, 2**32, size=count, dtype=np.uint32)
+            fresh = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            words = states._rng(seed).integers(0, 2**32, size=5, dtype=np.uint32)
+            assert np.array_equal(words, fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+
+    def test_threads_match_serial(self):
+        specs = [
+            ef.EnsembleSpec(kind, seed=ef.split_seed(11, i), target_concurrence=c)
+            for i in range(200)
+            for kind, c in SPECS
+        ]
+        serial = [ef.sample(spec).matrix.tobytes() for spec in specs]
+        out = [None] * len(specs)
+
+        def work(k):
+            # thread k takes every fourth spec, so the threads' seeds interleave
+            for i in range(k, len(specs), 4):
+                out[i] = ef.sample(specs[i]).matrix.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == serial
+
+    def test_one_philox_per_thread(self, monkeypatch):
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(threading.get_ident())
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        counts = []
+
+        def work():
+            for i in range(50):
+                for kind, c in SPECS:
+                    ef.sample(ef.EnsembleSpec(kind, seed=i, target_concurrence=c))
+                counts.append(len(made))
+
+        t = threading.Thread(target=work)
+        t.start()
+        t.join()
+        assert counts[0] == 1 and counts[-1] == 1
+
+    def test_shared_generator_stays_private(self):
+        # a caller holding it across a second sample would see it re-keyed
+        assert not hasattr(ef, "_rng")
+        assert "_rng" not in getattr(ef, "__all__", ())
 
 
 @pytest.mark.parametrize(
