@@ -42,10 +42,13 @@ drop them.
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 source that made it; ``state_at`` gives its state at any time of its span
 through that source.  ``vec``/``unvec`` act on whole stacks.  Every
-propagated or mapped state passes through ``_repair_states``, which
-repairs a stack with one stacked eigensolve (a stack of one from
-``evolve_state`` and ``state_at``, of images from ``apply_map``); QStates
-are built on request.
+propagated or mapped state passes through ``_repair_states`` (a stack of
+one from ``evolve_state`` and ``state_at``, of images from
+``apply_map``), which decides positivity per state: a state with a finite
+Cholesky factor is a density matrix to working precision, so one stacked
+factorization certifies a whole stack without an eigensolve; a stack that
+fails it is eigendecomposed, and only its states that fail the
+factorization alone are clipped.  QStates are built on request.
 """
 
 from __future__ import annotations
@@ -282,32 +285,60 @@ class Trajectory:
         return margins
 
 
+def _factorizes(ms: np.ndarray) -> bool:
+    """Whether every matrix of a Hermitian stack has a finite Cholesky
+    factor, i.e. is positive definite to working precision.  (A NaN entry
+    gives a NaN factor, not a LinAlgError.)"""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(ms)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def _repair_states(ms: np.ndarray) -> np.ndarray:
-    """Re-Hermitize, clip round-off negativity and renormalize the trace of
+    """Re-Hermitize, renormalize the trace and clip round-off negativity of
     every matrix of an (N, 4, 4) stack; return the repaired stack, read-only.
 
-    The first matrix, in stack order, that fails a check raises: a trace
-    off 1 by more than 1e-9 gives StepFailure, an eigenvalue below
-    -PSD_REPAIR gives PositivityLost.  The repaired matrices are density
-    matrices, so callers wrap them as QStates without re-validation."""
+    Positivity is decided per state, so a state's repair does not depend
+    on its stack-mates.  A state whose Cholesky factor exists and is finite
+    is a density matrix to working precision and is returned Hermitized and
+    normalized; a stack that factorizes needs no eigensolve.  A stack that
+    does not is eigendecomposed, and those of its states that fail the
+    factorization alone and have a negative eigenvalue are clipped to their
+    PSD part.
+
+    The first matrix, in stack order, that fails a check raises: a
+    non-finite entry or a trace off 1 by more than 1e-9 gives StepFailure,
+    an eigenvalue below -PSD_REPAIR of a state that fails the factorization
+    gives PositivityLost.  No factorization sees a non-finite matrix.  The
+    repaired matrices are density matrices, so callers wrap them as QStates
+    without re-validation."""
+    n_finite = total = len(ms)
+    if not np.isfinite(ms).all():
+        n_finite = int(np.isfinite(ms).all(axis=(1, 2)).argmin())
+    ms = ms[:n_finite]
     ms = 0.5 * (ms + ms.conj().transpose(0, 2, 1))
     tr = np.trace(ms, axis1=1, axis2=2).real
     drifted = np.abs(tr - 1.0) > 1e-9
-    n = int(drifted.argmax()) if drifted.any() else len(ms)  # states before the first drift
+    n = int(drifted.argmax()) if drifted.any() else n_finite  # states before the first failure
     ms = ms[:n] / tr[:n, None, None]
-    w, v = np.linalg.eigh(ms)
-    if n and w[:, 0].min() < 0.0:
-        negative = np.flatnonzero(w[:, 0] < -PSD_REPAIR)
-        if negative.size:
-            raise PositivityLost(
-                f"min eigenvalue {w[negative[0], 0]:.3e} below repair threshold -{PSD_REPAIR:.1e}"
-            )
-        clip = np.flatnonzero(w[:, 0] < 0.0)
-        v = v[clip]
-        m = (v * np.clip(w[clip], 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        ms[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    if n < len(tr):
+    if n and not _factorizes(ms):
+        w, v = np.linalg.eigh(ms)
+        clip = [k for k in np.flatnonzero(w[:, 0] < 0.0) if not _factorizes(ms[k])]
+        if clip:
+            negative = [k for k in clip if w[k, 0] < -PSD_REPAIR]
+            if negative:
+                raise PositivityLost(
+                    f"min eigenvalue {w[negative[0], 0]:.3e} below repair threshold "
+                    f"-{PSD_REPAIR:.1e}"
+                )
+            v = v[clip]
+            m = (v * np.clip(w[clip], 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            ms[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    if n < n_finite:
         raise StepFailure(f"trace drifted to {tr[n]!r}; tolerances too loose")
+    if n_finite < total:
+        raise StepFailure("propagated state has a non-finite entry")
     ms.setflags(write=False)
     return ms
 
@@ -369,7 +400,7 @@ def _trace_preserving(phis: np.ndarray) -> np.ndarray:
     """The stack of maps, read-only, once every one preserves the trace."""
     tr_vec = vec(np.eye(D)).conj()
     residual = np.max(np.abs(tr_vec @ phis - tr_vec))
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # a NaN residual fails too
         raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
     phis.setflags(write=False)
     return phis

@@ -16,6 +16,7 @@ from entfate.dynamics import (
     PSD_REPAIR,
     ConstantRate,
     ExponentialRate,
+    _factorizes,
     _repair_states,
     apply_map,
     liouvillian_matrix,
@@ -79,6 +80,23 @@ def reference_repair_state(m):
     return m
 
 
+def matches_eigensolve_oracle(m, repaired):
+    """Whether ``repaired`` is ``reference_repair_state(m)`` bit for bit.  It
+    may differ only where m, Hermitized and normalized, factorizes although
+    its eigh minimum is negative: the repair then leaves it unclipped,
+    within 1e-15 of the clipped oracle."""
+    want = reference_repair_state(m)
+    if np.array_equal(repaired, want):
+        return True
+    h = 0.5 * (m + m.conj().T)
+    h = h / np.trace(h).real
+    assert np.linalg.eigh(h)[0][0] < 0.0
+    assert np.isfinite(np.linalg.cholesky(h)).all()
+    assert np.array_equal(repaired, h)
+    assert np.max(np.abs(repaired - want)) <= 1e-15
+    return False
+
+
 def reference_margins(ms):
     """The per-state PT margin loop that the stacked margins replaced."""
     out = []
@@ -92,13 +110,24 @@ def propagated_like(rng, kind):
     """A 4x4 matrix as a propagator leaves it: a density matrix that is
     Hermitian, of trace 1 and PSD only up to round-off.  ``pure`` states
     have three eigenvalues at round-off level; ``clipped`` ones have their
-    lowest eigenvalue in [-1e-9, 0), so the repair clips them."""
+    lowest eigenvalue in [-1e-9, 0), so the repair clips them; ``faint``
+    ones have it at +-10^u, u in [-18, -12], where a Cholesky factorization
+    and an eigensolve may disagree on the sign, and only 1e-16 noise or
+    none."""
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     if kind == "pure":
         m = np.outer(z[:, 0], z[:, 0].conj())
     else:
         m = z @ z.conj().T
     m /= np.trace(m).real
+    if kind == "faint":
+        w, v = np.linalg.eigh(m)
+        w[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-18.0, -12.0)
+        w[1:] *= (1.0 - w[0]) / w[1:].sum()
+        m = (v * w) @ v.conj().T
+        if rng.random() < 0.5:
+            m = m + 1e-16 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return m * (1.0 + 1e-11 * rng.normal())
     if kind == "clipped":
         w, v = np.linalg.eigh(m)
         w[0] = -rng.uniform(1e-12, 0.9e-9)
@@ -457,6 +486,12 @@ class TestOneFlow:
         ef.propagator_matrices(g, [0.0, 1.0, 2.0, 2.5, 3.0])
         assert len(calls) == before + 2
 
+    def test_non_finite_maps_raise(self):
+        # maps this large overflow to NaN, and a NaN residual used to pass the check
+        g = make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        with pytest.raises(StepFailure, match="residual nan"):
+            ef.propagator_matrices(g, np.linspace(0.0, 5.0, 21))
+
     def test_propagator_matrices_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             ef.propagator_matrices(random_generator(0), [0.5, 1.0])
@@ -697,23 +732,89 @@ class TestStackedTrajectory:
                 reference_repair_state(m)
         assert str(got.value) == str(want.value)
 
-    def test_propagate_makes_one_eigensolve(self, monkeypatch):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["mixed", "pure", "clipped", "faint"]),
+                       min_size=1, max_size=50),
+    )
+    def test_repair_is_per_state_at_the_factorization_border(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        ms = np.stack([propagated_like(rng, k) for k in kinds])
+        repaired = _repair_states(ms)
+        for m, got in zip(ms, repaired):
+            assert np.array_equal(got, _repair_states(m[None])[0])
+            matches_eigensolve_oracle(m, got)
+
+    def test_faint_states_reach_the_border(self):
+        # the exception to the oracle's bits is taken, and only within its bound
+        rng = np.random.default_rng(11)
+        ms = np.stack([propagated_like(rng, "faint") for _ in range(2000)])
+        repaired = _repair_states(ms)
+        border = sum(not matches_eigensolve_oracle(m, got) for m, got in zip(ms, repaired))
+        assert 0 < border < len(ms) // 4
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        """Record the argument of every ``cholesky`` and ``eigh`` call."""
         from entfate import dynamics
 
-        g = ef.catalog_generator(2)
-        rho0 = ef.max_entangled()
-        calls = []
-        eigh = np.linalg.eigh
+        calls = {"cholesky": [], "eigh": []}
+        for name, original in (("cholesky", np.linalg.cholesky), ("eigh", np.linalg.eigh)):
+            def counting(a, *args, _calls=calls[name], _original=original, **kwargs):
+                _calls.append(np.array(a))
+                return _original(a, *args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return eigh(*args, **kwargs)
+            monkeypatch.setattr(dynamics.np.linalg, name, counting)
+        return calls
 
-        monkeypatch.setattr(dynamics.np.linalg, "eigh", counting)
-        traj = ef.propagate(g, rho0, np.linspace(0.0, 30.0, 400))
-        assert len(calls) == 1
-        assert calls[0][0].shape == (399, 4, 4)
+    def test_propagate_makes_one_stacked_factorization(self, monkeypatch):
+        calls = self.count_factorizations(monkeypatch)
+        traj = ef.propagate(ef.catalog_generator(2), ef.max_entangled(), np.linspace(0.0, 30.0, 400))
+        assert [a.shape for a in calls["cholesky"]] == [(399, 4, 4)]
+        assert calls["eigh"] == []
         assert traj.matrices.shape == (400, 4, 4)
+
+    def test_a_stack_that_fails_the_factorization_makes_one_eigensolve(self, monkeypatch):
+        # |00> is an exactly pure fixed point of amplitude damping
+        g, rho0, grid = ef.catalog_generator(2), ef.basis_state(0, 0), np.linspace(0.0, 30.0, 400)
+        calls = self.count_factorizations(monkeypatch)
+        traj = ef.propagate(g, rho0, grid)
+        assert [a.shape for a in calls["eigh"]] == [(399, 4, 4)]
+        assert calls["cholesky"][0].shape == (399, 4, 4)
+        raw = unvec(ef.propagator_matrices(g, grid)[1:] @ vec(rho0.matrix))
+        for m, got in zip(raw, traj.matrices[1:]):
+            assert np.array_equal(got, reference_repair_state(m))
+
+    def test_a_nan_factor_never_certifies(self):
+        # cholesky of a NaN matrix returns a NaN factor and does not raise
+        ms = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        ms[1, 2, 1] = np.nan
+        assert np.isnan(np.linalg.cholesky(ms)[1]).any()
+        assert not _factorizes(ms) and _factorizes(ms[::2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize(
+        "positivity_at, drift_at, bad_at, error, message",
+        [
+            (2, 5, 1, StepFailure, "non-finite"),
+            (2, 5, 4, PositivityLost, "below repair threshold"),
+            (5, 2, 1, StepFailure, "non-finite"),
+            (5, 2, 3, StepFailure, "trace drifted"),
+        ],
+    )
+    def test_non_finite_state_fails_at_its_place(
+        self, monkeypatch, bad, positivity_at, drift_at, bad_at, error, message
+    ):
+        ms = self.failing_stack(positivity_at, drift_at)
+        # a lower Cholesky factor reads the lower triangle only: the bad entry is above it
+        ms[bad_at, 0, 1] = bad
+        calls = self.count_factorizations(monkeypatch)
+        with pytest.raises(error, match=message):
+            _repair_states(ms)
+        assert all(np.isfinite(a).all() for a in calls["cholesky"] + calls["eigh"])
+        with pytest.raises(StepFailure, match="non-finite"):
+            _repair_states(ms[bad_at:])
 
     def test_stack_is_read_only_and_states_are_views(self, monkeypatch):
         from entfate import dynamics

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import entfate as ef
 from entfate.errors import HorizonTooShort
 from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
+from entfate.operators import EYE2, SMINUS
 
 GAMMA = 1.0
 
@@ -241,6 +242,14 @@ class TestFateStatistics:
         assert stats.failure_reasons == {"StepFailure": 4}
         assert all(r.startswith("StepFailure: trace-preservation residual") for r in records)
         assert len(calls) == 4  # a failed flow is not kept
+
+    def test_non_finite_maps_fail_every_sample_typed(self):
+        # these maps overflow to NaN; the run ended in numpy's LinAlgError
+        g = ef.make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        spec = ef.EnsembleSpec("haar_pure", seed=0)
+        stats, records = ef.fate_statistics(g, spec, n=3, horizon=5.0, grid_points=21)
+        assert stats.failure_reasons == {"StepFailure": 3}
+        assert all(r.startswith("StepFailure: trace-preservation residual nan") for r in records)
 
     def test_n_must_be_positive(self):
         g = ef.catalog_generator(1)
