@@ -76,6 +76,19 @@ DEFAULT_N_PROBES = 50
 CLASS4_MIN_C = np.log(3.0) + 0.5
 CLASS6_MIN_C = 5.0
 
+# the generator catalog: class id -> (description, default rate parameter)
+CATALOG = {
+    1: ("constant depolarizing toward I/4", {"gamma": 1.0}),
+    2: ("independent amplitude damping on both qubits", {"gamma": 1.0}),
+    3: ("pumping into the Bell state Phi+", {"gamma": 1.0}),
+    4: (
+        f"quenched depolarizing, rate c*exp(-t); needs c >= ln 3 + 0.5 (~{CLASS4_MIN_C:.4f})",
+        {"c": 2.0},
+    ),
+    5: ("computational-basis dephasing on both qubits", {"gamma": 1.0}),
+    6: (f"quenched Bell pumping, rate c*exp(-t); needs c >= {CLASS6_MIN_C:g}", {"c": 10.0}),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticSet:
@@ -328,54 +341,41 @@ def classify_generator(
     return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 
 
-def catalog_generator(class_id: int, gamma: float = 1.0, c: float | None = None) -> Generator:
+def catalog_generator(
+    class_id: int, gamma: float | None = None, c: float | None = None
+) -> Generator:
     """A two-qubit generator certified to land in the requested class.
 
-    1: depolarizing toward I/4 (all 15 non-identity Paulis, rate gamma/16)
-    2: independent amplitude damping on both qubits
-    3: pumping into the Bell state Phi+
-    4: quenched depolarizing, rate c*exp(-t), c >= ln 3 + 0.5 (default 2)
-    5: computational-basis dephasing on both qubits
-    6: quenched Bell pumping, rate c*exp(-t), c >= 5 (default 10)
+    ``CATALOG[class_id]`` describes it and gives the default of its rate
+    parameter: gamma for the constant rates of classes 1, 2, 3 and 5, c for
+    the rates c*exp(-t) of the quenches 4 and 6, which need c >=
+    ``CLASS4_MIN_C`` and c >= ``CLASS6_MIN_C``.  An id outside the table (a
+    boolean included) is ``BadParams``.
     """
-    if gamma <= 0.0:
+    if isinstance(class_id, bool) or class_id not in CATALOG:
+        raise BadParams(f"class_id must be 1..6, got {class_id!r}")
+    defaults = CATALOG[class_id][1]
+    gamma = defaults.get("gamma") if gamma is None else gamma
+    c = defaults.get("c") if c is None else c
+    if gamma is not None and gamma <= 0.0:
         raise BadParams(f"gamma must be positive, got {gamma}")
-    if class_id == 1:
-        jumps = [(p, ConstantRate(gamma / 16.0)) for p in two_qubit_paulis()]
-        return make_generator(jumps=jumps)
-    if class_id == 2:
-        jumps = [
-            (np.kron(SMINUS, EYE2), ConstantRate(gamma)),
-            (np.kron(EYE2, SMINUS), ConstantRate(gamma)),
-        ]
-        return make_generator(jumps=jumps)
-    if class_id == 3:
+    if class_id == 4 and float(c) < CLASS4_MIN_C:
+        raise BadParams(
+            f"class 4 needs c >= ln 3 + 0.5 ~= {CLASS4_MIN_C:.4f} to certify "
+            f"a strictly interior image (Werner margin (1-3e^-c)/4); got {c}"
+        )
+    if class_id == 6 and float(c) < CLASS6_MIN_C:
+        raise BadParams(
+            f"class 6 needs c >= {CLASS6_MIN_C} so every image stays strictly "
+            f"NPT (population leakage e^-c); got {c}"
+        )
+    if class_id in (1, 4):  # depolarizing: all 15 non-identity Paulis, a 16th of the rate each
+        ops, share = two_qubit_paulis(), 16.0
+    elif class_id in (3, 6):  # pumping into Phi+ from the other three Bell states
         phi_p, *others = bell_vectors()
-        jumps = [(np.outer(phi_p, b.conj()), ConstantRate(gamma)) for b in others]
-        return make_generator(jumps=jumps)
-    if class_id == 4:
-        c = 2.0 if c is None else float(c)
-        if c < CLASS4_MIN_C:
-            raise BadParams(
-                f"class 4 needs c >= ln 3 + 0.5 ~= {CLASS4_MIN_C:.4f} to certify "
-                f"a strictly interior image (Werner margin (1-3e^-c)/4); got {c}"
-            )
-        jumps = [(p, ExponentialRate(c / 16.0)) for p in two_qubit_paulis()]
-        return make_generator(jumps=jumps, autonomous=False)
-    if class_id == 5:
-        jumps = [
-            (np.kron(SZ, EYE2), ConstantRate(gamma)),
-            (np.kron(EYE2, SZ), ConstantRate(gamma)),
-        ]
-        return make_generator(jumps=jumps)
-    if class_id == 6:
-        c = 10.0 if c is None else float(c)
-        if c < CLASS6_MIN_C:
-            raise BadParams(
-                f"class 6 needs c >= {CLASS6_MIN_C} so every image stays strictly "
-                f"NPT (population leakage e^-c); got {c}"
-            )
-        phi_p, *others = bell_vectors()
-        jumps = [(np.outer(phi_p, b.conj()), ExponentialRate(c)) for b in others]
-        return make_generator(jumps=jumps, autonomous=False)
-    raise BadParams(f"class_id must be 1..6, got {class_id}")
+        ops, share = [np.outer(phi_p, b.conj()) for b in others], 1.0
+    else:  # on each qubit: amplitude damping (2) or computational-basis dephasing (5)
+        op = SMINUS if class_id == 2 else SZ
+        ops, share = [np.kron(op, EYE2), np.kron(EYE2, op)], 1.0
+    rate = ExponentialRate(float(c) / share) if class_id in (4, 6) else ConstantRate(gamma / share)
+    return make_generator(jumps=[(op, rate) for op in ops])

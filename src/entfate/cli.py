@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    CATALOG,
     DEFAULT_CLASS_TOL,
     DEFAULT_CONVERGENCE_TOL,
     DEFAULT_KERNEL_TOL,
@@ -28,7 +29,7 @@ from .asymptotics import (
     DEFAULT_NONAUTONOMOUS_HORIZON,
     asymptotic_set,
     catalog_generator,
-    classify_theorem_class,
+    classify_generator,
     membership_residual,
 )
 from .dynamics import ConstantRate, ExponentialRate, SolverOptions, make_generator, propagate
@@ -101,18 +102,22 @@ def _fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+def _complex(pair, field: str) -> complex:
+    """An [re, im] pair as a complex number, each part checked by ``_number``."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{field} must be an [re, im] pair, got {pair!r}")
+    return complex(_number(pair[0], f"{field}[0]"), _number(pair[1], f"{field}[1]"))
+
+
 def parse_complex_matrix(entries, field: str) -> np.ndarray:
-    try:
-        arr = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in entries], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"{field}: expected a matrix of [re, im] pairs ({exc})")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(f"{field}: matrix must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{field}: matrix has a non-finite entry")
-    return arr
+    n = len(entries) if isinstance(entries, list) else 0
+    if n == 0 or not all(isinstance(row, list) and len(row) == n for row in entries):
+        raise ConfigError(f"{field}: expected a square matrix, n lists of n [re, im] pairs")
+    return np.array(
+        [[_complex(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
+         for i, row in enumerate(entries)],
+        dtype=complex,
+    )
 
 
 def load_config(path: str) -> dict:
@@ -135,28 +140,29 @@ def _object(value, field: str) -> dict:
     return value
 
 
-def _number(obj: dict, key: str, field: str, default=None) -> float:
-    """obj[key] (or the default) as a float; a missing, non-numeric (a JSON
-    boolean included) or non-finite value (Python's json reads NaN, Infinity
-    and integers beyond the float range) is a ConfigError naming ``field.key``."""
-    value = obj.get(key, default)
+def _number(value, field: str) -> float:
+    """The config value at ``field`` as a float; a missing, non-numeric (a JSON
+    boolean or string included) or non-finite value (Python's json reads NaN,
+    Infinity and integers beyond the float range) is a ConfigError naming it.
+    Every number a config holds passes this rule."""
     if value is None:
-        raise ConfigError(f"{field}.{key} is missing")
+        raise ConfigError(f"{field} is missing")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{field} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # compares an int exactly, never overflows
-        raise ConfigError(f"{field}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{field} must be finite, got {value!r}")
     return float(value)
 
 
-def _whole(obj: dict, key: str, field: str, bounds: tuple[int, int]) -> None:
-    """Check obj[key] as ``_number`` does, and as a whole number in [least, most]."""
+def _whole(value, field: str, bounds: tuple[int, int]) -> int:
+    """``value`` checked as ``_number`` does, and as a whole number in [least, most]."""
     least, most = bounds
-    value = _number(obj, key, field)
-    if value != int(value) or not least <= int(obj[key]) <= most:
+    number = _number(value, field)
+    if number != int(number) or not least <= int(value) <= most:
         raise ConfigError(
-            f"{field}.{key} must be a whole number >= {least} and <= {most}, got {obj[key]!r}"
+            f"{field} must be a whole number >= {least} and <= {most}, got {value!r}"
         )
+    return int(value)
 
 
 def resolve_config(cfg: dict, args) -> dict:
@@ -179,11 +185,12 @@ def resolve_config(cfg: dict, args) -> dict:
     resolved["output"] = out
     for key in _RUN_DEFAULTS:
         if key not in _WHOLE:
-            if _number(run, key, "run") <= 0.0:
+            if _number(run[key], f"run.{key}") <= 0.0:
                 raise ConfigError(f"run.{key} must be positive, got {run[key]!r}")
         elif key != "seed" or run[key] is not None:
-            _whole(run, key, "run", _WHOLE[key])
-    _whole(ens, "seed", "ensemble", _SEED_RANGE)
+            _whole(run[key], f"run.{key}", _WHOLE[key])
+    _whole(ens["seed"], "ensemble.seed", _SEED_RANGE)
+    _number(ens["target_concurrence"], "ensemble.target_concurrence")
     return resolved
 
 
@@ -193,10 +200,12 @@ def build_rate(desc, field: str):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"{field}: rate must be a number or an object with 'kind'")
     if desc["kind"] == "constant":
-        return ConstantRate(_number(desc, "value", field))
+        return ConstantRate(_number(desc.get("value"), f"{field}.value"))
     if desc["kind"] == "exponential":
+        amplitude = _number(desc.get("amplitude"), f"{field}.amplitude")
+        tau = _number(desc.get("tau", 1.0), f"{field}.tau")
         try:
-            return ExponentialRate(_number(desc, "amplitude", field), _number(desc, "tau", field, 1.0))
+            return ExponentialRate(amplitude, tau)
         except ValueError as exc:
             raise ConfigError(f"{field}: {exc}")
     raise ConfigError(f"{field}: unknown rate kind {desc['kind']!r}")
@@ -208,10 +217,10 @@ def build_generator(cfg: dict):
         raise ConfigError("config needs a 'generator' object")
     if "catalog" in gcfg:
         cat = _object(gcfg["catalog"], "generator.catalog")
-        class_id = cat.get("class_id")
-        if class_id not in (1, 2, 3, 4, 5, 6):
-            raise ConfigError(f"generator.catalog.class_id must be 1..6, got {class_id}")
-        params = cat.get("params", {})
+        ids = (min(CATALOG), max(CATALOG))
+        class_id = _whole(cat.get("class_id"), "generator.catalog.class_id", ids)
+        params = _object(cat.get("params", {}), "generator.catalog.params")
+        params = {k: _number(v, f"generator.catalog.params.{k}") for k, v in params.items()}
         try:
             return catalog_generator(class_id, **params)
         except (BadParams, TypeError, ValueError) as exc:
@@ -264,11 +273,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_resolved(outdir: Path, resolved: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    )
+def _output_directory(path) -> Path:
+    """The output directory, created if missing; one that cannot be is a ConfigError."""
+    try:
+        outdir = Path(path)
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (TypeError, OSError) as exc:
+        raise ConfigError(f"output.directory {path!r} cannot be used: {exc}")
+    return outdir
 
 
 def asymptotic_set_options(run: dict) -> dict:
@@ -281,25 +293,33 @@ def asymptotic_set_options(run: dict) -> dict:
     }
 
 
-def _initial_state(cfg: dict, resolved: dict):
-    init = cfg.get("initial_state")
-    if init is not None:
-        m = parse_complex_matrix(_object(init, "initial_state").get("matrix"), "initial_state.matrix")
-        try:
-            return new_state(m)
-        except EntfateError as exc:
-            raise ConfigError(f"initial_state: {exc}")
-    return sample(build_ensemble(resolved))
+def _initial_state(resolved: dict):
+    init = resolved.get("initial_state")
+    if init is None:
+        return sample(build_ensemble(resolved))
+    m = parse_complex_matrix(_object(init, "initial_state").get("matrix"), "initial_state.matrix")
+    try:
+        return new_state(m)
+    except EntfateError as exc:
+        raise ConfigError(f"initial_state: {exc}")
+
+
+def _set_up(args, build_start=None):
+    """Load and resolve the config of a run, build its generator and, if
+    asked, its start (``build_start(resolved)``: an initial state or an
+    ensemble), then write ``resolved_config.json``.  Every config error is
+    raised before anything is written.  Returns (run, generator, start,
+    output directory)."""
+    resolved = resolve_config(load_config(args.config), args)
+    g = build_generator(resolved)
+    start = None if build_start is None else build_start(resolved)
+    outdir = _output_directory(resolved["output"]["directory"])
+    _write_json(outdir / "resolved_config.json", resolved)
+    return resolved["run"], g, start, outdir
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    resolved = resolve_config(cfg, args)
-    run = resolved["run"]
-    g = build_generator(resolved)
-    rho0 = _initial_state(cfg, resolved)
-    outdir = Path(resolved["output"]["directory"])
-    _write_resolved(outdir, resolved)
+    run, g, rho0, outdir = _set_up(args, _initial_state)
     grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
     traj = propagate(g, rho0, grid, solver_options(run))
     record = fate_of_trajectory(traj, float(run["refine_tol"]), float(run["fate_tol"]))
@@ -320,16 +340,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
-    resolved = resolve_config(cfg, args)
-    run = resolved["run"]
-    g = build_generator(resolved)
-    outdir = Path(resolved["output"]["directory"])
-    _write_resolved(outdir, resolved)
+    run, g, _, outdir = _set_up(args)
     try:
-        aset = asymptotic_set(g, **asymptotic_set_options(run))
-        cls = classify_theorem_class(
-            aset, float(run["class_tol"]), int(run["n_probes"]), int(run["seed"] or 0)
+        aset, cls = classify_generator(
+            g,
+            float(run["class_tol"]),
+            n_probes=int(run["n_probes"]),
+            seed=int(run["seed"] or 0),
+            **asymptotic_set_options(run),
         )
     except (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement) as exc:
         _write_json(
@@ -338,34 +356,16 @@ def cmd_classify(args) -> int:
         )
         print(f"classification failed: {type(exc).__name__}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    _write_json(
-        outdir / "classification.json",
-        {
-            "class_id": cls.class_id,
-            "cardinality": cls.cardinality,
-            "evidence": {
-                "min_margin": cls.min_margin,
-                "max_margin": cls.max_margin,
-                "min_probe": cls.min_probe,
-                "max_probe": cls.max_probe,
-                "tol": cls.tol,
-                "probes": [[label, m] for label, m in cls.probes],
-            },
-            "diagnostics": aset.diagnostics,
-        },
-    )
+    evidence = dict(vars(cls))  # not dataclasses.asdict, which deep-copies every probe
+    verdict = {key: evidence.pop(key) for key in ("class_id", "cardinality")}
+    payload = {**verdict, "evidence": evidence, "diagnostics": aset.diagnostics}
+    _write_json(outdir / "classification.json", payload)
     print(f"class {cls.class_id}")
     return EXIT_OK
 
 
 def cmd_fates(args) -> int:
-    cfg = load_config(args.config)
-    resolved = resolve_config(cfg, args)
-    run = resolved["run"]
-    g = build_generator(resolved)
-    spec = build_ensemble(resolved)
-    outdir = Path(resolved["output"]["directory"])
-    _write_resolved(outdir, resolved)
+    run, g, spec, outdir = _set_up(args, build_ensemble)
     stats, records = fate_statistics(
         g,
         spec,
@@ -393,33 +393,21 @@ def cmd_fates(args) -> int:
     return EXIT_OK if ok >= 0.9 * stats.n else EXIT_FAILURES
 
 
-_CATALOG_NOTES = {
-    1: ("constant depolarizing toward I/4", {"gamma": 1.0}),
-    2: ("independent amplitude damping on both qubits", {"gamma": 1.0}),
-    3: ("pumping into the Bell state Phi+", {"gamma": 1.0}),
-    4: ("quenched depolarizing, rate c*exp(-t); needs c >= ln 3 + 0.5 (~1.5986)", {"c": 2.0}),
-    5: ("computational-basis dephasing on both qubits", {"gamma": 1.0}),
-    6: ("quenched Bell pumping, rate c*exp(-t), c large", {"c": 10.0}),
-}
-
-
 def cmd_catalog(args) -> int:
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    for class_id, (desc, params) in _CATALOG_NOTES.items():
+    outdir = _output_directory(args.out or ".")
+    run = {**{k: _RUN_DEFAULTS[k] for k in ("horizon", "grid_points", "n_samples")}, "seed": 0}
+    for class_id, (desc, params) in CATALOG.items():
         g = catalog_generator(class_id, **params)
         kind = "autonomous" if g.autonomous else "non-autonomous"
         print(f"class {class_id}: {desc} [{kind}, params {params}]")
         config = {
-            "schema_version": SCHEMA_VERSION,
             "generator": {"catalog": {"class_id": class_id, "params": params}},
-            "ensemble": dict(_ENSEMBLE_DEFAULTS),
-            "run": {"horizon": 30.0, "grid_points": 400, "n_samples": 100, "seed": 0},
+            "ensemble": _ENSEMBLE_DEFAULTS,
+            "run": run,
             "output": {"directory": f"class_{class_id}"},
         }
-        path = outdir / f"catalog_class_{class_id}.json"
-        path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-    print(f"wrote 6 config files to {outdir}")
+        _write_json(outdir / f"catalog_class_{class_id}.json", config)
+    print(f"wrote {len(CATALOG)} config files to {outdir}")
     return EXIT_OK
 
 

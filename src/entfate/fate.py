@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -237,9 +238,8 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _fate_task(args):
-    """One ensemble sample; module-level so worker processes can pickle it."""
-    g, spec, base_seed, index, horizon, grid_points, refine_tol, tol, opts = args
+def _fate_task(g, spec, base_seed, horizon, grid_points, refine_tol, tol, opts, index):
+    """Ensemble sample ``index``; module-level so worker processes can pickle it."""
     spec_i = replace(spec, seed=split_seed(base_seed, index))
     rho0 = sample(spec_i)
     try:
@@ -270,15 +270,12 @@ def fate_statistics(
     if n < 1:
         raise ValueError("n must be >= 1")
     base_seed = spec.seed if seed is None else int(seed)
-    args = [
-        (g, spec, base_seed, i, horizon, grid_points, refine_tol, tol, opts)
-        for i in range(n)
-    ]
+    task = partial(_fate_task, g, spec, base_seed, horizon, grid_points, refine_tol, tol, opts)
     if workers <= 1:
-        results = [_fate_task(a) for a in args]
+        results = list(map(task, range(n)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fate_task, args, chunksize=max(1, n // (4 * workers))))
+            results = list(pool.map(task, range(n), chunksize=max(1, n // (4 * workers))))
     records: list = []
     counts: dict[str, int] = {tag: 0 for tag in FATE_TAGS}
     failure_reasons: dict[str, int] = {}

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entfate as ef
-from entfate.asymptotics import CLASS4_MIN_C, _pt_adjoint, _pure_probes, _seesaw_min
+from entfate.asymptotics import CATALOG, CLASS4_MIN_C, _pt_adjoint, _pure_probes, _seesaw_min
 from entfate.dynamics import (
     ExponentialRate,
     _repair_states,
@@ -431,8 +431,19 @@ class TestCatalog:
         with pytest.raises(BadParams):
             ef.catalog_generator(7)
         with pytest.raises(BadParams):
+            ef.catalog_generator(True)  # == 1, but not a class id
+        with pytest.raises(BadParams):
             ef.catalog_generator(1, gamma=-1.0)
         assert CLASS4_MIN_C == pytest.approx(np.log(3.0) + 0.5)
+
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 4, 5, 6])
+    def test_defaults_come_from_the_table(self, class_id):
+        default = ef.catalog_generator(class_id)
+        explicit = ef.catalog_generator(class_id, **CATALOG[class_id][1])
+        for t in (0.0, 1.0, 10.0):
+            np.testing.assert_array_equal(
+                liouvillian_matrix(default, t), liouvillian_matrix(explicit, t)
+            )
 
     def test_class6_all_probes_entangled(self):
         g = ef.catalog_generator(6, c=10.0)

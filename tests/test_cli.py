@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import entfate as ef
+from entfate.asymptotics import CLASS6_MIN_C
 from entfate.cli import main
 
 BELL = [
@@ -77,6 +78,7 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if line.startswith("class ")) == 6
         assert "ln 3" in out
+        assert f"needs c >= {CLASS6_MIN_C:g}" in out
         for class_id in range(1, 7):
             assert (tmp_path / f"catalog_class_{class_id}.json").exists()
 
@@ -118,7 +120,7 @@ class TestCatalogCommand:
 
     def test_emitted_configs_round_trip(self, tmp_path, capsys):
         main(["catalog", "--out", str(tmp_path)])
-        for class_id in (2, 5):
+        for class_id in range(1, 7):
             rc = main(
                 [
                     "classify",
@@ -195,6 +197,9 @@ class TestConfigErrors:
             ("classify", {"generator": {"explicit": [1]}}, "generator.explicit must be a JSON object"),
             ("simulate", {**catalog_config(1), "initial_state": BELL}, "initial_state must be a JSON object"),
             ("classify", {"generator": {"explicit": {"jumps": 5}}}, "generator.explicit.jumps must be a JSON list"),
+            # an entry that is an object used to end in an uncaught KeyError
+            ("simulate", {**catalog_config(1), "initial_state": {"matrix": [[{}] * 4] * 4}},
+             "initial_state.matrix[0][0] must be an [re, im] pair"),
         ],
         ids=[
             "classify-dims",
@@ -212,6 +217,7 @@ class TestConfigErrors:
             "explicit-not-an-object",
             "initial-state-not-an-object",
             "jumps-not-a-list",
+            "matrix-entry-not-a-pair",
         ],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):
@@ -232,7 +238,7 @@ class TestConfigErrors:
                 {**catalog_config(2), "initial_state": {"matrix": [
                     [[float("nan"), 0.0], *row[1:]] if i == 0 else row for i, row in enumerate(BELL)
                 ]}},
-                "initial_state.matrix: matrix has a non-finite entry",
+                "initial_state.matrix[0][0][0] must be finite",
             ),
             (
                 {"generator": {"explicit": {"jumps": [
@@ -244,11 +250,11 @@ class TestConfigErrors:
                 {"generator": {"explicit": {"hamiltonian": [
                     [[float("inf"), 0.0], *row[1:]] if i == 0 else row for i, row in enumerate(ZERO)
                 ]}}},
-                "generator.explicit.hamiltonian: matrix has a non-finite entry",
+                "generator.explicit.hamiltonian[0][0][0] must be finite",
             ),
             (
                 {"generator": {"catalog": {"class_id": 2, "params": {"gamma": float("inf")}}}},
-                "generator.catalog: non-finite rate",
+                "generator.catalog.params.gamma must be finite",
             ),
         ],
         ids=["nan-rate", "nan-horizon", "inf-atol", "nan-initial-state", "zero-tau",
@@ -357,6 +363,52 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("classify", {"generator": {"catalog": {"class_id": True}}}, "generator.catalog.class_id"),
+            ("classify", {"generator": {"catalog": {"class_id": "2"}}}, "generator.catalog.class_id"),
+            ("classify", {"generator": {"catalog": {"class_id": 4, "params": {"c": "3"}}}},
+             "generator.catalog.params.c"),
+            ("classify", {"generator": {"catalog": {"class_id": 2, "params": {"gamma": True}}}},
+             "generator.catalog.params.gamma"),
+            ("fates", {**catalog_config(2, n_samples=1), "ensemble": {"target_concurrence": True}},
+             "ensemble.target_concurrence"),
+            ("simulate", {**catalog_config(2, horizon=2.0, grid_points=4), "initial_state": {
+                "matrix": [[[True, False], *row[1:]] if i == 0 else row for i, row in enumerate(BELL)]
+            }}, "initial_state.matrix[0][0][0]"),
+        ],
+        ids=["boolean-class-id", "string-class-id", "string-catalog-c", "boolean-catalog-gamma",
+             "boolean-target-concurrence", "boolean-matrix-entry"],
+    )
+    def test_non_number_is_named(self, tmp_path, capsys, command, payload, field):
+        # JSON booleans and strings used to pass as numbers in these fields
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "fates", "catalog"])
+    def test_output_directory_that_is_a_file_is_named(self, tmp_path, capsys, command):
+        # used to end in an uncaught FileExistsError
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [command, "--out", str(taken)]
+        if command != "catalog":
+            cfg = {**catalog_config(1, horizon=2.0, grid_points=4, n_samples=1),
+                   "output": {"directory": str(taken)}}
+            argv = [command, "--config", write_config(tmp_path / "c.json", cfg)]
+        assert main(argv) == 2
+        assert "output.directory" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
+    def test_output_directory_not_a_path_is_named(self, tmp_path, capsys):
+        # used to end in an uncaught TypeError
+        cfg = write_config(tmp_path / "c.json", {**catalog_config(1), "output": {"directory": 5}})
+        assert main(["classify", "--config", cfg]) == 2
+        assert "output.directory 5 cannot be used" in capsys.readouterr().err
+
     def test_workers_flag_beyond_bound_is_named(self, tmp_path, capsys, monkeypatch):
         import entfate.cli
 
@@ -434,7 +486,6 @@ class TestSimulate:
         # classify on this generator is Inconclusive (exit 4), which used to drop
         # the distance column from simulate without a word
         import entfate.asymptotics
-        import entfate.cli
         from test_asymptotics import coherent_pumping
 
         calls = []
@@ -444,7 +495,6 @@ class TestSimulate:
             return ef.classify_theorem_class(*args, **kwargs)
 
         monkeypatch.setattr(entfate.asymptotics, "classify_theorem_class", counting)
-        monkeypatch.setattr(entfate.cli, "classify_theorem_class", counting)
         jumps = [
             {"operator": [[[z.real, z.imag] for z in row] for row in ch.operator],
              "rate": ch.rate.value}
