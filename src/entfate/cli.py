@@ -273,13 +273,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _output_directory(path) -> Path:
-    """The output directory, created if missing; one that cannot be is a ConfigError."""
+def _output_directory(path, names) -> Path:
+    """The output directory, created if missing, in which every file of
+    ``names`` can be written; a directory that cannot be made, or a name
+    taken by something other than a file, is a ConfigError."""
     try:
         outdir = Path(path)
         outdir.mkdir(parents=True, exist_ok=True)
     except (TypeError, OSError) as exc:
         raise ConfigError(f"output.directory {path!r} cannot be used: {exc}")
+    for name in names:
+        target = outdir / name
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"output.directory {path!r}: {name} exists and is not a file")
     return outdir
 
 
@@ -304,22 +310,24 @@ def _initial_state(resolved: dict):
         raise ConfigError(f"initial_state: {exc}")
 
 
-def _set_up(args, build_start=None):
+def _set_up(args, outputs, build_start=None):
     """Load and resolve the config of a run, build its generator and, if
     asked, its start (``build_start(resolved)``: an initial state or an
-    ensemble), then write ``resolved_config.json``.  Every config error is
-    raised before anything is written.  Returns (run, generator, start,
-    output directory)."""
+    ensemble), check that the output directory takes ``resolved_config.json``
+    and the run's ``outputs``, then write ``resolved_config.json``.  Every
+    config error is raised before anything is written.  Returns (run,
+    generator, start, output directory)."""
     resolved = resolve_config(load_config(args.config), args)
     g = build_generator(resolved)
     start = None if build_start is None else build_start(resolved)
-    outdir = _output_directory(resolved["output"]["directory"])
+    outdir = _output_directory(resolved["output"]["directory"],
+                               ("resolved_config.json", *outputs))
     _write_json(outdir / "resolved_config.json", resolved)
     return resolved["run"], g, start, outdir
 
 
 def cmd_simulate(args) -> int:
-    run, g, rho0, outdir = _set_up(args, _initial_state)
+    run, g, rho0, outdir = _set_up(args, ("trajectory.csv", "summary.json"), _initial_state)
     grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
     traj = propagate(g, rho0, grid, solver_options(run))
     record = fate_of_trajectory(traj, float(run["refine_tol"]), float(run["fate_tol"]))
@@ -340,7 +348,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    run, g, _, outdir = _set_up(args)
+    run, g, _, outdir = _set_up(args, ("classification.json",))
     try:
         aset, cls = classify_generator(
             g,
@@ -365,7 +373,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fates(args) -> int:
-    run, g, spec, outdir = _set_up(args, build_ensemble)
+    run, g, spec, outdir = _set_up(args, ("fates.csv", "fates_summary.json"), build_ensemble)
     stats, records = fate_statistics(
         g,
         spec,
@@ -394,7 +402,8 @@ def cmd_fates(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    outdir = _output_directory(args.out or ".")
+    names = {class_id: f"catalog_class_{class_id}.json" for class_id in CATALOG}
+    outdir = _output_directory(args.out or ".", names.values())
     run = {**{k: _RUN_DEFAULTS[k] for k in ("horizon", "grid_points", "n_samples")}, "seed": 0}
     for class_id, (desc, params) in CATALOG.items():
         g = catalog_generator(class_id, **params)
@@ -406,7 +415,7 @@ def cmd_catalog(args) -> int:
             "run": run,
             "output": {"directory": f"class_{class_id}"},
         }
-        _write_json(outdir / f"catalog_class_{class_id}.json", config)
+        _write_json(outdir / names[class_id], config)
     print(f"wrote {len(CATALOG)} config files to {outdir}")
     return EXIT_OK
 

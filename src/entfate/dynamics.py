@@ -34,10 +34,13 @@ one per generator, grid and options, kept for the next ``propagate``
 with the same three (a one-entry memo, so every sample of an ensemble
 run shares one source).  A source flows the identity once over its grid
 and also gives Phi(t) between grid times: from the RK45 solve's step
-interpolants (the solve that gave the grid maps), or as
-exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i for an
-autonomous generator.  Only sources keep interpolants; the other flows
-drop them.
+interpolants (the solve that gave the grid maps) for a non-autonomous
+generator, and for an autonomous one from a single eigendecomposition
+L = V diag(Lambda) V^-1, made on the first off-grid call, as
+Phi(t) = V e^{Lambda t} V^-1 straight from t = 0.  When cond(V) exceeds
+SPECTRAL_COND_MAX (L near defective) it falls back to
+exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i.  Only
+sources keep interpolants; the other flows drop them.
 
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 source that made it; ``state_at`` gives its state at any time of its span
@@ -68,6 +71,9 @@ from .states import D, QState, check_dims
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
 STEP_RTOL = 1e-13  # grid steps this close, relative to the step, share one exp(L dt)
+# off-grid maps V e^{Lambda t} V^-1 are used while cond(V) stays below this, so their
+# error, about cond(V) times the unit round-off, stays far below PSD_REPAIR
+SPECTRAL_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -413,9 +419,12 @@ class PropagatorSource:
     ``maps`` is the read-only (T, 16, 16) stack of Phi at the grid times
     ``times``; ``at(t)`` gives Phi at any t in [0, times[-1]].  Between
     grid times a non-autonomous source evaluates the step interpolants of
-    the RK45 solve that gave ``maps``, and an autonomous one computes
-    exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i, with
-    L assembled once.
+    the RK45 solve that gave ``maps``.  An autonomous one, with L assembled
+    once, eigendecomposes L = V diag(Lambda) V^-1 on its first off-grid
+    call and returns V e^{Lambda t} V^-1; if cond(V) exceeds
+    SPECTRAL_COND_MAX it computes exp(L (t - t_i)) Phi(t_i) from the
+    nearest earlier grid time t_i instead.  The grid maps themselves
+    always come from the flow.
     """
 
     def __init__(self, g: Generator, times: np.ndarray, opts: SolverOptions):
@@ -432,6 +441,16 @@ class PropagatorSource:
             maps = _exp_steps(self._lmat, eye, times)
         self.maps = _trace_preserving(maps)
 
+    @cached_property
+    def _eig(self):
+        """(V, Lambda, V^-1) of L = V diag(Lambda) V^-1, or None when
+        cond(V) exceeds SPECTRAL_COND_MAX (L near defective)."""
+        # numpy's eig: its LAPACK is loaded already, where scipy's adds 1 MB of resident pages
+        lam, v = np.linalg.eig(self._lmat)
+        if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:  # a NaN condition number fails too
+            return None
+        return v, lam, np.linalg.inv(v)
+
     def at(self, t: float) -> np.ndarray:
         """Phi(t) for t in [0, times[-1]]; the grid map itself at a grid time."""
         times = self.times
@@ -442,6 +461,9 @@ class PropagatorSource:
             return self.maps[i]
         if self._dense is not None:
             return self._dense(t).reshape(D * D, D * D)
+        if self._eig is not None:
+            v, lam, v_inv = self._eig
+            return (v * np.exp(lam * t)) @ v_inv
         return expm(self._lmat * (t - times[i])) @ self.maps[i]
 
 

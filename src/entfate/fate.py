@@ -1,11 +1,13 @@
 """Entanglement fates of single trajectories and ensemble proportions.
 
-The PT margin m(t) is read off a propagated trajectory.  One scan of the
-margins records its definite sign events (from below -tol to above +tol
-or back), which alternate in direction.  Three times are read from the
-events, each refined by bisection on the trajectory's off-grid states,
-which its propagator source gives without a new solve
-(``Trajectory.state_at``):
+The PT margin m(t) is read off a propagated trajectory.  One numpy scan
+subdivides its near-tangential grid intervals, and another records its
+definite sign events (from below -tol to above +tol or back), which
+alternate in direction.  Three times are read from the events, each
+refined by ITP bracketing (regula falsi steps held within bisection's
+worst case plus one step) from the known margins at the bracket's ends,
+on the trajectory's off-grid states, which its propagator source gives
+without a new solve (``Trajectory.state_at``):
 
   * birth   -- the first entry into entanglement, from a separable or an
                undecided start (None when m starts below -tol),
@@ -17,17 +19,19 @@ A trajectory is tagged by its final behavior:
   * never_entangled          -- m stayed >= -tol throughout,
   * sudden_death             -- m crossed to definitely positive and
                                 stayed >= -tol until the horizon,
-  * asymptotic_death         -- m < 0 but its extrapolated limit is 0,
+  * asymptotic_death         -- m < 0 but its (Aitken) extrapolated limit is 0,
   * asymptotically_entangled -- m converged to a strictly negative value,
   * revival                  -- ended entangled after at least one
                                 death/rebirth cycle.
 
-If the margin is still trending at the horizon the run raises
-HorizonTooShort rather than guessing.
+If the margin is still trending at the horizon, or its tail is too far
+from geometric to extrapolate, the run raises HorizonTooShort rather than
+guessing.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -80,31 +84,86 @@ def _margin_at(traj, t):
     return min_pt_eigenvalue(traj.state_at(t))
 
 
-def _bisect(traj, t_lo, t_hi, on_lo_side, refine_tol):
-    """Halve (t_lo, t_hi) down to refine_tol, keeping t_lo where the margin
-    is ``on_lo_side`` and t_hi where it is not; return the midpoint.  Stops
-    early once no float lies strictly inside the interval."""
-    while t_hi - t_lo > refine_tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < t_mid < t_hi:
+def _itp(traj, t_lo, m_lo, t_hi, m_hi, level, on_lo_side, refine_tol):
+    """The time where the margin crosses ``level`` in (t_lo, t_hi), by the
+    ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with eps =
+    refine_tol / 2, n0 = 1, kappa1 = 0.2 / (t_hi - t_lo) and kappa2 = 2:
+    a regula falsi step, truncated toward the midpoint and projected into
+    the ball around it that keeps bisection's worst case plus one step.
+    m_lo and m_hi are the known margins at the ends; t_lo stays where the
+    margin is ``on_lo_side`` and t_hi where it is not.  Returns the midpoint
+    of the final bracket, once it is no wider than refine_tol or no float
+    lies strictly inside it, or after bisection's step count plus one."""
+    width = t_hi - t_lo
+    kappa1 = 0.2 / width
+    # bisection's step count, the least n with width 2^-n <= refine_tol, plus n0
+    (mw, ew), (mr, er) = math.frexp(width), math.frexp(refine_tol)
+    n_max = ew - er + (mw > mr) + 1
+    for j in range(n_max):
+        t_half = 0.5 * (t_lo + t_hi)
+        if not (t_hi - t_lo > refine_tol and t_lo < t_half < t_hi):
             break
-        if on_lo_side(_margin_at(traj, t_mid)):
-            t_lo = t_mid
+        r = math.ldexp(refine_tol, n_max - j - 1) - 0.5 * (t_hi - t_lo)
+        delta = kappa1 * (t_hi - t_lo) ** 2
+        t_f = t_lo + (level - m_lo) / (m_hi - m_lo) * (t_hi - t_lo)
+        sigma = math.copysign(1.0, t_half - t_f)
+        t_x = t_f + sigma * delta if delta <= abs(t_half - t_f) else t_half
+        if not abs(t_x - t_half) <= r:
+            t_x = t_half - sigma * r
+        if not t_lo < t_x < t_hi:
+            t_x = t_half
+        m = _margin_at(traj, t_x)
+        if on_lo_side(m):
+            t_lo, m_lo = t_x, m
         else:
-            t_hi = t_mid
+            t_hi, m_hi = t_x, m
     return 0.5 * (t_lo + t_hi)
 
 
+def _near_tangential(margins, tol, floor):
+    """Indices i of the grid intervals (i - 1, i) to subdivide: both end
+    margins lie in (floor, 10 tol) in size, and either their signs differ
+    or the neighboring slopes flip (an interior extremum may hide a
+    crossing)."""
+    if margins.size < 2:
+        return np.zeros(0, dtype=int)
+    size = np.abs(margins)
+    small = (floor < size) & (size < 10.0 * tol)
+    slope = np.diff(margins)
+    slope_in = np.concatenate([[0.0], slope[:-1]])
+    slope_out = np.concatenate([slope[1:], [0.0]])
+    flips = (slope_in * slope_out < 0.0) | (np.sign(margins[:-1]) != np.sign(margins[1:]))
+    return np.flatnonzero(small[:-1] & small[1:] & flips) + 1
+
+
+def _sign_events(margins, tol):
+    """The definite sign events of a margin sequence, below -tol to above
+    +tol or back, as (direction, lo, hi) index pairs with direction +1
+    upward (they alternate in direction), and the index of the first
+    margin below -tol (None if there is none)."""
+    state = np.where(margins < -tol, -1, np.where(margins > tol, 1, 0))
+    definite = np.flatnonzero(state)
+    sides = state[definite]
+    flips = np.flatnonzero(sides[1:] != sides[:-1])
+    events = [(int(sides[k + 1]), int(definite[k]), int(definite[k + 1])) for k in flips]
+    entangled = np.flatnonzero(state < 0)
+    return events, (int(entangled[0]) if entangled.size else None)
+
+
 def _aitken_limit(values):
-    """Extrapolated limit of a (near-geometric) tail of margin samples."""
+    """Extrapolated limit of a (near-geometric) tail of margin samples; a
+    wild extrapolation, from a tail that is not yet geometric, raises
+    HorizonTooShort."""
     m0, m1, m2 = values[-3], values[-2], values[-1]
     denom = (m2 - m1) - (m1 - m0)
     if abs(denom) < 1e-300:
         return m2
     est = m2 - (m2 - m1) ** 2 / denom
-    # reject wild extrapolations from non-geometric tails
     if not np.isfinite(est) or abs(est - m2) > 10.0 * (abs(m2) + abs(m1 - m2)):
-        return m2
+        raise HorizonTooShort(
+            f"margin {m2:.3e} still trending at horizon (extrapolated limit {est:.3e} "
+            f"rejected as wild)"
+        )
     return est
 
 
@@ -129,69 +188,45 @@ def fate_of_trajectory(
     """Tag the fate of a trajectory from its PT margins, with its birth
     time (first entry into entanglement, from a separable or an undecided
     start), death time (last exit, with no re-entry after it) and revival
-    times (each re-entry after a death).  Crossings are refined by
-    bisection on its states between grid times, which its propagator
-    source gives (``Trajectory.state_at``)."""
+    times (each re-entry after a death).  Crossings are refined by ITP
+    from the known margins at the ends of their grid intervals, on its
+    states between grid times, which its propagator source gives
+    (``Trajectory.state_at``)."""
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
-    times = list(traj.times)
-    margins = traj.margins.tolist()
+    times = np.asarray(traj.times)
+    margins = np.asarray(traj.margins)
 
-    # one subdivision pass through near-tangential intervals: both ends
-    # near zero and the neighboring slopes flip (interior extremum risk)
-    floor = 100.0 * traj.opts.atol  # ignore integrator noise around zero
-    refined_t, refined_m = [times[0]], [margins[0]]
-    for i in range(1, len(times)):
-        near = (
-            floor < abs(margins[i - 1]) < 10.0 * tol
-            and floor < abs(margins[i]) < 10.0 * tol
-        )
-        if near:
-            slope_in = margins[i - 1] - margins[i - 2] if i >= 2 else 0.0
-            slope_out = margins[i + 1] - margins[i] if i + 1 < len(margins) else 0.0
-            extremum_risk = slope_in * slope_out < 0.0
-            if extremum_risk or np.sign(margins[i - 1]) != np.sign(margins[i]):
-                t_mid = 0.5 * (times[i - 1] + times[i])
-                refined_t.append(t_mid)
-                refined_m.append(_margin_at(traj, t_mid))
-        refined_t.append(times[i])
-        refined_m.append(margins[i])
-    times, margins = refined_t, refined_m
-
-    # definite sign events, below -tol <-> above +tol, as (direction, t_lo,
-    # t_hi) with direction +1 = upward; they alternate in direction
-    events = []
-    first_ent = None  # index of the first margin below -tol
-    state = 0  # -1 entangled, +1 separable, 0 undecided
-    last_idx = 0
-    for i, m in enumerate(margins):
-        cur = -1 if m < -tol else (+1 if m > tol else 0)
-        if cur != 0:
-            if state != 0 and cur != state:
-                events.append((cur, times[last_idx], times[i]))
-            if cur < 0 and first_ent is None:
-                first_ent = i
-            state = cur
-            last_idx = i
+    # one subdivision pass through near-tangential intervals, ignoring
+    # integrator noise around zero
+    split = _near_tangential(margins, tol, 100.0 * traj.opts.atol)
+    if split.size:
+        mids = 0.5 * (times[split - 1] + times[split])
+        times = np.insert(times, split, mids)
+        margins = np.insert(margins, split, [_margin_at(traj, t) for t in mids.tolist()])
+    events, first_ent = _sign_events(margins, tol)
+    times, margins = times.tolist(), margins.tolist()
     final_margin = margins[-1]
 
-    # the margin at an event's t_lo has the sign opposite to its direction
-    refine = lambda e: _bisect(traj, e[1], e[2], lambda m: e[0] * m < 0.0, refine_tol)
+    def crossing(lo, hi, level, on_lo_side):
+        return _itp(traj, times[lo], margins[lo], times[hi], margins[hi], level, on_lo_side,
+                    refine_tol)
+
+    # the margin at an event's lo end has the sign opposite to its direction
+    refine = lambda e: crossing(e[1], e[2], 0.0, lambda m: e[0] * m < 0.0)
     birth_time = death_time = None
     if events and events[0][0] < 0:
         birth_time = refine(events[0])
     elif first_ent:
         # entangled straight from an undecided start (e.g. a boundary
         # initial state): refine the -tol threshold crossing directly
-        t_lo, t_hi = times[first_ent - 1], times[first_ent]
-        birth_time = _bisect(traj, t_lo, t_hi, lambda m: not m < -tol, refine_tol)
+        birth_time = crossing(first_ent - 1, first_ent, -tol, lambda m: not m < -tol)
     if events and events[-1][0] > 0:
         death_time = refine(events[-1])
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
 
-    limit = _aitken_limit(margins) if len(margins) >= 3 else final_margin
-
     if final_margin < -tol:
+        limit = _aitken_limit(margins) if len(margins) >= 3 else final_margin
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):

@@ -409,6 +409,25 @@ class TestConfigErrors:
         assert main(["classify", "--config", cfg]) == 2
         assert "output.directory 5 cannot be used" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, taken",
+        [("simulate", "trajectory.csv"), ("simulate", "summary.json"),
+         ("classify", "classification.json"), ("classify", "resolved_config.json"),
+         ("fates", "fates.csv"), ("fates", "fates_summary.json"),
+         ("catalog", "catalog_class_6.json")],
+    )
+    def test_output_file_taken_by_a_directory_is_named(self, tmp_path, capsys, command, taken):
+        # used to end in an uncaught IsADirectoryError after resolved_config.json was written
+        out = tmp_path / "o2"
+        (out / taken).mkdir(parents=True)
+        argv = [command, "--out", str(out)]
+        if command != "catalog":
+            cfg = catalog_config(1, horizon=2.0, grid_points=4, n_samples=1)
+            argv += ["--config", write_config(tmp_path / "c.json", cfg)]
+        assert main(argv) == 2
+        assert f"{taken} exists and is not a file" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [taken]
+
     def test_workers_flag_beyond_bound_is_named(self, tmp_path, capsys, monkeypatch):
         import entfate.cli
 

@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import expm
 
 import entfate as ef
 from entfate.dynamics import (
+    DEFAULT_OPTS,
     PSD_REPAIR,
+    SPECTRAL_COND_MAX,
     ConstantRate,
     ExponentialRate,
+    PropagatorSource,
     _factorizes,
     _repair_states,
     apply_map,
@@ -686,6 +690,44 @@ class TestPropagatorSource:
         assert len(dense) == 5 and not any(dense)
         ef.propagate(g, random_state(1), self.GRID)
         assert dense[5:] == [True]
+
+
+class TestSpectralMaps:
+    """An autonomous source gives Phi(t) off its grid as V e^{Lambda t} V^-1,
+    from one eigendecomposition of L, and as exp(L (t - t_i)) Phi(t_i) when
+    L is near defective."""
+
+    GRID = np.linspace(0.0, 30.0, 41)
+
+    @pytest.mark.parametrize("class_id, cond", [(1, 1.86), (2, 5.83), (3, 5.04), (5, 1.00)])
+    def test_off_grid_maps_match_expm(self, monkeypatch, class_id, cond):
+        from entfate import dynamics
+
+        g = ef.catalog_generator(class_id)
+        source = PropagatorSource(g, self.GRID, DEFAULT_OPTS)
+        calls = []
+        monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m) or expm(m))
+        lmat = liouvillian_matrix(g, 0.0)
+        for t in np.random.default_rng(class_id).uniform(0.0, 30.0, 25):
+            assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
+        assert calls == []
+        assert np.linalg.cond(source._eig[0]) == pytest.approx(cond, abs=0.01)
+
+    def test_near_defective_generator_falls_back_to_expm(self, monkeypatch):
+        from entfate import dynamics
+
+        # a decaying qubit driven at its exceptional point, where L has a Jordan block
+        g = make_generator(hamiltonian=np.kron(SX, EYE2) / 8.0,
+                           jumps=[(np.kron(SMINUS, EYE2), 1.0)])
+        source = PropagatorSource(g, self.GRID, DEFAULT_OPTS)
+        calls = []
+        monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m) or expm(m))
+        lmat = liouvillian_matrix(g, 0.0)
+        ts = np.random.default_rng(0).uniform(0.0, 30.0, 25)
+        for t in ts:
+            assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
+        assert source._eig is None and len(calls) == len(ts)
+        assert np.linalg.cond(scipy.linalg.eig(lmat)[1]) > SPECTRAL_COND_MAX
 
 
 class TestStackedTrajectory:

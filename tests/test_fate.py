@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entfate as ef
+from entfate import fate
 from entfate.errors import HorizonTooShort
 from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
+from entfate.geometry import min_pt_eigenvalue
 from entfate.operators import EYE2, SMINUS
 
 GAMMA = 1.0
@@ -77,6 +79,18 @@ class TestDetectFate:
         with pytest.raises(HorizonTooShort):
             ef.detect_fate(g, ef.basis_state(0, 1), horizon=0.5)
 
+    def test_wild_extrapolation_is_horizon_too_short(self):
+        # the paper makes sudden death necessary here (the set is the interior
+        # point I/4); at horizon 30 the tail is not yet geometric, and the
+        # extrapolation, rejected as wild, used to pass as a converged limit
+        g = ef.catalog_generator(1, gamma=0.02)
+        rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(5, 26)))
+        with pytest.raises(HorizonTooShort, match=r"extrapolated limit 2\.500e-01 rejected"):
+            ef.detect_fate(g, rho0, horizon=30.0)
+        rec = ef.detect_fate(g, rho0, horizon=40.0)
+        assert rec.fate_tag == "sudden_death"
+        assert rec.death_time == pytest.approx(33.249, abs=1e-3)
+
     def test_bad_horizon(self):
         g = ef.catalog_generator(1)
         with pytest.raises(ValueError):
@@ -100,7 +114,7 @@ class TestDetectFate:
             ef.fate_of_trajectory(traj, **{name: bad})
 
     def test_refine_tol_below_float_spacing_terminates(self):
-        # the bisection stops once no float lies strictly inside its interval
+        # the refinement stops once no float lies strictly inside its bracket
         rec = ef.detect_fate(
             ef.catalog_generator(1), ef.max_entangled(), 10.0, grid_points=40, refine_tol=1e-300
         )
@@ -370,3 +384,132 @@ class TestSignEvents:
         last_exit = definite.size > 0 and definite[-1] > tol and entangled.any()
         assert (rec.death_time is not None) == last_exit
         assert (rec.fate_tag == "revival") == (len(rec.revival_times) > 0 and m[-1] < -tol)
+
+
+def scan_oracle(margins, tol, floor):
+    """The per-index loops that the numpy scans replaced: the intervals
+    (i - 1, i) of one subdivision pass, then the definite sign events of
+    the margins, as (direction, lo, hi) index pairs, and the first index
+    below -tol."""
+    split = []
+    for i in range(1, len(margins)):
+        near = (
+            floor < abs(margins[i - 1]) < 10.0 * tol
+            and floor < abs(margins[i]) < 10.0 * tol
+        )
+        if near:
+            slope_in = margins[i - 1] - margins[i - 2] if i >= 2 else 0.0
+            slope_out = margins[i + 1] - margins[i] if i + 1 < len(margins) else 0.0
+            extremum_risk = slope_in * slope_out < 0.0
+            if extremum_risk or np.sign(margins[i - 1]) != np.sign(margins[i]):
+                split.append(i)
+    events = []
+    first_ent = None
+    state = 0
+    last_idx = 0
+    for i, m in enumerate(margins):
+        cur = -1 if m < -tol else (+1 if m > tol else 0)
+        if cur != 0:
+            if state != 0 and cur != state:
+                events.append((cur, last_idx, i))
+            if cur < 0 and first_ent is None:
+                first_ent = i
+            state = cur
+            last_idx = i
+    return split, events, first_ent
+
+
+def bisect_oracle(traj, t_lo, t_hi, on_lo_side, refine_tol):
+    """The bisection that ITP replaced."""
+    while t_hi - t_lo > refine_tol:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
+        if on_lo_side(min_pt_eigenvalue(traj.state_at(t_mid))):
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    return 0.5 * (t_lo + t_hi)
+
+
+class CountingTrajectory(MarginTrajectory):
+    """A MarginTrajectory that counts its off-grid evaluations."""
+
+    def __init__(self, m, times):
+        super().__init__(m, times)
+        self.evaluations = 0
+
+    def state_at(self, t):
+        self.evaluations += 1
+        return super().state_at(t)
+
+
+TOL = DEFAULT_FATE_TOL
+# margins near +-tol, +-10 tol and the noise floor, where the scans branch
+NEAR_ZERO = st.sampled_from(
+    [0.0, 1e-12, -1e-12, 1e-9, -1e-9, TOL, -TOL, 2 * TOL, -2 * TOL, 5 * TOL, -5 * TOL,
+     9.99 * TOL, -9.99 * TOL, 10 * TOL, -10 * TOL, 20 * TOL, -20 * TOL, np.nan]
+)
+
+
+class TestRefinement:
+    """The numpy scans and the ITP refinement."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        margins=st.lists(
+            st.one_of(NEAR_ZERO, st.floats(-0.5, 0.25), st.floats(-20 * TOL, 20 * TOL)),
+            min_size=1, max_size=40,
+        ),
+        floor=st.sampled_from([0.0, 1e-10, 1e-8]),
+    )
+    def test_numpy_scans_match_the_per_index_loops(self, margins, floor):
+        split, events, first_ent = scan_oracle(margins, TOL, floor)
+        got_split = fate._near_tangential(np.array(margins), TOL, floor)
+        assert got_split.tolist() == split
+        assert fate._sign_events(np.array(margins), TOL) == (events, first_ent)
+
+    def test_scans_see_near_tangential_sequences(self):
+        # a dip to just below -tol and back, grazing zero between grid times
+        margins = np.array([3e-7, 1.5e-7, -1.2e-7, -1.1e-7, 1.4e-7, 3e-7])
+        split, events, first_ent = scan_oracle(margins.tolist(), TOL, 1e-10)
+        assert split == [2, 3, 4] and first_ent == 2
+        assert fate._near_tangential(margins, TOL, 1e-10).tolist() == split
+        assert fate._sign_events(margins, TOL) == (events, first_ent)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        root=st.floats(0.001, 0.999),
+        power=st.floats(0.2, 5.0),
+        direction=st.sampled_from([1.0, -1.0]),
+        refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+    )
+    def test_itp_takes_at_most_one_evaluation_more_than_bisection(
+        self, root, power, direction, refine_tol
+    ):
+        # a margin crossing zero once in (0, 1), as |t - root|^power
+        def m(t):
+            u = t - root
+            return direction * 0.2 * np.sign(u) * abs(u) ** power
+
+        on_lo_side = lambda v: direction * v < 0.0
+        itp, bisect = CountingTrajectory(m, [0.0, 1.0]), CountingTrajectory(m, [0.0, 1.0])
+        m_lo, m_hi = itp.margins
+        t_itp = fate._itp(itp, 0.0, m_lo, 1.0, m_hi, 0.0, on_lo_side, refine_tol)
+        t_bisect = bisect_oracle(bisect, 0.0, 1.0, on_lo_side, refine_tol)
+        assert itp.evaluations <= bisect.evaluations + 1
+        # both brackets hold the crossing up to the margins' round-off
+        slack = refine_tol / 2 + (1e-15 / 0.2) ** (1 / power)
+        assert abs(t_itp - root) <= slack and abs(t_bisect - root) <= slack
+
+    def test_fate_refines_a_death_in_fewer_evaluations(self):
+        # the Werner margin (1 - 3 e^-t)/4 of a depolarized Bell state, dead at ln 3
+        werner = lambda t: (1.0 - 3.0 * np.exp(-t)) / 4.0
+        traj = CountingTrajectory(werner, np.linspace(0.0, 10.0, 41))
+        rec = ef.fate_of_trajectory(traj)
+        lo = int(np.log(3.0) / 0.25)
+        bisect = CountingTrajectory(werner, traj.times)
+        bisect_oracle(bisect, traj.times[lo], traj.times[lo + 1],
+                      lambda v: v < 0.0, DEFAULT_REFINE_TOL)
+        assert abs(rec.death_time - np.log(3.0)) <= DEFAULT_REFINE_TOL
+        assert 2 * traj.evaluations < bisect.evaluations == 18
