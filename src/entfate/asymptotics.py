@@ -76,7 +76,7 @@ DEFAULT_N_PROBES = 50
 CLASS4_MIN_C = np.log(3.0) + 0.5
 CLASS6_MIN_C = 5.0
 
-# the generator catalog: class id -> (description, default rate parameter)
+# the generator catalog: class id -> (description, {its one rate parameter: default})
 CATALOG = {
     1: ("constant depolarizing toward I/4", {"gamma": 1.0}),
     2: ("independent amplitude damping on both qubits", {"gamma": 1.0}),
@@ -341,33 +341,34 @@ def classify_generator(
     return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 
 
-def catalog_generator(
-    class_id: int, gamma: float | None = None, c: float | None = None
-) -> Generator:
+def catalog_generator(class_id: int, **params: float) -> Generator:
     """A two-qubit generator certified to land in the requested class.
 
-    ``CATALOG[class_id]`` describes it and gives the default of its rate
-    parameter: gamma for the constant rates of classes 1, 2, 3 and 5, c for
-    the rates c*exp(-t) of the quenches 4 and 6, which need c >=
+    ``CATALOG[class_id]`` describes it and names its one rate parameter,
+    with its default: gamma for the constant rates of classes 1, 2, 3 and 5,
+    c for the rates c*exp(-t) of the quenches 4 and 6, which need c >=
     ``CLASS4_MIN_C`` and c >= ``CLASS6_MIN_C``.  An id outside the table (a
-    boolean included) is ``BadParams``.
+    boolean included), or a parameter the class does not read, is
+    ``BadParams``.
     """
     if isinstance(class_id, bool) or class_id not in CATALOG:
         raise BadParams(f"class_id must be 1..6, got {class_id!r}")
-    defaults = CATALOG[class_id][1]
-    gamma = defaults.get("gamma") if gamma is None else gamma
-    c = defaults.get("c") if c is None else c
-    if gamma is not None and gamma <= 0.0:
-        raise BadParams(f"gamma must be positive, got {gamma}")
-    if class_id == 4 and float(c) < CLASS4_MIN_C:
+    ((name, default),) = CATALOG[class_id][1].items()
+    for key in params:
+        if key != name:
+            raise BadParams(f"class {class_id} takes only the parameter {name}, got {key}")
+    value = params.get(name, default)
+    if name == "gamma" and value <= 0.0:
+        raise BadParams(f"gamma must be positive, got {value}")
+    if class_id == 4 and float(value) < CLASS4_MIN_C:
         raise BadParams(
             f"class 4 needs c >= ln 3 + 0.5 ~= {CLASS4_MIN_C:.4f} to certify "
-            f"a strictly interior image (Werner margin (1-3e^-c)/4); got {c}"
+            f"a strictly interior image (Werner margin (1-3e^-c)/4); got {value}"
         )
-    if class_id == 6 and float(c) < CLASS6_MIN_C:
+    if class_id == 6 and float(value) < CLASS6_MIN_C:
         raise BadParams(
             f"class 6 needs c >= {CLASS6_MIN_C} so every image stays strictly "
-            f"NPT (population leakage e^-c); got {c}"
+            f"NPT (population leakage e^-c); got {value}"
         )
     if class_id in (1, 4):  # depolarizing: all 15 non-identity Paulis, a 16th of the rate each
         ops, share = two_qubit_paulis(), 16.0
@@ -377,5 +378,5 @@ def catalog_generator(
     else:  # on each qubit: amplitude damping (2) or computational-basis dephasing (5)
         op = SMINUS if class_id == 2 else SZ
         ops, share = [np.kron(op, EYE2), np.kron(EYE2, op)], 1.0
-    rate = ExponentialRate(float(c) / share) if class_id in (4, 6) else ConstantRate(gamma / share)
+    rate = ExponentialRate(float(value) / share) if name == "c" else ConstantRate(value / share)
     return make_generator(jumps=[(op, rate) for op in ops])

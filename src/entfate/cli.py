@@ -4,9 +4,10 @@ Subcommands: simulate | classify | fates | catalog.
 Exit codes: 0 success, 2 config error, 3 solver error,
 4 classification inconclusive, 5 excessive sample failures.
 
-Configs are JSON; complex entries are [re, im] pairs.  Every run writes
-the fully resolved config (defaults included) next to its results, and
-re-running that config reproduces the results bit for bit.
+Configs are JSON; complex entries are [re, im] pairs, and a key that nothing
+reads is a config error.  Every command builds every section of its config
+before it writes the fully resolved config (``SCHEMA``'s defaults included)
+next to its results; re-running that config reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import asymptotics, fate
 from .asymptotics import (
     CATALOG,
-    DEFAULT_CLASS_TOL,
-    DEFAULT_CONVERGENCE_TOL,
-    DEFAULT_KERNEL_TOL,
-    DEFAULT_N_PROBES,
-    DEFAULT_NONAUTONOMOUS_HORIZON,
     asymptotic_set,
     catalog_generator,
     classify_generator,
@@ -44,15 +41,7 @@ from .errors import (
     PositivityLost,
     StepFailure,
 )
-from .fate import (
-    DEFAULT_FATE_TOL,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_REFINE_TOL,
-    FateRecord,
-    fate_of_trajectory,
-    fate_statistics,
-    margin_curve,
-)
+from .fate import FateRecord, fate_of_trajectory, fate_statistics, margin_curve
 from .states import EnsembleSpec, new_state, sample
 
 SCHEMA_VERSION = 1
@@ -62,36 +51,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_FAILURES = 5
-
-_RUN_DEFAULTS = {
-    "horizon": 30.0,
-    "grid_points": DEFAULT_GRID_POINTS,
-    "n_samples": 100,
-    "seed": None,
-    "workers": 1,
-    "rtol": SolverOptions().rtol,
-    "atol": SolverOptions().atol,
-    "class_tol": DEFAULT_CLASS_TOL,
-    "fate_tol": DEFAULT_FATE_TOL,
-    "refine_tol": DEFAULT_REFINE_TOL,
-    "kernel_tol": DEFAULT_KERNEL_TOL,
-    "convergence_tol": DEFAULT_CONVERGENCE_TOL,
-    "classify_horizon": DEFAULT_NONAUTONOMOUS_HORIZON,
-    "n_probes": DEFAULT_N_PROBES,
-}
-_ENSEMBLE_DEFAULTS = {"kind": "hilbert_schmidt_mixed", "seed": 0, "target_concurrence": 0.0}
-_OUTPUT_DEFAULTS = {"directory": "."}
-_SEED_RANGE = (0, 2**64 - 1)  # the seeds of a 64-bit generator
-# the whole-number run fields and their ranges; every other run field is positive.
-# The upper bounds keep a run's allocations and processes small: a grid's shared
-# propagator stack takes 4 KB per point (410 MB at 100,000 points).
-_WHOLE = {
-    "grid_points": (2, 100_000),
-    "n_samples": (1, 10**6),
-    "workers": (1, 64),
-    "n_probes": (0, 100_000),
-    "seed": _SEED_RANGE,
-}
 
 
 class ConfigError(Exception):
@@ -133,10 +92,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _object(value, field: str) -> dict:
-    """A config section, which must be a JSON object."""
+def _object(value, field: str, keys) -> dict:
+    """The config object at ``field`` ("" for the root): a JSON object whose
+    every key is one of ``keys``, since a key that nothing reads is an error."""
     if not isinstance(value, dict):
         raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            path = f"{field}.{key}" if field else key
+            raise ConfigError(f"{path} is not a config field (expected {', '.join(keys)})")
     return value
 
 
@@ -154,43 +118,80 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def _whole(value, field: str, bounds: tuple[int, int]) -> int:
-    """``value`` checked as ``_number`` does, and as a whole number in [least, most]."""
-    least, most = bounds
-    number = _number(value, field)
-    if number != int(number) or not least <= int(value) <= most:
-        raise ConfigError(
-            f"{field} must be a whole number >= {least} and <= {most}, got {value!r}"
-        )
-    return int(value)
+def _positive(value, field: str) -> None:
+    """The rule of a tolerance or a horizon: a number above zero."""
+    if _number(value, field) <= 0.0:
+        raise ConfigError(f"{field} must be positive, got {value!r}")
+
+
+def _whole_in(least: int, most: int):
+    """The rule of a whole number in [least, most], which also passes ``_number``'s."""
+
+    def rule(value, field: str) -> int:
+        number = _number(value, field)
+        if number != int(number) or not least <= int(value) <= most:
+            raise ConfigError(
+                f"{field} must be a whole number >= {least} and <= {most}, got {value!r}"
+            )
+        return int(value)
+
+    return rule
+
+
+_SEED = _whole_in(0, 2**64 - 1)  # the seeds of a 64-bit generator
+
+# The config's sections: section -> field -> (default, rule).  The flag whose
+# dest is "section.field" overrides that field.  A rule raises a ConfigError
+# naming its field; None leaves the value to the builder that reads it.  The
+# upper bounds keep a run's allocations and processes small: a grid's shared
+# propagator stack takes 4 KB per point (410 MB at 100,000 points).
+SCHEMA = {
+    "run": {
+        "horizon": (30.0, _positive),
+        "grid_points": (fate.DEFAULT_GRID_POINTS, _whole_in(2, 100_000)),
+        "n_samples": (100, _whole_in(1, 10**6)),
+        # unset (None): the ensemble's seed, and 0 for classify's probes
+        "seed": (None, lambda value, field: value is None or _SEED(value, field)),
+        "workers": (1, _whole_in(1, 64)),
+        "rtol": (SolverOptions().rtol, _positive),
+        "atol": (SolverOptions().atol, _positive),
+        "class_tol": (asymptotics.DEFAULT_CLASS_TOL, _positive),
+        "fate_tol": (fate.DEFAULT_FATE_TOL, _positive),
+        "refine_tol": (fate.DEFAULT_REFINE_TOL, _positive),
+        "kernel_tol": (asymptotics.DEFAULT_KERNEL_TOL, _positive),
+        "convergence_tol": (asymptotics.DEFAULT_CONVERGENCE_TOL, _positive),
+        "classify_horizon": (asymptotics.DEFAULT_NONAUTONOMOUS_HORIZON, _positive),
+        "n_probes": (asymptotics.DEFAULT_N_PROBES, _whole_in(0, 100_000)),
+    },
+    "ensemble": {
+        "kind": ("hilbert_schmidt_mixed", None),
+        "seed": (0, _SEED),
+        "target_concurrence": (0.0, _number),
+    },
+    "output": {"directory": (".", None)},
+}
+# a config's root keys: the sections above, the builders' objects and schema_version
+_ROOT = (*SCHEMA, "generator", "initial_state", "schema_version")
 
 
 def resolve_config(cfg: dict, args) -> dict:
-    resolved = copy.deepcopy(cfg)
+    """``cfg`` with every field of ``SCHEMA`` set from the flags of ``args``
+    (None: no flags), else from ``cfg``, else its default, and checked."""
+    resolved = copy.deepcopy(_object(cfg, "", _ROOT))
     resolved["schema_version"] = SCHEMA_VERSION
-    run = dict(_RUN_DEFAULTS)
-    run.update(_object(resolved.get("run", {}), "run"))
-    if args is not None and getattr(args, "seed", None) is not None:
-        run["seed"] = args.seed
-    if args is not None and getattr(args, "workers", None) is not None:
-        run["workers"] = args.workers
-    resolved["run"] = run
-    ens = dict(_ENSEMBLE_DEFAULTS)
-    ens.update(_object(resolved.get("ensemble", {}), "ensemble"))
-    resolved["ensemble"] = ens
-    out = dict(_OUTPUT_DEFAULTS)
-    out.update(_object(resolved.get("output", {}), "output"))
-    if args is not None and getattr(args, "out", None) is not None:
-        out["directory"] = args.out
-    resolved["output"] = out
-    for key in _RUN_DEFAULTS:
-        if key not in _WHOLE:
-            if _number(run[key], f"run.{key}") <= 0.0:
-                raise ConfigError(f"run.{key} must be positive, got {run[key]!r}")
-        elif key != "seed" or run[key] is not None:
-            _whole(run[key], f"run.{key}", _WHOLE[key])
-    _whole(ens["seed"], "ensemble.seed", _SEED_RANGE)
-    _number(ens["target_concurrence"], "ensemble.target_concurrence")
+    flags = {} if args is None else vars(args)
+    for section, fields in SCHEMA.items():
+        given = _object(resolved.get(section, {}), section, fields)
+        values = {}
+        for key, (default, rule) in fields.items():
+            path = f"{section}.{key}"
+            value = flags.get(path)
+            if value is None:
+                value = given.get(key, default)
+            if rule is not None:
+                rule(value, path)
+            values[key] = value
+        resolved[section] = values
     return resolved
 
 
@@ -200,8 +201,10 @@ def build_rate(desc, field: str):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"{field}: rate must be a number or an object with 'kind'")
     if desc["kind"] == "constant":
+        _object(desc, field, ("kind", "value"))
         return ConstantRate(_number(desc.get("value"), f"{field}.value"))
     if desc["kind"] == "exponential":
+        _object(desc, field, ("kind", "amplitude", "tau"))
         amplitude = _number(desc.get("amplitude"), f"{field}.amplitude")
         tau = _number(desc.get("tau", 1.0), f"{field}.tau")
         try:
@@ -215,53 +218,49 @@ def build_generator(cfg: dict):
     gcfg = cfg.get("generator")
     if not isinstance(gcfg, dict):
         raise ConfigError("config needs a 'generator' object")
+    if len(_object(gcfg, "generator", ("catalog", "explicit"))) != 1:
+        raise ConfigError("generator must contain one of 'catalog' or 'explicit'")
     if "catalog" in gcfg:
-        cat = _object(gcfg["catalog"], "generator.catalog")
-        ids = (min(CATALOG), max(CATALOG))
-        class_id = _whole(cat.get("class_id"), "generator.catalog.class_id", ids)
-        params = _object(cat.get("params", {}), "generator.catalog.params")
+        cat = _object(gcfg["catalog"], "generator.catalog", ("class_id", "params"))
+        class_ids = _whole_in(min(CATALOG), max(CATALOG))
+        class_id = class_ids(cat.get("class_id"), "generator.catalog.class_id")
+        # a class takes the one parameter its CATALOG row names
+        params = _object(cat.get("params", {}), "generator.catalog.params", CATALOG[class_id][1])
         params = {k: _number(v, f"generator.catalog.params.{k}") for k, v in params.items()}
         try:
             return catalog_generator(class_id, **params)
-        except (BadParams, TypeError, ValueError) as exc:
+        except BadParams as exc:
             raise ConfigError(f"generator.catalog: {exc}")
-    if "explicit" in gcfg:
-        ex = _object(gcfg["explicit"], "generator.explicit")
-        if ex.get("dims", [2, 2]) != [2, 2]:
-            raise ConfigError(f"generator.explicit.dims must be [2, 2], got {ex['dims']!r}")
-        ham = None
-        if ex.get("hamiltonian") is not None:
-            ham = parse_complex_matrix(ex["hamiltonian"], "generator.explicit.hamiltonian")
-        entries = ex.get("jumps", [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"generator.explicit.jumps must be a JSON list, got {entries!r}")
-        jumps = []
-        for i, j in enumerate(entries):
-            field = f"generator.explicit.jumps[{i}]"
-            if not isinstance(j, dict) or "operator" not in j:
-                raise ConfigError(f"{field}: expected an object with an 'operator'")
-            op = parse_complex_matrix(j["operator"], f"{field}.operator")
-            jumps.append((op, build_rate(j.get("rate", 1.0), f"{field}.rate")))
-        try:
-            return make_generator(hamiltonian=ham, jumps=jumps)
-        except ValueError as exc:
-            raise ConfigError(f"generator.explicit: {exc}")
-    raise ConfigError("generator must contain 'catalog' or 'explicit'")
+    ex = _object(gcfg["explicit"], "generator.explicit", ("dims", "hamiltonian", "jumps"))
+    if ex.get("dims", [2, 2]) != [2, 2]:
+        raise ConfigError(f"generator.explicit.dims must be [2, 2], got {ex['dims']!r}")
+    ham = None
+    if ex.get("hamiltonian") is not None:
+        ham = parse_complex_matrix(ex["hamiltonian"], "generator.explicit.hamiltonian")
+    entries = ex.get("jumps", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"generator.explicit.jumps must be a JSON list, got {entries!r}")
+    jumps = []
+    for i, j in enumerate(entries):
+        field = f"generator.explicit.jumps[{i}]"
+        if "operator" not in _object(j, field, ("operator", "rate")):
+            raise ConfigError(f"{field}: expected an object with an 'operator'")
+        op = parse_complex_matrix(j["operator"], f"{field}.operator")
+        jumps.append((op, build_rate(j.get("rate", 1.0), f"{field}.rate")))
+    try:
+        return make_generator(hamiltonian=ham, jumps=jumps)
+    except ValueError as exc:
+        raise ConfigError(f"generator.explicit: {exc}")
 
 
 def build_ensemble(resolved: dict) -> EnsembleSpec:
     """The resolved ensemble, whose seed ``run.seed`` overrides when set."""
-    ens = resolved["ensemble"]
+    ens, seed = resolved["ensemble"], resolved["run"]["seed"]
+    seed = ens["seed"] if seed is None else seed
     try:
-        spec = EnsembleSpec(
-            kind=ens["kind"],
-            seed=int(ens["seed"]),
-            target_concurrence=float(ens["target_concurrence"]),
-        )
-    except (EntfateError, ValueError, KeyError, TypeError) as exc:
+        return EnsembleSpec(ens["kind"], int(seed), float(ens["target_concurrence"]))
+    except (EntfateError, ValueError) as exc:
         raise ConfigError(f"ensemble: {exc}")
-    seed = resolved["run"]["seed"]
-    return spec if seed is None else dataclasses.replace(spec, seed=int(seed))
 
 
 def solver_options(run: dict) -> SolverOptions:
@@ -300,36 +299,37 @@ def asymptotic_set_options(run: dict) -> dict:
 
 
 def _initial_state(resolved: dict):
+    """The config's initial state, or None when it gives none."""
     init = resolved.get("initial_state")
     if init is None:
-        return sample(build_ensemble(resolved))
-    m = parse_complex_matrix(_object(init, "initial_state").get("matrix"), "initial_state.matrix")
+        return None
+    init = _object(init, "initial_state", ("matrix",))
+    m = parse_complex_matrix(init.get("matrix"), "initial_state.matrix")
     try:
         return new_state(m)
     except EntfateError as exc:
         raise ConfigError(f"initial_state: {exc}")
 
 
-def _set_up(args, outputs, build_start=None):
-    """Load and resolve the config of a run, build its generator and, if
-    asked, its start (``build_start(resolved)``: an initial state or an
-    ensemble), check that the output directory takes ``resolved_config.json``
-    and the run's ``outputs``, then write ``resolved_config.json``.  Every
-    config error is raised before anything is written.  Returns (run,
-    generator, start, output directory)."""
+def _set_up(args, outputs):
+    """Load and resolve the config of a run and build all of it, whatever the
+    command: generator, ensemble and initial state (None if not given).  Check
+    that the output directory takes ``resolved_config.json`` and ``outputs``,
+    then write ``resolved_config.json``, so every config error comes first.
+    Returns (run, generator, ensemble, initial state, output directory)."""
     resolved = resolve_config(load_config(args.config), args)
     g = build_generator(resolved)
-    start = None if build_start is None else build_start(resolved)
+    spec, rho0 = build_ensemble(resolved), _initial_state(resolved)
     outdir = _output_directory(resolved["output"]["directory"],
                                ("resolved_config.json", *outputs))
     _write_json(outdir / "resolved_config.json", resolved)
-    return resolved["run"], g, start, outdir
+    return resolved["run"], g, spec, rho0, outdir
 
 
 def cmd_simulate(args) -> int:
-    run, g, rho0, outdir = _set_up(args, ("trajectory.csv", "summary.json"), _initial_state)
+    run, g, spec, rho0, outdir = _set_up(args, ("trajectory.csv", "summary.json"))
     grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
-    traj = propagate(g, rho0, grid, solver_options(run))
+    traj = propagate(g, sample(spec) if rho0 is None else rho0, grid, solver_options(run))
     record = fate_of_trajectory(traj, float(run["refine_tol"]), float(run["fate_tol"]))
     header, rows = "t,margin,concurrence", [list(row) for row in margin_curve(traj)]
     try:
@@ -348,7 +348,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    run, g, _, outdir = _set_up(args, ("classification.json",))
+    run, g, _, _, outdir = _set_up(args, ("classification.json",))
     try:
         aset, cls = classify_generator(
             g,
@@ -358,10 +358,8 @@ def cmd_classify(args) -> int:
             **asymptotic_set_options(run),
         )
     except (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement) as exc:
-        _write_json(
-            outdir / "classification.json",
-            {"error": type(exc).__name__, "reason": str(exc)},
-        )
+        failure = {"error": type(exc).__name__, "reason": str(exc)}
+        _write_json(outdir / "classification.json", failure)
         print(f"classification failed: {type(exc).__name__}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     evidence = dict(vars(cls))  # not dataclasses.asdict, which deep-copies every probe
@@ -373,7 +371,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fates(args) -> int:
-    run, g, spec, outdir = _set_up(args, ("fates.csv", "fates_summary.json"), build_ensemble)
+    run, g, spec, _, outdir = _set_up(args, ("fates.csv", "fates_summary.json"))
     stats, records = fate_statistics(
         g,
         spec,
@@ -403,15 +401,17 @@ def cmd_fates(args) -> int:
 
 def cmd_catalog(args) -> int:
     names = {class_id: f"catalog_class_{class_id}.json" for class_id in CATALOG}
-    outdir = _output_directory(args.out or ".", names.values())
-    run = {**{k: _RUN_DEFAULTS[k] for k in ("horizon", "grid_points", "n_samples")}, "seed": 0}
+    directory = getattr(args, "output.directory") or SCHEMA["output"]["directory"][0]
+    outdir = _output_directory(directory, names.values())
+    run = {k: SCHEMA["run"][k][0] for k in ("horizon", "grid_points", "n_samples")} | {"seed": 0}
+    ensemble = {key: default for key, (default, _) in SCHEMA["ensemble"].items()}
     for class_id, (desc, params) in CATALOG.items():
         g = catalog_generator(class_id, **params)
         kind = "autonomous" if g.autonomous else "non-autonomous"
         print(f"class {class_id}: {desc} [{kind}, params {params}]")
         config = {
             "generator": {"catalog": {"class_id": class_id, "params": params}},
-            "ensemble": _ENSEMBLE_DEFAULTS,
+            "ensemble": ensemble,
             "run": run,
             "output": {"directory": f"class_{class_id}"},
         }
@@ -435,10 +435,10 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != "catalog":
             p.add_argument("--config", required=True, help="path to a JSON scenario config")
-            p.add_argument("--seed", type=int, help="seed override")
+            p.add_argument("--seed", type=int, dest="run.seed", help="overrides run.seed")
         if name == "fates":
-            p.add_argument("--workers", type=int, help="parallel workers for the ensemble")
-        p.add_argument("--out", help="output directory (overrides config)")
+            p.add_argument("--workers", type=int, dest="run.workers", help="overrides run.workers")
+        p.add_argument("--out", dest="output.directory", help="overrides output.directory")
         p.set_defaults(fn=fn)
     return parser
 

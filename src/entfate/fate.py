@@ -273,9 +273,10 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _fate_task(g, spec, base_seed, horizon, grid_points, refine_tol, tol, opts, index):
-    """Ensemble sample ``index``; module-level so worker processes can pickle it."""
-    spec_i = replace(spec, seed=split_seed(base_seed, index))
+def _fate_task(g, spec, horizon, grid_points, refine_tol, tol, opts, index):
+    """Ensemble sample ``index``, drawn at ``split_seed(spec.seed, index)``;
+    module-level so worker processes can pickle it."""
+    spec_i = replace(spec, seed=split_seed(spec.seed, index))
     rho0 = sample(spec_i)
     try:
         return detect_fate(g, rho0, horizon, grid_points, refine_tol, tol, opts)
@@ -288,15 +289,14 @@ def fate_statistics(
     spec: EnsembleSpec,
     n: int,
     horizon: float,
-    seed: int | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     refine_tol: float = DEFAULT_REFINE_TOL,
     tol: float = DEFAULT_FATE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
     workers: int = 1,
 ) -> tuple[FateStats, list]:
-    """n independent fate runs; deterministic given the seed and
-    independent of the worker count.
+    """n independent fate runs; deterministic given ``spec`` (sample i is
+    drawn at ``split_seed(spec.seed, i)``) and independent of the worker count.
 
     Returns (stats, records) where records[i] is the FateRecord for
     sample i, or the error string if that sample failed.  Failures are
@@ -304,8 +304,7 @@ def fate_statistics(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base_seed = spec.seed if seed is None else int(seed)
-    task = partial(_fate_task, g, spec, base_seed, horizon, grid_points, refine_tol, tol, opts)
+    task = partial(_fate_task, g, spec, horizon, grid_points, refine_tol, tol, opts)
     if workers <= 1:
         results = list(map(task, range(n)))
     else:

@@ -81,7 +81,7 @@ def test_03_dichotomy_at_equal_entanglement():
         spec = ef.EnsembleSpec(
             "fixed_concurrence_pure", seed=2026, target_concurrence=0.6
         )
-        stats, _ = ef.fate_statistics(g, spec, n=1000, horizon=30.0, seed=2026)
+        stats, _ = ef.fate_statistics(g, spec, n=1000, horizon=30.0)
         assert stats.failures == 0
         for tag in ("sudden_death", "asymptotic_death"):
             lo, _ = stats.intervals[tag]
@@ -95,7 +95,7 @@ def test_04_sudden_death_necessity_class1():
         g = ef.catalog_generator(1)
         spec = ef.EnsembleSpec("haar_pure", seed=404)
         stats, records = ef.fate_statistics(
-            g, spec, n=1000, horizon=horizon, seed=404, grid_points=200
+            g, spec, n=1000, horizon=horizon, grid_points=200
         )
         assert stats.failures == 0
         assert stats.counts["asymptotically_entangled"] == 0

@@ -436,6 +436,16 @@ class TestCatalog:
             ef.catalog_generator(1, gamma=-1.0)
         assert CLASS4_MIN_C == pytest.approx(np.log(3.0) + 0.5)
 
+    @pytest.mark.parametrize("class_id, params, reads", [
+        (4, {"gamma": -1.0}, "c"),  # refused for gamma, not for being negative
+        (2, {"c": 3.0}, "gamma"),
+        (6, {"c": 10.0, "gamma": 1.0}, "c"),
+        (1, {"rate": 1.0}, "gamma"),
+    ])
+    def test_param_the_class_does_not_read_is_refused(self, class_id, params, reads):
+        with pytest.raises(BadParams, match=f"class {class_id} takes only the parameter {reads}, got "):
+            ef.catalog_generator(class_id, **params)
+
     @pytest.mark.parametrize("class_id", [1, 2, 3, 4, 5, 6])
     def test_defaults_come_from_the_table(self, class_id):
         default = ef.catalog_generator(class_id)

@@ -36,18 +36,19 @@ def catalog_config(class_id, **run):
 class TestResolvedDefaults:
     def test_run_defaults_are_library_defaults(self):
         from entfate import asymptotics, fate
-        from entfate.cli import _RUN_DEFAULTS
+        from entfate.cli import SCHEMA
 
+        run = {key: default for key, (default, _) in SCHEMA["run"].items()}
         opts = ef.SolverOptions()
-        assert _RUN_DEFAULTS["rtol"] == opts.rtol and _RUN_DEFAULTS["atol"] == opts.atol
-        assert _RUN_DEFAULTS["grid_points"] == fate.DEFAULT_GRID_POINTS
-        assert _RUN_DEFAULTS["fate_tol"] == fate.DEFAULT_FATE_TOL
-        assert _RUN_DEFAULTS["refine_tol"] == fate.DEFAULT_REFINE_TOL
-        assert _RUN_DEFAULTS["class_tol"] == asymptotics.DEFAULT_CLASS_TOL
-        assert _RUN_DEFAULTS["kernel_tol"] == asymptotics.DEFAULT_KERNEL_TOL
-        assert _RUN_DEFAULTS["convergence_tol"] == asymptotics.DEFAULT_CONVERGENCE_TOL
-        assert _RUN_DEFAULTS["classify_horizon"] == asymptotics.DEFAULT_NONAUTONOMOUS_HORIZON
-        assert _RUN_DEFAULTS["n_probes"] == asymptotics.DEFAULT_N_PROBES
+        assert run["rtol"] == opts.rtol and run["atol"] == opts.atol
+        assert run["grid_points"] == fate.DEFAULT_GRID_POINTS
+        assert run["fate_tol"] == fate.DEFAULT_FATE_TOL
+        assert run["refine_tol"] == fate.DEFAULT_REFINE_TOL
+        assert run["class_tol"] == asymptotics.DEFAULT_CLASS_TOL
+        assert run["kernel_tol"] == asymptotics.DEFAULT_KERNEL_TOL
+        assert run["convergence_tol"] == asymptotics.DEFAULT_CONVERGENCE_TOL
+        assert run["classify_horizon"] == asymptotics.DEFAULT_NONAUTONOMOUS_HORIZON
+        assert run["n_probes"] == asymptotics.DEFAULT_N_PROBES
 
     def test_resolved_config_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", catalog_config(1))
@@ -133,6 +134,20 @@ class TestCatalogCommand:
             assert rc == 0
             assert f"class {class_id}" in capsys.readouterr().out
 
+    def test_classify_resolved_config_runs_every_command(self, tmp_path, capsys):
+        cfg = {**catalog_config(1, horizon=10.0, grid_points=50, n_samples=2),
+               "ensemble": {"kind": "haar_pure", "seed": 3}}
+        first = tmp_path / "cls"
+        assert main(["classify", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(first)]) == 0
+        resolved = str(first / "resolved_config.json")
+        for command in ("fates", "simulate", "classify"):
+            out = tmp_path / command
+            assert main([command, "--config", resolved, "--out", str(out)]) == 0
+            again = json.loads((out / "resolved_config.json").read_text())
+            assert again == {**json.loads(Path(resolved).read_text()),
+                             "output": {"directory": str(out)}}
+
 
 class TestConfigErrors:
     def test_malformed_json(self, tmp_path, capsys):
@@ -200,6 +215,32 @@ class TestConfigErrors:
             # an entry that is an object used to end in an uncaught KeyError
             ("simulate", {**catalog_config(1), "initial_state": {"matrix": [[{}] * 4] * 4}},
              "initial_state.matrix[0][0] must be an [re, im] pair"),
+            # keys that nothing reads used to be ignored, each with exit 0
+            ("simulate", catalog_config(1, horizn=5), "run.horizn is not a config field"),
+            ("classify", {"generator": {"explicit": {"jump": [{"operator": BELL}]}}},
+             "generator.explicit.jump is not a config field"),
+            ("classify", {"generator": {"catalog": {"class_id": 2, "param": {"gamma": -5}}}},
+             "generator.catalog.param is not a config field"),
+            ("simulate", {**catalog_config(1), "initial_sate": {"matrix": BELL}},
+             "initial_sate is not a config field"),
+            ("classify", {"generator": {"catalog": {"class_id": 2, "params": {"c": 3}}}},
+             "generator.catalog.params.c is not a config field (expected gamma)"),
+            ("classify", {"generator": {"catalog": {"class_id": 4, "params": {"gamma": 1}}}},
+             "generator.catalog.params.gamma is not a config field"),
+            ("fates", {**catalog_config(1), "ensemble": {"kind": "haar_pure", "sed": 4}},
+             "ensemble.sed is not a config field"),
+            ("classify", {**catalog_config(1), "output": {"dir": "o"}},
+             "output.dir is not a config field"),
+            ("classify", {"generator": {"explicit": {"jumps": [{"operator": BELL, "rates": 1.0}]}}},
+             "generator.explicit.jumps[0].rates is not a config field"),
+            ("classify", {"generator": {"explicit": {"jumps": [
+                {"operator": BELL, "rate": {"kind": "constant", "value": 1.0, "tau": 2.0}}
+            ]}}}, "generator.explicit.jumps[0].rate.tau is not a config field"),
+            ("simulate", {**catalog_config(1), "initial_state": {"matrix": BELL, "matirx": BELL}},
+             "initial_state.matirx is not a config field"),
+            ("classify", {"generator": {"catalog": {"class_id": 1},
+                                        "explicit": {"jumps": []}}},
+             "generator must contain one of 'catalog' or 'explicit'"),
         ],
         ids=[
             "classify-dims",
@@ -218,12 +259,26 @@ class TestConfigErrors:
             "initial-state-not-an-object",
             "jumps-not-a-list",
             "matrix-entry-not-a-pair",
+            "run-horizn",
+            "explicit-jump",
+            "catalog-param",
+            "initial-sate",
+            "class-2-params-c",
+            "class-4-params-gamma",
+            "ensemble-sed",
+            "output-dir",
+            "jump-rates",
+            "constant-rate-tau",
+            "initial-state-matirx",
+            "catalog-and-explicit",
         ],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):
         cfg = write_config(tmp_path / "c.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -427,6 +482,29 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert f"{taken} exists and is not a file" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [taken]
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "fates"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"ensemble": {"kind": "bogus"}}, "ensemble: unknown ensemble kind 'bogus'"),
+            ({"ensemble": {"kind": "fixed_concurrence_pure", "target_concurrence": 2.0}},
+             "ensemble: target_concurrence must lie in [0, 1]"),
+            ({"initial_state": {"matrix": ZERO}}, "initial_state:"),
+        ],
+        ids=["bogus-kind", "target-concurrence-2", "zero-initial-state"],
+    )
+    def test_every_command_checks_every_section(self, tmp_path, capsys, command, section, field):
+        # classify used to accept a bad ensemble and write it into
+        # resolved_config.json, which fates then refused
+        cfg = {**catalog_config(1, horizon=2.0, grid_points=4, n_samples=1), **section}
+        if command == "simulate" and "ensemble" in section:
+            cfg["initial_state"] = {"matrix": BELL}  # a state given does not excuse the ensemble
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag_beyond_bound_is_named(self, tmp_path, capsys, monkeypatch):
         import entfate.cli

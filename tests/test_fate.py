@@ -155,7 +155,7 @@ class TestFateStatistics:
     def test_class2_dichotomy_at_equal_concurrence(self):
         g = ef.catalog_generator(2)
         spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=7, target_concurrence=0.6)
-        stats, records = ef.fate_statistics(g, spec, n=60, horizon=30.0, seed=7)
+        stats, records = ef.fate_statistics(g, spec, n=60, horizon=30.0)
         assert stats.failures == 0
         assert stats.counts["sudden_death"] > 0
         assert stats.counts["asymptotic_death"] > 0
@@ -164,7 +164,7 @@ class TestFateStatistics:
     def test_class1_no_surviving_entanglement(self):
         g = ef.catalog_generator(1)
         spec = ef.EnsembleSpec("haar_pure", seed=11)
-        stats, records = ef.fate_statistics(g, spec, n=50, horizon=20.0, seed=11)
+        stats, records = ef.fate_statistics(g, spec, n=50, horizon=20.0)
         assert stats.counts["asymptotically_entangled"] == 0
         assert stats.counts["revival"] == 0
         for rec in records:
@@ -184,11 +184,24 @@ class TestFateStatistics:
     def test_reproducible_and_worker_invariant(self):
         g = ef.catalog_generator(2)
         spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=21)
-        _, r1 = ef.fate_statistics(g, spec, n=16, horizon=25.0, seed=21, workers=1)
-        _, r1b = ef.fate_statistics(g, spec, n=16, horizon=25.0, seed=21, workers=1)
-        _, r2 = ef.fate_statistics(g, spec, n=16, horizon=25.0, seed=21, workers=2)
+        _, r1 = ef.fate_statistics(g, spec, n=16, horizon=25.0, workers=1)
+        _, r1b = ef.fate_statistics(g, spec, n=16, horizon=25.0, workers=1)
+        _, r2 = ef.fate_statistics(g, spec, n=16, horizon=25.0, workers=2)
         assert r1 == r1b
         assert r1 == r2
+
+    def test_samples_are_drawn_from_the_spec_seed(self):
+        # the spec is the one seed: FateStats.ensemble is the spec that drew
+        # the samples, and sample i is drawn at split_seed(spec.seed, i)
+        g = ef.catalog_generator(2)
+        spec = ef.EnsembleSpec("haar_pure", seed=7)
+        stats, records = ef.fate_statistics(g, spec, n=3, horizon=10.0, grid_points=50)
+        assert stats.ensemble == spec
+        for i, rec in enumerate(records):
+            rho0 = ef.sample(ef.EnsembleSpec("haar_pure", seed=ef.split_seed(7, i)))
+            assert rec == ef.detect_fate(g, rho0, 10.0, grid_points=50)
+        with pytest.raises(TypeError):
+            ef.fate_statistics(g, ef.EnsembleSpec("haar_pure", seed=0), n=1, horizon=1.0, seed=7)
 
     def test_never_entangled_matches_ppt_fraction(self):
         # local (entanglement-non-creating) dynamics: the never_entangled
@@ -196,7 +209,7 @@ class TestFateStatistics:
         g = ef.catalog_generator(2)
         spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=33)
         n = 200
-        stats, _ = ef.fate_statistics(g, spec, n=n, horizon=25.0, seed=33)
+        stats, _ = ef.fate_statistics(g, spec, n=n, horizon=25.0)
         ppt = sum(
             1
             for i in range(n)

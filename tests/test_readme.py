@@ -1,9 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, its
+minimal config builds, and its CLI section names every run field."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+import entfate as ef
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +30,24 @@ def test_readme_example_prints_its_comments():
     assert len(comments) == len(printed)
     for comment, value in zip(comments, printed):
         assert comment.startswith(value), (comment, value)
+
+
+def test_readme_minimal_config_builds():
+    from entfate.cli import build_ensemble, build_generator, resolve_config
+
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    resolved = resolve_config(json.loads(blocks[0]), None)
+    assert build_generator(resolved).autonomous
+    assert build_ensemble(resolved) == ef.EnsembleSpec(
+        "fixed_concurrence_pure", seed=7, target_concurrence=0.6
+    )
+
+
+def test_readme_names_every_run_field():
+    # the README's run table: one row per field of the schema, with its default
+    from entfate.cli import SCHEMA
+
+    rows = re.findall(r"^\| `(\w+)` \| (\S+) \|", README.read_text(), flags=re.M)
+    readme = {key: None if default == "unset" else float(default) for key, default in rows}
+    assert readme == {key: default for key, (default, _) in SCHEMA["run"].items()}
