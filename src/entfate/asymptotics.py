@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     DEFAULT_OPTS,
@@ -114,6 +113,8 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     """Spectral kernel of the Liouvillian as the asymptotic set."""
     if not g.autonomous:
         raise ValueError("generator is not autonomous")
+    import scipy.linalg  # on first use: only an autonomous classification needs it
+
     lmat = liouvillian_matrix(g, 0.0)
     w, vl, vr = scipy.linalg.eig(lmat, left=True, right=True)
     kernel = np.abs(w) <= tol

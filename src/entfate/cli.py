@@ -178,7 +178,9 @@ def resolve_config(cfg: dict, args) -> dict:
     """``cfg`` with every field of ``SCHEMA`` set from the flags of ``args``
     (None: no flags), else from ``cfg``, else its default, and checked."""
     resolved = copy.deepcopy(_object(cfg, "", _ROOT))
-    resolved["schema_version"] = SCHEMA_VERSION
+    version = resolved.setdefault("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:  # not 1.0, nor true
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     flags = {} if args is None else vars(args)
     for section, fields in SCHEMA.items():
         given = _object(resolved.get(section, {}), section, fields)

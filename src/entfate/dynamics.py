@@ -52,17 +52,26 @@ Cholesky factor is a density matrix to working precision, so one stacked
 factorization certifies a whole stack without an eigensolve; a stack that
 fails it is eigendecomposed, and only its states that fail the
 factorization alone are clipped.  QStates are built on request.
+
+scipy is imported on first use, and only the part a call needs:
+``solve_ivp`` (``scipy.integrate``) on the first non-autonomous flow and
+``expm`` (``scipy.linalg``) on the first exponential step, so sampling,
+geometry and the catalog never load scipy, and an autonomous flow never
+loads ``scipy.integrate``.  Both stay attributes of this module that are
+scipy's own functions: the module ``__getattr__`` imports one on its
+first lookup and binds it into the module, and every call reads it
+through the module, so a tracer or test that rebinds
+``dynamics.solve_ivp`` or ``dynamics.expm`` sees every call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import PositivityLost, StepFailure
 from .geometry import min_pt_eigenvalues
@@ -74,6 +83,21 @@ STEP_RTOL = 1e-13  # grid steps this close, relative to the step, share one exp(
 # off-grid maps V e^{Lambda t} V^-1 are used while cond(V) stays below this, so their
 # error, about cond(V) times the unit round-off, stays far below PSD_REPAIR
 SPECTRAL_COND_MAX = 1e4
+
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """``solve_ivp`` and ``expm``, imported from scipy on first lookup and
+    bound into the module."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp as value
+    elif name == "expm":
+        from scipy.linalg import expm as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -365,7 +389,7 @@ def _rk45(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     """One RK45 solve carrying y0 from times[0] over ``times``: the
     (len(times), *y0.shape) stack of y(times[k]), and the solve's step
     interpolants (t -> flat y(t)) when ``dense``, else None."""
-    sol = solve_ivp(
+    sol = _module.solve_ivp(
         lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
         (times[0], times[-1]),
         y0.ravel(),
@@ -388,7 +412,7 @@ def _exp_steps(lmat: np.ndarray | None, y0: np.ndarray, times: np.ndarray) -> np
     step, dt_step = None, 0.0
     for k, dt in enumerate(np.diff(times), start=1):
         if step is None or abs(dt - dt_step) > STEP_RTOL * dt_step:
-            step, dt_step = expm(lmat * dt), dt
+            step, dt_step = _module.expm(lmat * dt), dt
         np.matmul(step, ys[k - 1], out=ys[k])
     return ys
 
@@ -464,7 +488,7 @@ class PropagatorSource:
         if self._eig is not None:
             v, lam, v_inv = self._eig
             return (v * np.exp(lam * t)) @ v_inv
-        return expm(self._lmat * (t - times[i])) @ self.maps[i]
+        return _module.expm(self._lmat * (t - times[i])) @ self.maps[i]
 
 
 # Not kept on the Generator: an RK45 solve puts it in a reference cycle, so a dead

@@ -32,7 +32,6 @@ guessing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -308,6 +307,8 @@ def fate_statistics(
     if workers <= 1:
         results = list(map(task, range(n)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, range(n), chunksize=max(1, n // (4 * workers))))
     records: list = []

@@ -62,6 +62,12 @@ class TestResolvedDefaults:
             '"refine_tol": 1e-06, "rtol": 1e-09, "seed": null, "workers": 1}'
         )
 
+    @pytest.mark.parametrize("given", [{}, {"schema_version": 1}])
+    def test_schema_version_resolves_to_1(self, given):
+        from entfate.cli import resolve_config
+
+        assert resolve_config({**given, **catalog_config(1)}, None)["schema_version"] == 1
+
     @pytest.mark.parametrize("run_seed, expected", [(None, 5), (7, 7)])
     def test_run_seed_overrides_ensemble_seed(self, run_seed, expected):
         from entfate.cli import build_ensemble
@@ -241,6 +247,13 @@ class TestConfigErrors:
             ("classify", {"generator": {"catalog": {"class_id": 1},
                                         "explicit": {"jumps": []}}},
              "generator must contain one of 'catalog' or 'explicit'"),
+            # a config written for another schema does not run under this one
+            ("classify", {"schema_version": 99, **catalog_config(1)},
+             "schema_version must be 1, got 99"),
+            ("simulate", {"schema_version": "1", **catalog_config(1)},
+             "schema_version must be 1, got '1'"),
+            ("fates", {"schema_version": True, **catalog_config(1)},
+             "schema_version must be 1, got True"),
         ],
         ids=[
             "classify-dims",
@@ -271,6 +284,9 @@ class TestConfigErrors:
             "constant-rate-tau",
             "initial-state-matirx",
             "catalog-and-explicit",
+            "schema-version-99",
+            "schema-version-string",
+            "schema-version-true",
         ],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):
