@@ -4,7 +4,8 @@ Every asymptotic set is held as the image A = P∞(D) of the state set D
 under one linear map P∞ on vectorized operators, which ``asymptotic_set`` picks:
 
   * autonomous dynamics   -- the spectral projector onto the Liouvillian
-                             kernel, which fixes every stationary state,
+                             kernel (from ``Generator.spectrum``), which
+                             fixes every stationary state,
   * non-autonomous dynamics -- the converged total propagator.
 
 A set is one state iff P∞(X) = tr(X)·P∞(I/4) for every X: a one-dimensional
@@ -34,7 +35,6 @@ from .dynamics import (
     Generator,
     SolverOptions,
     apply_map,
-    liouvillian_matrix,
     make_generator,
     propagator_matrices,
     unvec,
@@ -110,13 +110,9 @@ class TheoremClass:
 
 
 def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> AsymptoticSet:
-    """Spectral kernel of the Liouvillian as the asymptotic set."""
-    if not g.autonomous:
-        raise ValueError("generator is not autonomous")
-    import scipy.linalg  # on first use: only an autonomous classification needs it
-
-    lmat = liouvillian_matrix(g, 0.0)
-    w, vl, vr = scipy.linalg.eig(lmat, left=True, right=True)
+    """Spectral kernel of the Liouvillian, from the generator's ``spectrum``
+    (ValueError unless g is autonomous), as the asymptotic set."""
+    w, vl, vr, _ = g.spectrum
     kernel = np.abs(w) <= tol
     peripheral = (~kernel) & (np.abs(w.real) <= tol) & (np.abs(w.imag) > tol)
     if np.any(peripheral):
@@ -141,7 +137,6 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     diagnostics = {
         "kernel_dim": k,
         "spectral_gap": float(min(-w.real[~kernel])) if k < w.size else 0.0,
-        "peripheral_eigenvalues": [],
     }
     return _set_of_map(proj, k == 1, diagnostics)
 

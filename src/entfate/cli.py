@@ -330,7 +330,7 @@ def _set_up(args, outputs):
 
 def cmd_simulate(args) -> int:
     run, g, spec, rho0, outdir = _set_up(args, ("trajectory.csv", "summary.json"))
-    grid = np.linspace(0.0, float(run["horizon"]), int(run["grid_points"]) + 1)
+    grid = fate.fate_grid(float(run["horizon"]), int(run["grid_points"]))
     traj = propagate(g, sample(spec) if rho0 is None else rho0, grid, solver_options(run))
     record = fate_of_trajectory(traj, float(run["refine_tol"]), float(run["fate_tol"]))
     header, rows = "t,margin,concurrence", [list(row) for row in margin_curve(traj)]

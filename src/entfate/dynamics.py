@@ -18,29 +18,30 @@ jump channel, the bracket above.  ``liouvillian_matrix`` then only
 scales and adds these read-only 16 x 16 pieces, channel by channel,
 which gives the formula above at t bit for bit.
 
-Every state, trajectory and propagator comes from one flow, which
-carries a vectorized operator, or a block of them as columns, from the
-first of a list of times to each later one.  Autonomous generators step
-by matrix exponentials exp(L dt) (scaling and squaring), one per run of
-steps equal to within round-off (``_exp_steps``); non-autonomous ones
-take one adaptive embedded Runge-Kutta solve of order 5 with an order-4
-error estimate (Dormand-Prince), sampled at the times (``_rk45``).
-``_flow`` picks one: ``propagator_matrices`` flows the identity to give
-the maps Phi(t) at every time of a grid, and ``evolve_state`` flows one
-state between two times.
+Every state, trajectory and propagator comes from one flow, ``_flow``,
+the one place that picks how to carry a vectorized operator, or a block
+of them as columns, from the first of a list of times to each later one:
+exp(L dt) steps (scaling and squaring) for an autonomous generator, one
+per run of steps equal to within round-off (``_exp_steps``), else one
+adaptive Runge-Kutta solve of order 5 with an order-4 error estimate
+(Dormand-Prince), sampled at the times.  ``propagator_matrices`` flows
+the identity to give the maps Phi(t) at every time of a grid, and
+``evolve_state`` flows one state between two times.
+
+An autonomous generator's ``spectrum`` is the one eigendecomposition of
+its constant L, from one ``scipy.linalg.eig`` on first use: eigenvalues
+Lambda, left and right eigenvectors W and V, and V^-1 unless cond(V)
+exceeds SPECTRAL_COND_MAX.  Off-grid maps and the stationary set of
+``asymptotics`` both read it.
 
 ``propagate`` maps a state through the maps of a ``PropagatorSource``:
 one per generator, grid and options, kept for the next ``propagate``
 with the same three (a one-entry memo, so every sample of an ensemble
 run shares one source).  A source flows the identity once over its grid
-and also gives Phi(t) between grid times: from the RK45 solve's step
-interpolants (the solve that gave the grid maps) for a non-autonomous
-generator, and for an autonomous one from a single eigendecomposition
-L = V diag(Lambda) V^-1, made on the first off-grid call, as
-Phi(t) = V e^{Lambda t} V^-1 straight from t = 0.  When cond(V) exceeds
-SPECTRAL_COND_MAX (L near defective) it falls back to
-exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time t_i.  Only
-sources keep interpolants; the other flows drop them.
+and gives Phi(t) between grid times too: from the RK45 step
+interpolants, or as V e^{Lambda t} V^-1 straight from t = 0, or, when
+V^-1 is None (L near defective), as exp(L (t - t_i)) Phi(t_i) from the
+nearest earlier grid time t_i.  Only sources keep interpolants.
 
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 source that made it; ``state_at`` gives its state at any time of its span
@@ -100,6 +101,13 @@ def __getattr__(name: str):
     return value
 
 
+def _read_only(m):
+    """m, made read-only; None passes through."""
+    if m is not None:
+        m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class ConstantRate:
     value: float
@@ -149,11 +157,8 @@ class Generator:
     def __post_init__(self):
         h = self.hamiltonian
         lh = None if callable(h) else _hamiltonian_superop(h)
-        ds = tuple(_dissipator(ch.operator) for ch in self.jumps)
-        for m in (lh, *ds):
-            if m is not None:
-                m.setflags(write=False)
-        object.__setattr__(self, "hamiltonian_part", lh)
+        ds = tuple(_read_only(_dissipator(ch.operator)) for ch in self.jumps)
+        object.__setattr__(self, "hamiltonian_part", _read_only(lh))
         object.__setattr__(self, "dissipators", ds)
 
     def __reduce__(self):
@@ -163,6 +168,20 @@ class Generator:
     def ham(self, t: float) -> np.ndarray:
         h = self.hamiltonian
         return h(t) if callable(h) else h
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """The one eigendecomposition of an autonomous generator's constant L,
+        made on first use: read-only (Lambda, W, V, V^-1) with L V = V diag(Lambda)
+        and W^H L = diag(Lambda) W^H; V^-1 is None when cond(V) exceeds
+        SPECTRAL_COND_MAX (or is NaN)."""
+        if not self.autonomous:
+            raise ValueError("generator is not autonomous")
+        import scipy.linalg  # on first use: only an autonomous spectrum needs it
+
+        values, left, right = scipy.linalg.eig(liouvillian_matrix(self), left=True, right=True)
+        inverse = np.linalg.inv(right) if np.linalg.cond(right) <= SPECTRAL_COND_MAX else None
+        return tuple(map(_read_only, (values, left, right, inverse)))
 
 
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
@@ -310,9 +329,7 @@ class Trajectory:
 
     @cached_property
     def margins(self) -> np.ndarray:
-        margins = min_pt_eigenvalues(self.matrices)
-        margins.setflags(write=False)
-        return margins
+        return _read_only(min_pt_eigenvalues(self.matrices))
 
 
 def _factorizes(ms: np.ndarray) -> bool:
@@ -369,8 +386,7 @@ def _repair_states(ms: np.ndarray) -> np.ndarray:
         raise StepFailure(f"trace drifted to {tr[n]!r}; tolerances too loose")
     if n_finite < total:
         raise StepFailure("propagated state has a non-finite entry")
-    ms.setflags(write=False)
-    return ms
+    return _read_only(ms)
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -384,11 +400,15 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _rk45(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
+def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
           dense: bool = False):
-    """One RK45 solve carrying y0 from times[0] over ``times``: the
-    (len(times), *y0.shape) stack of y(times[k]), and the solve's step
-    interpolants (t -> flat y(t)) when ``dense``, else None."""
+    """Carry y0 -- one vectorized operator, or a block of them as columns --
+    from times[0] to every time in ``times``, by exp steps if g is
+    autonomous, else by one RK45 solve: the (len(times), *y0.shape) stack
+    whose entry k is y(times[k]), and the solve's step interpolants
+    (t -> flat y(t)) if ``dense``, else None."""
+    if times.size == 1 or g.autonomous:
+        return _exp_steps(liouvillian_matrix(g), y0, times), None
     sol = _module.solve_ivp(
         lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
         (times[0], times[-1]),
@@ -404,7 +424,7 @@ def _rk45(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     return np.ascontiguousarray(np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)), sol.sol
 
 
-def _exp_steps(lmat: np.ndarray | None, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _exp_steps(lmat: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Carry y0 from times[0] over ``times`` by exp(L dt) steps; a step equal
     to the previous one within STEP_RTOL reuses its exponential."""
     ys = np.empty((times.size, *y0.shape), dtype=complex)
@@ -417,23 +437,13 @@ def _exp_steps(lmat: np.ndarray | None, y0: np.ndarray, times: np.ndarray) -> np
     return ys
 
 
-def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Carry y0 -- one vectorized operator, or a block of them as columns --
-    from times[0] to every time in ``times``; entry k of the returned
-    (len(times), *y0.shape) stack is y(times[k])."""
-    if times.size > 1 and not g.autonomous:
-        return _rk45(g, y0, times, opts)[0]
-    return _exp_steps(liouvillian_matrix(g, 0.0) if times.size > 1 else None, y0, times)
-
-
 def _trace_preserving(phis: np.ndarray) -> np.ndarray:
     """The stack of maps, read-only, once every one preserves the trace."""
     tr_vec = vec(np.eye(D)).conj()
     residual = np.max(np.abs(tr_vec @ phis - tr_vec))
     if not residual <= 1e-8:  # a NaN residual fails too
         raise StepFailure(f"trace-preservation residual {residual:.3e} > 1e-8")
-    phis.setflags(write=False)
-    return phis
+    return _read_only(phis)
 
 
 class PropagatorSource:
@@ -443,37 +453,18 @@ class PropagatorSource:
     ``maps`` is the read-only (T, 16, 16) stack of Phi at the grid times
     ``times``; ``at(t)`` gives Phi at any t in [0, times[-1]].  Between
     grid times a non-autonomous source evaluates the step interpolants of
-    the RK45 solve that gave ``maps``.  An autonomous one, with L assembled
-    once, eigendecomposes L = V diag(Lambda) V^-1 on its first off-grid
-    call and returns V e^{Lambda t} V^-1; if cond(V) exceeds
-    SPECTRAL_COND_MAX it computes exp(L (t - t_i)) Phi(t_i) from the
-    nearest earlier grid time t_i instead.  The grid maps themselves
-    always come from the flow.
+    the RK45 solve that gave ``maps``, and an autonomous one returns
+    V e^{Lambda t} V^-1 from its generator's ``spectrum``, or, when V^-1
+    is None, exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time
+    t_i.  The grid maps themselves always come from the flow.
     """
 
     def __init__(self, g: Generator, times: np.ndarray, opts: SolverOptions):
         self.generator = g
-        self.times = times = np.array(times)
-        times.setflags(write=False)
+        self.times = times = _read_only(np.array(times))
         self.opts = opts
-        eye = np.eye(D * D, dtype=complex)
-        self._dense = self._lmat = None
-        if times.size > 1 and not g.autonomous:
-            maps, self._dense = _rk45(g, eye, times, opts, dense=True)
-        else:
-            self._lmat = liouvillian_matrix(g, 0.0) if times.size > 1 else None
-            maps = _exp_steps(self._lmat, eye, times)
+        maps, self._dense = _flow(g, np.eye(D * D, dtype=complex), times, opts, dense=True)
         self.maps = _trace_preserving(maps)
-
-    @cached_property
-    def _eig(self):
-        """(V, Lambda, V^-1) of L = V diag(Lambda) V^-1, or None when
-        cond(V) exceeds SPECTRAL_COND_MAX (L near defective)."""
-        # numpy's eig: its LAPACK is loaded already, where scipy's adds 1 MB of resident pages
-        lam, v = np.linalg.eig(self._lmat)
-        if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:  # a NaN condition number fails too
-            return None
-        return v, lam, np.linalg.inv(v)
 
     def at(self, t: float) -> np.ndarray:
         """Phi(t) for t in [0, times[-1]]; the grid map itself at a grid time."""
@@ -485,10 +476,10 @@ class PropagatorSource:
             return self.maps[i]
         if self._dense is not None:
             return self._dense(t).reshape(D * D, D * D)
-        if self._eig is not None:
-            v, lam, v_inv = self._eig
-            return (v * np.exp(lam * t)) @ v_inv
-        return _module.expm(self._lmat * (t - times[i])) @ self.maps[i]
+        values, _, right, inverse = self.generator.spectrum
+        if inverse is not None:
+            return (right * np.exp(values * t)) @ inverse
+        return _module.expm(liouvillian_matrix(self.generator) * (t - times[i])) @ self.maps[i]
 
 
 # Not kept on the Generator: an RK45 solve puts it in a reference cycle, so a dead
@@ -509,8 +500,7 @@ def propagate(
     t = _check_grid(t_grid)
     source = _grid_source(g, t.tobytes(), opts)
     ys = source.maps[1:] @ vec(rho0.matrix)
-    ms = np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))])
-    ms.setflags(write=False)
+    ms = _read_only(np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))]))
     return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, source=source)
 
 
@@ -528,7 +518,7 @@ def evolve_state(
         raise ValueError("t_to must be >= t_from")
     if t_to == t_from:
         return rho
-    y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[-1]
+    y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[0][-1]
     return QState(_repair_states(unvec(y)[None])[0])
 
 
@@ -538,7 +528,7 @@ def propagator_matrices(
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
     the identity."""
-    return _trace_preserving(_flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts))
+    return _trace_preserving(_flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts)[0])
 
 
 def propagator_matrix(

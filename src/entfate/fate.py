@@ -24,14 +24,15 @@ A trajectory is tagged by its final behavior:
   * revival                  -- ended entangled after at least one
                                 death/rebirth cycle.
 
-If the margin is still trending at the horizon, or its tail is too far
-from geometric to extrapolate, the run raises HorizonTooShort rather than
-guessing.
+If the margin is still trending at the horizon, or its tail is too short
+or too far from geometric to extrapolate, the run raises HorizonTooShort
+rather than guessing.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -151,8 +152,10 @@ def _sign_events(margins, tol):
 
 def _aitken_limit(values):
     """Extrapolated limit of a (near-geometric) tail of margin samples; a
-    wild extrapolation, from a tail that is not yet geometric, raises
-    HorizonTooShort."""
+    wild extrapolation, from a tail that is not yet geometric, or fewer
+    than three samples to extrapolate from, raises HorizonTooShort."""
+    if len(values) < 3:
+        raise HorizonTooShort(f"{len(values)} margin(s), too few to extrapolate a limit from")
     m0, m1, m2 = values[-3], values[-2], values[-1]
     denom = (m2 - m1) - (m1 - m0)
     if abs(denom) < 1e-300:
@@ -175,10 +178,19 @@ def detect_fate(
     tol: float = DEFAULT_FATE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> FateRecord:
-    """Propagate rho0 over grid_points steps to the horizon and tag its fate."""
+    """Propagate rho0 over ``fate_grid(horizon, grid_points)`` and tag its fate."""
+    return fate_of_trajectory(propagate(g, rho0, fate_grid(horizon, grid_points), opts),
+                              refine_tol, tol)
+
+
+def fate_grid(horizon: float, grid_points: int) -> np.ndarray:
+    """grid_points equal steps from 0 to the horizon; grid_points must be a
+    whole number >= 2, as a config's ``run.grid_points`` is."""
     check_positive("horizon", horizon)
-    grid = np.linspace(0.0, horizon, grid_points + 1)
-    return fate_of_trajectory(propagate(g, rho0, grid, opts), refine_tol, tol)
+    whole = isinstance(grid_points, numbers.Real) and float(grid_points).is_integer()
+    if isinstance(grid_points, bool) or not (whole and grid_points >= 2):
+        raise ValueError(f"grid_points must be a whole number >= 2, got {grid_points!r}")
+    return np.linspace(0.0, horizon, int(grid_points) + 1)
 
 
 def fate_of_trajectory(
@@ -225,7 +237,7 @@ def fate_of_trajectory(
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
 
     if final_margin < -tol:
-        limit = _aitken_limit(margins) if len(margins) >= 3 else final_margin
+        limit = _aitken_limit(margins)
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):

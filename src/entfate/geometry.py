@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import SY
 from .states import QState, check_positive, partial_transpose, transpose_b
 
 DEFAULT_REGION_TOL = 1e-9
 
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SYSY = np.kron(_SY, _SY)
+_SYSY = np.kron(SY, SY)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ class TestStationarySetAutonomous:
         aset = ef.stationary_set_autonomous(ef.catalog_generator(1))
         assert aset.cardinality == "one"
         assert aset.diagnostics["kernel_dim"] == 1
+        assert sorted(aset.diagnostics) == ["kernel_dim", "spectral_gap"]
         assert ef.trace_distance(aset.state, ef.new_state(np.eye(4) / 4, 2, 2)) < 1e-10
         # uniqueness cross-check: propagate random states to a long horizon
         g = ef.catalog_generator(1)

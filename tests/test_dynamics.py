@@ -694,10 +694,16 @@ class TestPropagatorSource:
 
 class TestSpectralMaps:
     """An autonomous source gives Phi(t) off its grid as V e^{Lambda t} V^-1,
-    from one eigendecomposition of L, and as exp(L (t - t_i)) Phi(t_i) when
-    L is near defective."""
+    from its generator's one eigendecomposition of L, and as
+    exp(L (t - t_i)) Phi(t_i) when L is near defective."""
 
     GRID = np.linspace(0.0, 30.0, 41)
+
+    @staticmethod
+    def exceptional_point():
+        # a decaying qubit driven at its exceptional point, where L has a Jordan block
+        return make_generator(hamiltonian=np.kron(SX, EYE2) / 8.0,
+                              jumps=[(np.kron(SMINUS, EYE2), 1.0)])
 
     @pytest.mark.parametrize("class_id, cond", [(1, 1.86), (2, 5.83), (3, 5.04), (5, 1.00)])
     def test_off_grid_maps_match_expm(self, monkeypatch, class_id, cond):
@@ -711,14 +717,13 @@ class TestSpectralMaps:
         for t in np.random.default_rng(class_id).uniform(0.0, 30.0, 25):
             assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
         assert calls == []
-        assert np.linalg.cond(source._eig[0]) == pytest.approx(cond, abs=0.01)
+        _, _, v, v_inv = g.spectrum
+        assert v_inv is not None and np.linalg.cond(v) == pytest.approx(cond, abs=0.01)
 
     def test_near_defective_generator_falls_back_to_expm(self, monkeypatch):
         from entfate import dynamics
 
-        # a decaying qubit driven at its exceptional point, where L has a Jordan block
-        g = make_generator(hamiltonian=np.kron(SX, EYE2) / 8.0,
-                           jumps=[(np.kron(SMINUS, EYE2), 1.0)])
+        g = self.exceptional_point()
         source = PropagatorSource(g, self.GRID, DEFAULT_OPTS)
         calls = []
         monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m) or expm(m))
@@ -726,8 +731,35 @@ class TestSpectralMaps:
         ts = np.random.default_rng(0).uniform(0.0, 30.0, 25)
         for t in ts:
             assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
-        assert source._eig is None and len(calls) == len(ts)
+        assert g.spectrum[3] is None and len(calls) == len(ts)  # no V^-1
         assert np.linalg.cond(scipy.linalg.eig(lmat)[1]) > SPECTRAL_COND_MAX
+
+    def test_stationary_set_of_a_near_defective_generator_is_the_long_time_map(self):
+        # P∞ from the left eigenvectors; one built from V^-1's kernel rows misses by 1.7e-8
+        g = self.exceptional_point()
+        p_inf = ef.stationary_set_autonomous(g).map_matrix
+        assert np.max(np.abs(p_inf - expm(liouvillian_matrix(g, 0.0) * 400.0))) <= 1e-12
+
+    def test_one_eig_serves_the_stationary_set_and_the_off_grid_maps(self, monkeypatch):
+        calls = []
+        scipy_eig, numpy_eig = scipy.linalg.eig, np.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig",
+                            lambda *a, **k: calls.append("scipy") or scipy_eig(*a, **k))
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda *a, **k: calls.append("numpy") or numpy_eig(*a, **k))
+        g = random_generator(11)
+        ef.stationary_set_autonomous(g)
+        source = PropagatorSource(g, self.GRID, DEFAULT_OPTS)
+        for t in (0.3, 7.7, 29.9):
+            source.at(t)
+        ef.stationary_set_autonomous(g)
+        assert calls == ["scipy"]
+
+    def test_spectrum_is_read_only_and_autonomous_only(self):
+        spectrum = ef.catalog_generator(2).spectrum
+        assert not any(m.flags.writeable for m in spectrum)
+        with pytest.raises(ValueError, match="not autonomous"):
+            ef.catalog_generator(6).spectrum
 
 
 class TestStackedTrajectory:

@@ -91,6 +91,28 @@ class TestDetectFate:
         assert rec.fate_tag == "sudden_death"
         assert rec.death_time == pytest.approx(33.249, abs=1e-3)
 
+    def test_too_few_margins_to_extrapolate_is_horizon_too_short(self):
+        # class 1 makes death necessary, and this state dies at ln 3; a tail of
+        # two margins used to pass as its own converged limit
+        g = ef.catalog_generator(1)
+        traj = ef.propagate(g, ef.max_entangled(), [0.0, 0.5])
+        with pytest.raises(HorizonTooShort, match=r"2 margin\(s\), too few to extrapolate"):
+            ef.fate_of_trajectory(traj)
+
+    @pytest.mark.parametrize("grid_points", [2.5, 1, 0, -3, True, float("nan"), "40", None])
+    def test_grid_points_must_be_a_whole_number_of_at_least_two(self, grid_points):
+        g = ef.catalog_generator(1)
+        with pytest.raises(ValueError, match="grid_points must be a whole number >= 2"):
+            ef.detect_fate(g, ef.max_entangled(), 10.0, grid_points=grid_points)
+
+    def test_fate_grid(self):
+        grid = fate.fate_grid(10.0, 40)
+        assert np.array_equal(grid, np.linspace(0.0, 10.0, 41))
+        assert np.array_equal(fate.fate_grid(10.0, 40.0), grid)
+        assert np.array_equal(fate.fate_grid(10.0, np.int64(40)), grid)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            fate.fate_grid(0.0, 40)
+
     def test_bad_horizon(self):
         g = ef.catalog_generator(1)
         with pytest.raises(ValueError):
@@ -319,11 +341,12 @@ class TestFateOfTrajectory:
 
     def test_one_point_trajectory(self):
         g = ef.catalog_generator(1)
-        for rho0, tag in ((ef.max_entangled(), "asymptotically_entangled"),
-                          (ef.basis_state(0, 1), "never_entangled")):
-            rec = ef.fate_of_trajectory(ef.propagate(g, rho0, [0.0]))
-            assert rec.fate_tag == tag
-            assert rec.birth_time is None and rec.death_time is None and not rec.revival_times
+        rec = ef.fate_of_trajectory(ef.propagate(g, ef.basis_state(0, 1), [0.0]))
+        assert rec.fate_tag == "never_entangled"
+        assert rec.birth_time is None and rec.death_time is None and not rec.revival_times
+        # an entangled start has no tail to extrapolate its limit from
+        with pytest.raises(HorizonTooShort, match=r"1 margin\(s\), too few to extrapolate"):
+            ef.fate_of_trajectory(ef.propagate(g, ef.max_entangled(), [0.0]))
 
 
 def werner_of_margin(m):

@@ -57,6 +57,19 @@ print(json.dumps({"linalg": "scipy.linalg" in sys.modules, "integrate": loaded("
     assert found == {"linalg": True, "integrate": [], "pool": []}
 
 
+def test_autonomous_classify_loads_scipy_linalg_only(tmp_path):
+    config = tmp_path / "class_2.json"
+    config.write_text(json.dumps({"generator": {"catalog": {"class_id": 2, "params": {}}}}))
+    found = run_fresh(f"""
+import entfate.cli
+assert entfate.cli.main(["classify", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}]) == 0
+print(json.dumps({{"linalg": "scipy.linalg" in sys.modules,
+                  "integrate": loaded("scipy.integrate")}}))
+""")
+    assert found == {"linalg": True, "integrate": []}
+    assert json.loads((tmp_path / "classification.json").read_text())["class_id"] == 2
+
+
 def test_nonautonomous_fate_loads_scipy_integrate():
     found = run_fresh("""
 import entfate as ef
