@@ -42,7 +42,7 @@ from .errors import (
     StepFailure,
 )
 from .fate import FateRecord, fate_of_trajectory, fate_statistics, margin_curve
-from .states import EnsembleSpec, new_state, sample
+from .states import SEED_MAX, EnsembleSpec, new_state, sample
 
 SCHEMA_VERSION = 1
 
@@ -138,7 +138,7 @@ def _whole_in(least: int, most: int):
     return rule
 
 
-_SEED = _whole_in(0, 2**64 - 1)  # the seeds of a 64-bit generator
+_SEED = _whole_in(0, SEED_MAX)  # the seeds of a 64-bit generator
 
 # The config's sections: section -> field -> (default, rule).  The flag whose
 # dest is "section.field" overrides that field.  A rule raises a ConfigError

@@ -11,15 +11,20 @@ both accept (2, 2) alone.
 
 Randomness uses the counter-based Philox generator; per-sample streams
 are derived by spawn-key splitting so ensembles are reproducible and
-independent of worker count.  Each thread keeps one Philox bit generator
-and re-keys it for every sample rather than building a new one; the
-streams are exactly those of a fresh ``Philox(key=seed)``.
+independent of worker count.  A child seed is numpy's SeedSequence
+spawn-key hash, computed in Python ints from a memoized pool of the base
+seed, and is bit-identical to ``SeedSequence(entropy=seed,
+spawn_key=(index,))``.  Each thread keeps one Philox bit generator and
+re-keys it for every sample rather than building a new one; the streams
+are exactly those of a fresh ``Philox(key=seed)``.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +34,7 @@ D = 4  # side of every density matrix: two qubits
 VALIDATION_TOL = 1e-10
 
 ENSEMBLE_KINDS = ("hilbert_schmidt_mixed", "haar_pure", "fixed_concurrence_pure")
+SEED_MAX = 2**64 - 1  # a sample's seed is its Philox key word
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +68,12 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise UnsupportedEnsemble(f"unknown ensemble kind {self.kind!r}")
+        if (
+            not isinstance(self.seed, (int, np.integer))
+            or isinstance(self.seed, bool)
+            or not 0 <= self.seed <= SEED_MAX
+        ):
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         if not 0.0 <= self.target_concurrence <= 1.0:
             raise ValueError(
                 f"target_concurrence must lie in [0, 1], got {self.target_concurrence}"
@@ -142,10 +154,90 @@ def trace_distance(a: QState, b: QState) -> float:
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 
+# numpy's SeedSequence hash (bit_generator.pyx), on 32-bit words.
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list:
+    """The little-endian 32-bit words of n >= 0; [0] for 0."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple:
+    """numpy's hashmix: the hashed value and the next hash constant."""
+    value ^= h
+    h = h * mult & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix_in(pool: list, word: int, h: int, skip: int = -1) -> int:
+    """Each pool word x but ``pool[skip]`` becomes mix(x, hashmix(word)),
+    in place.  Returns the next hash constant."""
+    for d in range(_POOL_SIZE):
+        if d != skip:
+            v, h = _hashmix(word, h)
+            r = (_MIX_MULT_L * pool[d] - _MIX_MULT_R * v) & _M32
+            pool[d] = r ^ r >> 16
+    return h
+
+
+@lru_cache(maxsize=32)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool after the base seed's words, and the hash
+    constant that the spawn key's words continue from.  A spawn key pads
+    the seed's words with zeros to the pool size."""
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, h = [], _INIT_A
+    for w in words[:_POOL_SIZE]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(_POOL_SIZE):  # cross-mix, so late words reach early slots
+        h = _mix_in(pool, pool[src], h, skip=src)
+    for w in words[_POOL_SIZE:]:
+        h = _mix_in(pool, w, h)
+    return tuple(pool), h
+
+
+def _whole(name: str, value) -> int:
+    """A non-negative Python or numpy integer, as an int; bools refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n}")
+    return n
+
+
 def split_seed(seed: int, index: int) -> int:
-    """Derive a 64-bit child seed for sample ``index`` of a base seed."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derive a 64-bit child seed for sample ``index`` of a base seed.
+
+    It is numpy's SeedSequence spawn-key hash, computed in Python ints
+    from a memoized pool of the base seed, and bit-identical to
+    ``SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1,
+    np.uint64)[0]``.  Seed and index are Python or numpy integers
+    (``TypeError`` otherwise), and non-negative (``ValueError``).
+    """
+    pool, h = _seed_pool(_whole("seed", seed))
+    pool = list(pool)
+    for w in _words(_whole("index", index)):
+        h = _mix_in(pool, w, h)
+    lo, h = _hashmix(pool[0], _INIT_B, _MULT_B)  # generate_state's two words
+    hi, _ = _hashmix(pool[1], h, _MULT_B)
+    return lo | hi << 32
 
 
 _thread = threading.local()
@@ -183,12 +275,6 @@ def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
-
-
 def hilbert_schmidt_state(rng: np.random.Generator) -> QState:
     """A Hilbert-Schmidt random state GG†/tr(GG†), G complex Ginibre, drawn from rng."""
     g = _ginibre(rng, D, D)
@@ -212,8 +298,14 @@ def sample(spec: EnsembleSpec) -> QState:
         psi = np.zeros(D, dtype=complex)
         psi[0] = np.cos(theta)
         psi[3] = np.sin(theta)
-        u = np.kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
-        v = u @ psi
+        # Both 2x2 Ginibre matrices in one draw (each real parts, then
+        # imaginary), one stacked QR with its phase fix, then their
+        # Kronecker product by broadcasting.
+        z = rng.normal(size=(2, 2, 2, 2))
+        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        a, b = q * (diag / np.abs(diag))[:, None, :]
+        v = (a[:, None, :, None] * b[None, :, None, :]).reshape(D, D) @ psi
         return new_state(np.outer(v, v.conj()))
     raise UnsupportedEnsemble(spec.kind)
 

@@ -1,8 +1,12 @@
 import sys
 import threading
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entfate as ef
 from entfate import states
@@ -207,6 +211,19 @@ class TestSample:
         with pytest.raises(ValueError):
             ef.EnsembleSpec("fixed_concurrence_pure", seed=1, target_concurrence=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.5, "3", True], ids=repr)
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # a sample's seed is its Philox key word: -1 and 2**64 used to build
+        # and then fail in sample with numpy's OverflowError; 3.5 and "3"
+        # used to sample the seed-3 state
+        with pytest.raises(ValueError, match="seed") as info:
+            ef.EnsembleSpec("hilbert_schmidt_mixed", seed=seed)
+        assert repr(seed) in str(info.value)
+
+    def test_seed_range_edges(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(3)):
+            ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=seed))
+
     def test_ppt_fraction_positive_and_seed_stable(self):
         # reduced-size version of the acceptance criterion
         fracs = []
@@ -227,6 +244,96 @@ class TestSample:
     def test_split_seed_distinct(self):
         seeds = {ef.split_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+def seed_sequence_child(seed, index):
+    """The reference: numpy's own SeedSequence spawn-key child."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+_rnd = random.Random(20)
+GRID_SEEDS = [0, 3, 7919, 2**32 - 1, 2**32, 2**47 + 12345, 2**63 + 5, 2**64 - 1,
+              2**127 + 3, 2**128 + 7, 2**200 + 1] + [_rnd.getrandbits(64) for _ in range(20)]
+GRID_INDICES = (list(range(1500)) + [_rnd.getrandbits(32) for _ in range(500)]
+                + [_rnd.getrandbits(80) for _ in range(100)] + [2**32 - 1, 2**32, 2**64])
+
+
+class TestSplitSeed:
+    @pytest.mark.parametrize("seed", GRID_SEEDS)
+    def test_bit_identical_to_seed_sequence(self, seed):
+        # seeds of one to seven 32-bit words, indices of one to three
+        for index in GRID_INDICES:
+            assert ef.split_seed(seed, index) == seed_sequence_child(seed, index)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**256 - 1), st.integers(0, 2**96 - 1))
+    def test_bit_identical_property(self, seed, index):
+        assert ef.split_seed(seed, index) == seed_sequence_child(seed, index)
+
+    def test_numpy_integers(self):
+        assert ef.split_seed(np.uint64(2**64 - 1), np.int32(3)) == seed_sequence_child(2**64 - 1, 3)
+
+    @pytest.mark.parametrize(
+        "seed, index, name",
+        [(3.7, 0, "seed"), (3, 2.9, "index"), (True, 0, "seed"), (3, False, "index"),
+         ("3", 0, "seed"), (3, "0", "index"), (np.float64(3.0), 0, "seed")],
+        ids=["seed-float", "index-float", "seed-bool", "index-bool", "seed-str", "index-str",
+             "seed-numpy-float"],
+    )
+    def test_non_integers_are_refused(self, seed, index, name):
+        # 3.7 used to give seed 3's child, and 2.9 index 2's
+        with pytest.raises(TypeError, match=name):
+            ef.split_seed(seed, index)
+
+    @pytest.mark.parametrize("seed, index, name", [(-1, 0, "seed"), (3, -1, "index")])
+    def test_negatives_are_refused(self, seed, index, name):
+        with pytest.raises(ValueError, match=name):
+            ef.split_seed(seed, index)
+
+    def test_sampling_builds_no_seed_sequence(self, monkeypatch):
+        g = ef.catalog_generator(2)
+        spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=3, target_concurrence=0.6)
+        kinds = [(kind, c) for kind, c in SPECS for _ in range(34)][:100]
+        specs = [ef.EnsembleSpec(kind, seed=ef.split_seed(3, i), target_concurrence=c)
+                 for i, (kind, c) in enumerate(kinds)]
+        expected = [ef.sample(s).matrix.tobytes() for s in specs]
+        _, records = ef.fate_statistics(g, spec, n=5, horizon=20.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SeedSequence was built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        states._seed_pool.cache_clear()
+        got = [
+            ef.sample(ef.EnsembleSpec(kind, seed=ef.split_seed(3, i), target_concurrence=c))
+            for i, (kind, c) in enumerate(kinds)
+        ]
+        assert [s.matrix.tobytes() for s in got] == expected
+        assert ef.fate_statistics(g, spec, n=5, horizon=20.0)[1] == records
+
+
+def two_unitary_oracle(spec):
+    """The fixed-concurrence sample as two separate Haar draws and np.kron."""
+    rng = states._rng(spec.seed)
+
+    def haar_unitary():
+        z = rng.normal(size=(2, 2, 2))
+        q, r = np.linalg.qr(z[0] + 1j * z[1])
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    u = np.kron(haar_unitary(), haar_unitary())
+    theta = 0.5 * np.arcsin(spec.target_concurrence)
+    v = u @ np.array([np.cos(theta), 0, 0, np.sin(theta)], dtype=complex)
+    return ef.new_state(np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.6, 1.0])
+def test_fixed_concurrence_bit_identical_to_two_draws(c):
+    for i in range(2000):
+        spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=ef.split_seed(17, i),
+                               target_concurrence=c)
+        assert ef.sample(spec).matrix.tobytes() == two_unitary_oracle(spec).matrix.tobytes()
 
 
 def fresh_sample(spec):
