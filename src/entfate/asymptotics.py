@@ -17,9 +17,11 @@ six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly.  A larger set is probed by one stack:
 product and Bell projectors, random states, and a seesaw result from each
 product and Bell state (the margin is concave along mixtures, so its minimum
-sits at an extreme point, which the seesaw seeks).  P∞ maps the stack in one
-call, and one stacked eigensolve gives every margin.  Class 6 (every member
-entangled) is claimed only with a bound on all of A.
+sits at an extreme point, which the seesaw seeks).  The seesaw's starts
+advance as one stack, each stopping on its own rule, so each result is the
+one its start reaches alone.  P∞ maps the probe stack in one call, and one
+stacked eigensolve gives every margin.  Class 6 (every member entangled) is
+claimed only with a bound on all of A.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .dynamics import (
     SolverOptions,
     apply_map,
     make_generator,
+    map_operators,
     propagator_matrices,
     unvec,
     vec,
@@ -72,8 +75,11 @@ DEFAULT_CONVERGENCE_TOL = 1e-8
 DEFAULT_NONAUTONOMOUS_HORIZON = 60.0
 DEFAULT_N_PROBES = 50
 
-CLASS4_MIN_C = np.log(3.0) + 0.5
-CLASS6_MIN_C = 5.0
+# The quenches' true thresholds, moved in by a margin of 10 class tolerances:
+# class 4's least image margin, (1 - 3 e^-c)/4, is positive past ln 3 and is
+# 10 tol here; class 6's greatest, e^-c - 1/2, is negative past ln 2 and is -10 tol.
+CLASS4_MIN_C = float(np.log(3.0) - np.log(1.0 - 40.0 * DEFAULT_CLASS_TOL))
+CLASS6_MIN_C = float(-np.log(0.5 - 10.0 * DEFAULT_CLASS_TOL))
 
 # the generator catalog: class id -> (description, {its one rate parameter: default})
 CATALOG = {
@@ -81,11 +87,14 @@ CATALOG = {
     2: ("independent amplitude damping on both qubits", {"gamma": 1.0}),
     3: ("pumping into the Bell state Phi+", {"gamma": 1.0}),
     4: (
-        f"quenched depolarizing, rate c*exp(-t); needs c >= ln 3 + 0.5 (~{CLASS4_MIN_C:.4f})",
+        f"quenched depolarizing, rate c*exp(-t); needs c >= {CLASS4_MIN_C:g} (just past ln 3)",
         {"c": 2.0},
     ),
     5: ("computational-basis dephasing on both qubits", {"gamma": 1.0}),
-    6: (f"quenched Bell pumping, rate c*exp(-t); needs c >= {CLASS6_MIN_C:g}", {"c": 10.0}),
+    6: (
+        f"quenched Bell pumping, rate c*exp(-t); needs c >= {CLASS6_MIN_C:g} (just past ln 2)",
+        {"c": 10.0},
+    ),
 }
 
 
@@ -236,24 +245,39 @@ def _pure_probes() -> list[tuple[str, np.ndarray]]:
     return probes + [(f"Bell {name}", b) for name, b in bells]
 
 
-def _pt_adjoint(a: AsymptoticSet, y: np.ndarray) -> np.ndarray:
-    """P∞†(T_B |y><y|), the operator whose expectation in ρ is <y|T_B P∞(ρ)|y>."""
-    return unvec(a.map_matrix.conj().T @ vec(transpose_b(np.outer(y, y.conj()))))
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """|x><x| of every ket of a (..., 4) stack, entry by entry np.outer(x, x†)."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
-def _seesaw_min(a: AsymptoticSet, x: np.ndarray, max_iter: int = 100) -> np.ndarray:
-    """Pure state whose image is a local minimum of the PT margin over A.
+def _pt_adjoint(a: AsymptoticSet, ys: np.ndarray) -> np.ndarray:
+    """P∞†(T_B |y><y|) for every ket of a (..., 4) stack, the operator whose
+    expectation in ρ is <y|T_B P∞(ρ)|y>."""
+    return map_operators(a.map_matrix.conj().T, transpose_b(_projectors(ys)))
 
-    Alternates the two eigenproblems of min <y|T_B P∞(|x><x|)|y> over unit
-    x and y; no step raises it.  Stops once a round gains less than 1e-10."""
-    best = np.inf
+
+def _seesaw_min(a: AsymptoticSet, xs: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    """Pure states whose images are local minima of the PT margin over A,
+    one from each start of an (N, 4) stack of kets.
+
+    From each start, alternates the two eigenproblems of
+    min <y|T_B P∞(|x><x|)|y> over unit x and y; no step raises it.  A start
+    stops once a round gains less than 1e-10.  The starts advance as one
+    stack: each round makes one stacked eigensolve per eigenproblem over the
+    starts still running, and a start leaves the stack in the round it
+    stops, so each result is the one its start reaches alone."""
+    xs = np.array(xs, dtype=complex)
+    best = np.full(len(xs), np.inf)
+    live = np.arange(len(xs))
     for _ in range(max_iter):
-        w, v = np.linalg.eigh(transpose_b(unvec(a.map_matrix @ vec(np.outer(x, x.conj())))))
-        if w[0] >= best - 1e-10:
+        w, v = np.linalg.eigh(transpose_b(map_operators(a.map_matrix, _projectors(xs[live]))))
+        going = ~(w[:, 0] >= best[live] - 1e-10)  # the one-start rule, NaN included
+        live, v = live[going], v[going]
+        if not live.size:
             break
-        best = w[0]
-        x = np.linalg.eigh(_pt_adjoint(a, v[:, 0]))[1][:, 0]
-    return x
+        best[live] = w[going, 0]
+        xs[live] = np.linalg.eigh(_pt_adjoint(a, v[:, :, 0]))[1][:, :, 0]
+    return xs
 
 
 def classify_theorem_class(
@@ -278,11 +302,12 @@ def classify_theorem_class(
             probes=(("representative", region.margin),),
         )
     labels, kets = zip(*_pure_probes())
+    kets = np.stack(kets)
     rng = np.random.default_rng(seed)
-    probes = [np.outer(v, v.conj()) for v in kets]
+    probes = [*_projectors(kets)]
     probes += [hilbert_schmidt_state(rng).matrix for _ in range(n_probes)]
-    probes += [np.outer(x, x.conj()) for x in (_seesaw_min(a, v) for v in kets)]
-    ms = np.stack(probes)  # Hermitized as new_state does: np.outer(x, x†) may not be Hermitian
+    probes += [*_projectors(_seesaw_min(a, kets))]
+    ms = np.stack(probes)  # Hermitized as new_state does: |x><x| may not be Hermitian
     images = apply_map(a.map_matrix, 0.5 * (ms + ms.conj().transpose(0, 2, 1)))
     names = [f"image({s})" for s in labels] + [f"image(random #{i})" for i in range(n_probes)]
     names += [f"seesaw from {s}" for s in labels]
@@ -358,13 +383,13 @@ def catalog_generator(class_id: int, **params: float) -> Generator:
         raise BadParams(f"gamma must be positive, got {value}")
     if class_id == 4 and float(value) < CLASS4_MIN_C:
         raise BadParams(
-            f"class 4 needs c >= ln 3 + 0.5 ~= {CLASS4_MIN_C:.4f} to certify "
-            f"a strictly interior image (Werner margin (1-3e^-c)/4); got {value}"
+            f"class 4 needs c >= {CLASS4_MIN_C:.7f}, just past ln 3, where the least "
+            f"image margin (1-3e^-c)/4 turns positive; got {value}"
         )
     if class_id == 6 and float(value) < CLASS6_MIN_C:
         raise BadParams(
-            f"class 6 needs c >= {CLASS6_MIN_C} so every image stays strictly "
-            f"NPT (population leakage e^-c); got {value}"
+            f"class 6 needs c >= {CLASS6_MIN_C:.7f}, just past ln 2, where the greatest "
+            f"image margin e^-c - 1/2 turns negative; got {value}"
         )
     if class_id in (1, 4):  # depolarizing: all 15 non-identity Paulis, a 16th of the rate each
         ops, share = two_qubit_paulis(), 16.0

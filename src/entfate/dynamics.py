@@ -10,13 +10,18 @@ and vec(I) is a left null vector (trace preservation).
 
 A ``Generator`` is compiled once, when it is built, into
 
-    L(t) = L_H(t) + sum_k g_k(t) D_k
+    L(t) = L_H(t) + sum_r r(t) D_r
 
 with L_H = -i (I⊗H - H^T⊗I) precomputed when H is a constant matrix
-(and rebuilt at t only when H is callable), and one dissipator D_k per
-jump channel, the bracket above.  ``liouvillian_matrix`` then only
-scales and adds these read-only 16 x 16 pieces, channel by channel,
-which gives the formula above at t bit for bit.
+(and rebuilt at t only when H is callable), and one dissipator D_r per
+distinct rate r: the sum, in channel order, of the brackets above of
+every channel with that rate.  Two rates are the same rate when they
+are one object, or equal ``ConstantRate``s or ``ExponentialRate``s; any
+other callable is its own rate.  ``liouvillian_matrix`` then only scales
+and adds these read-only 16 x 16 pieces, one per rate, which gives the
+formula above at t bit for bit per group: the channels of a rate are
+summed before they are scaled, so L moves in its last bits from the
+channel-by-channel sum only where channels share a nonzero rate.
 
 Every state, trajectory and propagator comes from one flow, ``_flow``,
 the one place that picks how to carry a vectorized operator, or a block
@@ -144,22 +149,33 @@ class Generator:
     ``hamiltonian`` is either a constant matrix or a callable t -> matrix.
     Building a Generator precomputes its read-only superoperator pieces:
     ``hamiltonian_part`` = -i (I⊗H - H^T⊗I) (None when H is callable)
-    and ``dissipators``, one D_k per jump channel, in channel order.
-    Generators, like their channels, compare and hash by identity.
+    and ``dissipators``, one D_r per distinct rate (see ``_same_rate``),
+    summed over that rate's channels in channel order, with the rates in
+    ``rates``, in order of first appearance.  Generators, like their
+    channels, compare and hash by identity.
     """
 
     hamiltonian: object = field(repr=False)
     jumps: tuple[JumpChannel, ...] = ()
     autonomous: bool = True
     hamiltonian_part: np.ndarray | None = field(init=False, repr=False)
+    rates: tuple[object, ...] = field(init=False, repr=False)
     dissipators: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         h = self.hamiltonian
         lh = None if callable(h) else _hamiltonian_superop(h)
-        ds = tuple(_read_only(_dissipator(ch.operator)) for ch in self.jumps)
+        rates, ds = [], []
+        for ch in self.jumps:  # a linear scan: few channels, and a rate need not hash
+            i = next((i for i, r in enumerate(rates) if _same_rate(r, ch.rate)), None)
+            if i is None:
+                rates.append(ch.rate)
+                ds.append(_dissipator(ch.operator))
+            else:
+                ds[i] += _dissipator(ch.operator)
         object.__setattr__(self, "hamiltonian_part", _read_only(lh))
-        object.__setattr__(self, "dissipators", ds)
+        object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "dissipators", tuple(map(_read_only, ds)))
 
     def __reduce__(self):
         # pickle the Lindblad data only; unpickling compiles it again
@@ -182,6 +198,12 @@ class Generator:
         values, left, right = scipy.linalg.eig(liouvillian_matrix(self), left=True, right=True)
         inverse = np.linalg.inv(right) if np.linalg.cond(right) <= SPECTRAL_COND_MAX else None
         return tuple(map(_read_only, (values, left, right, inverse)))
+
+
+def _same_rate(a, b) -> bool:
+    """Whether two channel rates are one rate: the same object, or equal
+    values of one of the frozen rate classes."""
+    return a is b or (type(a) is type(b) and type(a) in (ConstantRate, ExponentialRate) and a == b)
 
 
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
@@ -264,16 +286,17 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
     """Column-stacking superoperator matrix of the generator at time t,
-    a fresh writable array summed from the generator's compiled pieces."""
+    a fresh writable array summed from the generator's compiled pieces:
+    L_H(t) plus r(t) D_r for each distinct rate r that is nonzero at t."""
     if g.hamiltonian_part is None:
         lmat = _hamiltonian_superop(g.ham(t))
     else:
         lmat = g.hamiltonian_part.copy()
-    for ch, dk in zip(g.jumps, g.dissipators):
-        gam = ch.rate(t)
+    for rate, dr in zip(g.rates, g.dissipators):
+        gam = rate(t)
         if gam == 0.0:
             continue
-        lmat += gam * dk
+        lmat += gam * dr
     return lmat
 
 
@@ -540,7 +563,13 @@ def propagator_matrix(
     return propagator_matrices(g, [0.0, t] if t > 0.0 else [0.0], opts)[-1]
 
 
+def map_operators(phi: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Map every operator of a (..., 4, 4) stack in one product, bit for bit
+    phi @ vec(ms[k]) each; the images are not repaired."""
+    return unvec((phi @ vec(ms)[..., None])[..., 0])
+
+
 def apply_map(phi: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Map every state of an (N, 4, 4) stack in one product, bit for bit
-    phi @ vec(ms[k]) each, and repair the images in one stacked call."""
-    return _repair_states(unvec((phi @ vec(ms)[..., None])[..., 0]))
+    """Map every state of an (N, 4, 4) stack by ``map_operators`` and repair
+    the images in one stacked call."""
+    return _repair_states(map_operators(phi, ms))

@@ -74,10 +74,13 @@ class EnsembleSpec:
             or not 0 <= self.seed <= SEED_MAX
         ):
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
-        if not 0.0 <= self.target_concurrence <= 1.0:
-            raise ValueError(
-                f"target_concurrence must lie in [0, 1], got {self.target_concurrence}"
-            )
+        c = self.target_concurrence
+        if (
+            not isinstance(c, (int, float, np.integer, np.floating))
+            or isinstance(c, bool)
+            or not 0.0 <= c <= 1.0
+        ):
+            raise ValueError(f"target_concurrence must lie in [0, 1] as a real number, got {c!r}")
 
 
 @np.errstate(invalid="ignore")
@@ -294,7 +297,9 @@ def sample(spec: EnsembleSpec) -> QState:
     if spec.kind == "fixed_concurrence_pure":
         # Schmidt form cos(t)|00> + sin(t)|11>, concurrence sin(2t),
         # then independent Haar-random local unitaries on each side.
-        theta = 0.5 * np.arcsin(spec.target_concurrence)
+        # in float64 whatever the concurrence's type: a float32 or int8 one
+        # would give a state whose trace is off by up to 5e-4
+        theta = 0.5 * np.arcsin(float(spec.target_concurrence))
         psi = np.zeros(D, dtype=complex)
         psi[0] = np.cos(theta)
         psi[3] = np.sin(theta)

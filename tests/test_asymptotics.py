@@ -5,7 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entfate as ef
-from entfate.asymptotics import CATALOG, CLASS4_MIN_C, _pt_adjoint, _pure_probes, _seesaw_min
+from entfate.asymptotics import (
+    CATALOG,
+    CLASS4_MIN_C,
+    CLASS6_MIN_C,
+    _pt_adjoint,
+    _pure_probes,
+    _seesaw_min,
+)
 from entfate.dynamics import (
     ExponentialRate,
     _repair_states,
@@ -302,6 +309,24 @@ class TestRotatedBoundary:
             ef.classify_generator(coherent_pumping())
 
 
+def scalar_pt_adjoint(a, y):
+    """P∞†(T_B |y><y|) of one ket, the product the stacked one replaced."""
+    return unvec(a.map_matrix.conj().T @ vec(transpose_b(np.outer(y, y.conj()))))
+
+
+def scalar_seesaw_min(a, x, max_iter=100):
+    """The seesaw from one start, on its own: the loop the stacked
+    ``_seesaw_min`` replaced, which it must equal start by start."""
+    best = np.inf
+    for _ in range(max_iter):
+        w, v = np.linalg.eigh(transpose_b(unvec(a.map_matrix @ vec(np.outer(x, x.conj())))))
+        if w[0] >= best - 1e-10:
+            break
+        best = w[0]
+        x = np.linalg.eigh(scalar_pt_adjoint(a, v[:, 0]))[1][:, 0]
+    return x
+
+
 def per_probe_classification(a, tol=ef.asymptotics.DEFAULT_CLASS_TOL, n_probes=50, seed=0):
     """The per-probe loop that the probe stack replaced: every probe is
     built as a QState, then mapped, repaired and measured on its own."""
@@ -316,14 +341,14 @@ def per_probe_classification(a, tol=ef.asymptotics.DEFAULT_CLASS_TOL, n_probes=5
     probes += [(f"image(random #{i})", hilbert_schmidt_state(rng)) for i in range(n_probes)]
     states = [(label, image(s.matrix)) for label, s in probes]
     for label, v in pure:
-        x = _seesaw_min(a, v)
+        x = scalar_seesaw_min(a, v)
         states.append((f"seesaw from {label}", image(ef.new_state(np.outer(x, x.conj())).matrix)))
     margins = [(label, ef.min_pt_eigenvalue(s)) for label, s in states]
     bound = np.inf
     top = states[int(np.argmax([m for _, m in margins]))][1]
     if ef.min_pt_eigenvalue(top) < -tol:
         y = np.linalg.eigh(transpose_b(top.matrix))[1][:, 0]
-        bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
+        bound = float(np.linalg.eigvalsh(scalar_pt_adjoint(a, y))[-1])
         if bound >= -tol:
             margins.append(("image(I/4)", ef.min_pt_eigenvalue(image(np.eye(4) / 4))))
     values = np.array([m for _, m in margins])
@@ -398,6 +423,48 @@ class TestProbeStack:
         assert calls["apply_map"][0][1].shape == (20 + 7 + 20, 4, 4)
         assert len(cls.probes) == 47
 
+    @pytest.mark.parametrize("name", list(MANY_STATE_GENERATORS))
+    def test_stacked_seesaw_equals_each_start_alone(self, name):
+        aset = ef.asymptotic_set(MANY_STATE_GENERATORS[name]())
+        rng = np.random.default_rng(11)
+        # the product and Bell starts, then the leading eigenvectors of
+        # Hilbert-Schmidt draws
+        kets = [v for _, v in _pure_probes()]
+        kets += [np.linalg.eigh(hilbert_schmidt_state(rng).matrix)[1][:, -1] for _ in range(10)]
+        got = _seesaw_min(aset, np.stack(kets))
+        assert got.shape == (30, 4)
+        for x, start in zip(got, kets):
+            assert np.array_equal(x, scalar_seesaw_min(aset, start))
+        assert np.array_equal(_seesaw_min(aset, np.stack(kets[:1])), got[:1])
+        for x in got:  # the stacked adjoint is the scalar one, ket by ket
+            assert np.array_equal(_pt_adjoint(aset, x), scalar_pt_adjoint(aset, x))
+        assert all(
+            np.array_equal(p, scalar_pt_adjoint(aset, x)) for p, x in zip(_pt_adjoint(aset, got), got)
+        )
+
+    def test_seesaw_eigensolves_are_those_of_its_slowest_start(self, monkeypatch):
+        aset = ef.asymptotic_set(ef.catalog_generator(6))
+        kets = [v for _, v in _pure_probes()]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        alone = []
+        for v in kets:
+            calls.clear()
+            scalar_seesaw_min(aset, v)
+            alone.append(len(calls))
+        calls.clear()
+        _seesaw_min(aset, np.stack(kets))
+        # 37 rounds from the slowest start: 37 forward eigensolves, 36 adjoint ones
+        assert len(calls) == max(alone) == 73
+        assert sum(alone) == 778
+        assert calls[0] == (20, 4, 4)
+
     def test_no_random_probes(self):
         aset = ef.asymptotic_set(ef.catalog_generator(5))
         cls = ef.classify_theorem_class(aset, n_probes=0)
@@ -428,14 +495,47 @@ class TestCatalog:
         with pytest.raises(BadParams):
             ef.catalog_generator(4, c=1.0)
         with pytest.raises(BadParams):
-            ef.catalog_generator(6, c=1.0)
+            ef.catalog_generator(6, c=0.6)
         with pytest.raises(BadParams):
             ef.catalog_generator(7)
         with pytest.raises(BadParams):
             ef.catalog_generator(True)  # == 1, but not a class id
         with pytest.raises(BadParams):
             ef.catalog_generator(1, gamma=-1.0)
-        assert CLASS4_MIN_C == pytest.approx(np.log(3.0) + 0.5)
+        tol = ef.asymptotics.DEFAULT_CLASS_TOL
+        assert CLASS4_MIN_C == pytest.approx(np.log(3.0) - np.log(1.0 - 40.0 * tol), abs=1e-15)
+        assert CLASS6_MIN_C == pytest.approx(-np.log(0.5 - 10.0 * tol), abs=1e-15)
+        for class_id, c, law in ((4, CLASS4_MIN_C, "ln 3"), (6, CLASS6_MIN_C, "ln 2")):
+            assert law in CATALOG[class_id][0]
+            with pytest.raises(BadParams, match=f"just past {law}"):
+                ef.catalog_generator(class_id, c=np.nextafter(c, 0.0))
+            ef.catalog_generator(class_id, c=c)
+
+    def test_class4_at_its_least_c(self):
+        # the least image margin (1 - 3 e^-c)/4 is 10 tol at CLASS4_MIN_C
+        _, cls = ef.classify_generator(ef.catalog_generator(4, c=CLASS4_MIN_C))
+        assert cls.class_id == 4
+        assert cls.min_margin == pytest.approx(10 * cls.tol, abs=1e-8)
+
+    def test_class6_at_its_least_c(self):
+        # the greatest image margin e^-c - 1/2 is -10 tol at CLASS6_MIN_C
+        _, cls = ef.classify_generator(ef.catalog_generator(6, c=CLASS6_MIN_C))
+        assert cls.class_id == 6
+        assert cls.max_margin == pytest.approx(-10 * cls.tol, abs=1e-8)
+
+    @pytest.mark.parametrize("class_id, c, want", [
+        (4, np.log(3.0) + 1e-3, 4),
+        (4, np.log(3.0) - 1e-3, 5),
+        (6, np.log(2.0) + 1e-3, 6),
+    ])
+    def test_quench_verdicts_around_the_true_threshold(self, class_id, c, want):
+        # the catalog's channels at rate c e^-t, built past the catalog's checks
+        share = 16.0 if class_id == 4 else 1.0
+        g = make_generator(jumps=[
+            (ch.operator, ExponentialRate(c / share)) for ch in ef.catalog_generator(class_id).jumps
+        ])
+        _, cls = ef.classify_generator(g)
+        assert cls.class_id == want
 
     @pytest.mark.parametrize("class_id, params, reads", [
         (4, {"gamma": -1.0}, "c"),  # refused for gamma, not for being negative

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -45,22 +46,49 @@ def random_generator(seed, n_jumps=2):
     return make_generator((2, 2), hamiltonian=h, jumps=jumps)
 
 
-def reference_liouvillian(g, t):
-    """The Liouvillian assembled from Kronecker products at every call."""
+def kron_dissipator(lk):
     eye = np.eye(4)
-    h = g.ham(t)
-    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    lklk = lk.conj().T @ lk
+    return np.kron(lk.conj(), lk) - 0.5 * np.kron(eye, lklk) - 0.5 * np.kron(lklk.T, eye)
+
+
+def kron_hamiltonian_part(h):
+    eye = np.eye(4)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def reference_liouvillian(g, t):
+    """The Liouvillian assembled from Kronecker products at every call, one
+    scaled sum per rate group: channels whose rates are one object, or equal
+    ConstantRates or ExponentialRates, are summed in channel order first."""
+    groups = []  # [rate, summed dissipator]
+    for ch in g.jumps:
+        for group in groups:
+            r = group[0]
+            if r is ch.rate or (
+                type(r) is type(ch.rate) in (ConstantRate, ExponentialRate) and r == ch.rate
+            ):
+                group[1] = group[1] + kron_dissipator(ch.operator)
+                break
+        else:
+            groups.append([ch.rate, kron_dissipator(ch.operator)])
+    lmat = kron_hamiltonian_part(g.ham(t))
+    for rate, dr in groups:
+        gam = rate(t)
+        if gam == 0.0:
+            continue
+        lmat += gam * dr
+    return lmat
+
+
+def channel_liouvillian(g, t):
+    """The Liouvillian summed channel by channel, each scaled on its own."""
+    lmat = kron_hamiltonian_part(g.ham(t))
     for ch in g.jumps:
         gam = ch.rate(t)
         if gam == 0.0:
             continue
-        lk = ch.operator
-        lklk = lk.conj().T @ lk
-        lmat += gam * (
-            np.kron(lk.conj(), lk)
-            - 0.5 * np.kron(eye, lklk)
-            - 0.5 * np.kron(lklk.T, eye)
-        )
+        lmat += gam * kron_dissipator(ch.operator)
     return lmat
 
 
@@ -253,7 +281,11 @@ class TestCompiledGenerator:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(st.sampled_from(["constant", "exponential", "zero"]), min_size=1, max_size=4),
+        kinds=st.lists(
+            st.sampled_from(["constant", "exponential", "zero", "shared", "equal"]),
+            min_size=1,
+            max_size=4,
+        ),
         time_dependent_h=st.booleans(),
     )
     def test_matches_reference_formula(self, seed, kinds, time_dependent_h):
@@ -264,10 +296,13 @@ class TestCompiledGenerator:
             h = lambda t: np.cos(t) * np.kron(SX, EYE2) + np.sin(t) * h0
         else:
             h = h0
+        shared = ExponentialRate(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0))
         rates = {
             "constant": lambda: ConstantRate(rng.uniform(0.2, 1.0)),
             "exponential": lambda: ExponentialRate(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)),
             "zero": lambda: ConstantRate(0.0),
+            "shared": lambda: shared,  # one object on every channel of this kind
+            "equal": lambda: ConstantRate(0.75),  # separate objects, equal by value
         }
         jumps = [
             (0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))), rates[k]())
@@ -275,11 +310,20 @@ class TestCompiledGenerator:
         ]
         g = make_generator((2, 2), hamiltonian=h, jumps=jumps)
         assert (g.hamiltonian_part is None) == time_dependent_h
-        assert len(g.dissipators) == len(kinds)
+        distinct = sum(kinds.count(k) for k in ("constant", "exponential")) + sum(
+            k in kinds for k in ("zero", "shared", "equal")
+        )
+        assert len(g.dissipators) == len(g.rates) == distinct
         tr = vec(np.eye(4)).conj()
         for t in self.TIMES:
             lmat = liouvillian_matrix(g, t)
             assert np.array_equal(lmat, reference_liouvillian(g, t))
+            # summing a group before scaling reorders the rounding: a few ulps of
+            # the largest channel term (entries here reach about 6, an ulp 9e-16)
+            scale = max(abs(ch.rate(t)) * np.max(np.abs(kron_dissipator(ch.operator)))
+                        for ch in g.jumps)
+            bound = 8 * np.finfo(float).eps * max(scale, 1.0)
+            assert np.max(np.abs(lmat - channel_liouvillian(g, t))) <= bound
             assert np.max(np.abs(tr @ lmat)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -302,10 +346,57 @@ class TestCompiledGenerator:
     def test_unpickled_generator_is_compiled_again(self):
         g = ef.catalog_generator(4)
         g2 = pickle.loads(pickle.dumps(g))
+        assert len(g2.jumps) == 15 and len(g2.dissipators) == len(g2.rates) == 1
         for p in (g2.hamiltonian_part, *g2.dissipators):
             assert not p.flags.writeable
         for t in self.TIMES:
             assert np.array_equal(liouvillian_matrix(g2, t), liouvillian_matrix(g, t))
+
+    @pytest.mark.parametrize("class_id, channels", [(1, 15), (2, 2), (3, 3), (4, 15), (5, 2), (6, 3)])
+    def test_catalog_compiles_one_dissipator(self, class_id, channels):
+        g = ef.catalog_generator(class_id)
+        assert len(g.jumps) == channels
+        assert len(g.dissipators) == 1 and g.rates == (g.jumps[0].rate,)
+        for t in self.TIMES:
+            assert np.array_equal(liouvillian_matrix(g, t), reference_liouvillian(g, t))
+            assert np.max(np.abs(liouvillian_matrix(g, t) - channel_liouvillian(g, t))) <= 1e-15
+
+    def test_rates_equal_by_value_group_from_a_config(self):
+        from entfate.cli import build_generator
+
+        ops = [np.kron(SMINUS, EYE2), np.kron(EYE2, SMINUS)]
+        jumps = [
+            {"operator": [[[z.real, z.imag] for z in row] for row in op],
+             "rate": {"kind": "constant", "value": 0.5}}
+            for op in ops
+        ]
+        g = build_generator({"generator": {"explicit": {"jumps": jumps}}})
+        assert g.jumps[0].rate is not g.jumps[1].rate
+        assert len(g.dissipators) == 1 and g.rates == (ConstantRate(0.5),)
+        assert np.array_equal(liouvillian_matrix(g), reference_liouvillian(g, 0.0))
+
+    def test_other_callables_group_by_identity(self):
+        ops = [np.kron(SMINUS, EYE2), np.kron(EYE2, SMINUS)]
+        first, second = (lambda t: 0.5 * math.exp(-t)), (lambda t: 0.5 * math.exp(-t))
+        apart = make_generator((2, 2), jumps=[(ops[0], first), (ops[1], second)])
+        assert len(apart.dissipators) == 2 and apart.rates == (first, second)
+        shared = make_generator((2, 2), jumps=[(ops[0], first), (ops[1], first)])
+        assert len(shared.dissipators) == 1 and shared.rates == (first,)
+        for t in self.TIMES:
+            assert np.array_equal(liouvillian_matrix(apart, t), channel_liouvillian(apart, t))
+            assert np.array_equal(liouvillian_matrix(shared, t), reference_liouvillian(shared, t))
+
+    def test_unhashable_rates_compile(self):
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, t):
+                return 0.25
+
+        op = np.kron(SMINUS, EYE2)
+        g = make_generator((2, 2), jumps=[(op, Unhashable()), (op.T, Unhashable())])
+        assert len(g.dissipators) == 2
+        assert np.array_equal(liouvillian_matrix(g), channel_liouvillian(g, 0.0))
 
     def test_propagation_builds_no_kronecker_products(self, monkeypatch):
         g = ef.catalog_generator(6)

@@ -211,6 +211,22 @@ class TestSample:
         with pytest.raises(ValueError):
             ef.EnsembleSpec("fixed_concurrence_pure", seed=1, target_concurrence=1.5)
 
+    @pytest.mark.parametrize(
+        "target", ["0.5", None, True, False, float("nan"), -0.1, 1.1], ids=repr
+    )
+    def test_target_must_be_a_real_number_in_range(self, target):
+        # "0.5" and None used to end in an untyped TypeError from the range
+        # comparison, and True to build and then fail in sample
+        with pytest.raises(ValueError, match=r"target_concurrence must lie in \[0, 1\] as a real number, got "):
+            ef.EnsembleSpec("fixed_concurrence_pure", seed=1, target_concurrence=target)
+
+    @pytest.mark.parametrize(
+        "target", [np.float64(0.6), np.float32(0.6), np.float16(0.6), np.int8(1), 1], ids=repr
+    )
+    def test_numpy_targets_sample_in_float64(self, target):
+        spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=11, target_concurrence=target)
+        assert abs(ef.concurrence(ef.sample(spec)) - float(target)) < 1e-12
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 3.5, "3", True], ids=repr)
     def test_seed_must_be_a_64_bit_integer(self, seed):
         # a sample's seed is its Philox key word: -1 and 2**64 used to build
