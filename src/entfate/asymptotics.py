@@ -15,9 +15,12 @@ constructor builds every set and checks that P∞(I/4) is a state.
 A singleton set also carries its state P∞(I/4).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly.  A larger set is probed by one stack:
-product and Bell projectors, random states, and a seesaw result from each
-product and Bell state (the margin is concave along mixtures, so its minimum
-sits at an extreme point, which the seesaw seeks).  The seesaw's starts
+product and Bell projectors (the products from one broadcast outer
+product), random states (one stacked Hilbert-Schmidt draw,
+``states.hilbert_schmidt_states``, bit for bit the scalar draws), and a
+seesaw result from each product and Bell state (the margin is concave
+along mixtures, so its minimum sits at an extreme point, which the seesaw
+seeks).  The seesaw's starts
 advance as one stack, each stopping on its own rule, so each result is the
 one its start reaches alone.  P∞ maps the probe stack in one call, and one
 stacked eigensolve gives every margin.  Class 6 (every member entangled) is
@@ -64,6 +67,7 @@ from .states import (
     QState,
     check_positive,
     hilbert_schmidt_state,
+    hilbert_schmidt_states,
     new_state,
     trace_distance,
     transpose_b,
@@ -237,12 +241,16 @@ def membership_residual(a: AsymptoticSet, s: QState) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(img - s.matrix))))
 
 
-def _pure_probes() -> list[tuple[str, np.ndarray]]:
-    """Products of |0>, |1>, |+>, |+i> on each qubit, then the Bell states."""
-    singles = list(zip(["0", "1", "+", "+i"], single_qubit_probe_vectors()))
-    probes = [(f"product |{la}{lb}>", np.kron(va, vb)) for la, va in singles for lb, vb in singles]
-    bells = zip(["Phi+", "Phi-", "Psi+", "Psi-"], bell_vectors())
-    return probes + [(f"Bell {name}", b) for name, b in bells]
+def _pure_probes() -> tuple[list[str], np.ndarray]:
+    """The labels and the (20, 4) stack of kets of the products of |0>, |1>,
+    |+>, |+i> on each qubit, a first, then the Bell states.  The products
+    are one broadcast outer product, entry by entry np.kron's."""
+    singles = ["0", "1", "+", "+i"]
+    v = np.stack(single_qubit_probe_vectors())
+    products = (v[:, None, :, None] * v[None, :, None, :]).reshape(16, D)
+    labels = [f"product |{a}{b}>" for a in singles for b in singles]
+    labels += [f"Bell {name}" for name in ("Phi+", "Phi-", "Psi+", "Psi-")]
+    return labels, np.concatenate([products, bell_vectors()])
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
@@ -280,14 +288,24 @@ def _seesaw_min(a: AsymptoticSet, xs: np.ndarray, max_iter: int = 100) -> np.nda
     return xs
 
 
+def _check_whole(name: str, value) -> None:
+    """A probe count or seed must be a non-negative Python or numpy integer;
+    a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def classify_theorem_class(
     a: AsymptoticSet,
     tol: float = DEFAULT_CLASS_TOL,
     n_probes: int = DEFAULT_N_PROBES,
     seed: int = 0,
 ) -> TheoremClass:
-    """Assign the asymptotic set to one of the six classes."""
+    """Assign the asymptotic set to one of the six classes.  ``n_probes`` and
+    ``seed`` are non-negative integers (``ValueError`` otherwise)."""
     check_positive("tol", tol)
+    _check_whole("n_probes", n_probes)
+    _check_whole("seed", seed)
     if a.cardinality == "one":
         region = classify_region(representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
@@ -301,13 +319,10 @@ def classify_theorem_class(
             tol=tol,
             probes=(("representative", region.margin),),
         )
-    labels, kets = zip(*_pure_probes())
-    kets = np.stack(kets)
-    rng = np.random.default_rng(seed)
-    probes = [*_projectors(kets)]
-    probes += [hilbert_schmidt_state(rng).matrix for _ in range(n_probes)]
-    probes += [*_projectors(_seesaw_min(a, kets))]
-    ms = np.stack(probes)  # Hermitized as new_state does: |x><x| may not be Hermitian
+    labels, kets = _pure_probes()
+    randoms = hilbert_schmidt_states(np.random.default_rng(seed), n_probes)
+    ms = np.concatenate([_projectors(kets), randoms, _projectors(_seesaw_min(a, kets))])
+    # Hermitized as new_state does: |x><x| may not be Hermitian
     images = apply_map(a.map_matrix, 0.5 * (ms + ms.conj().transpose(0, 2, 1)))
     names = [f"image({s})" for s in labels] + [f"image(random #{i})" for i in range(n_probes)]
     names += [f"seesaw from {s}" for s in labels]
@@ -358,6 +373,8 @@ def classify_generator(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> tuple[AsymptoticSet, TheoremClass]:
     """Full pipeline: ``asymptotic_set``, then ``classify_theorem_class``."""
+    _check_whole("n_probes", n_probes)
+    _check_whole("seed", seed)
     aset = asymptotic_set(g, kernel_tol, horizon, convergence_tol, opts)
     return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 

@@ -17,11 +17,15 @@ with L_H = -i (I⊗H - H^T⊗I) precomputed when H is a constant matrix
 distinct rate r: the sum, in channel order, of the brackets above of
 every channel with that rate.  Two rates are the same rate when they
 are one object, or equal ``ConstantRate``s or ``ExponentialRate``s; any
-other callable is its own rate.  ``liouvillian_matrix`` then only scales
+other callable is its own rate.  Every channel's bracket comes from one
+broadcast product over the (K, 4, 4) stack of jump operators, entry by
+entry the Kronecker products above (so does L_H), and each rate's rows are
+added in channel order by one reduction.  ``liouvillian_matrix`` then only scales
 and adds these read-only 16 x 16 pieces, one per rate, which gives the
 formula above at t bit for bit per group: the channels of a rate are
 summed before they are scaled, so L moves in its last bits from the
 channel-by-channel sum only where channels share a nonzero rate.
+``make_generator`` spot-checks each distinct rate once.
 
 Every state, trajectory and propagator comes from one flow, ``_flow``,
 the one place that picks how to carry a vectorized operator, or a block
@@ -81,6 +85,7 @@ import numpy as np
 
 from .errors import PositivityLost, StepFailure
 from .geometry import min_pt_eigenvalues
+from .operators import broadcast_kron
 from .states import D, QState, check_dims
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
@@ -165,14 +170,20 @@ class Generator:
     def __post_init__(self):
         h = self.hamiltonian
         lh = None if callable(h) else _hamiltonian_superop(h)
-        rates, ds = [], []
-        for ch in self.jumps:  # a linear scan: few channels, and a rate need not hash
+        # the distinct rates, and each one's channel indices, by a linear scan:
+        # few channels, and a rate need not hash
+        rates, groups = [], []
+        for k, ch in enumerate(self.jumps):
             i = next((i for i, r in enumerate(rates) if _same_rate(r, ch.rate)), None)
             if i is None:
                 rates.append(ch.rate)
-                ds.append(_dissipator(ch.operator))
+                groups.append([k])
             else:
-                ds[i] += _dissipator(ch.operator)
+                groups[i].append(k)
+        ds = _dissipators(np.array([ch.operator for ch in self.jumps]).reshape(-1, D, D))
+        # a reduction over the leading axis adds rows one after another, in
+        # channel order: bit for bit a running sum of the group's rows
+        ds = [np.add.reduce(ds[group], axis=0) for group in groups]
         object.__setattr__(self, "hamiltonian_part", _read_only(lh))
         object.__setattr__(self, "rates", tuple(rates))
         object.__setattr__(self, "dissipators", tuple(map(_read_only, ds)))
@@ -206,17 +217,23 @@ def _same_rate(a, b) -> bool:
     return a is b or (type(a) is type(b) and type(a) in (ConstantRate, ExponentialRate) and a == b)
 
 
+_EYE = np.eye(D)
+
+
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """-i (I⊗H - H^T⊗I)."""
-    eye = np.eye(D)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * (broadcast_kron(_EYE, h) - broadcast_kron(h.T, _EYE))
 
 
-def _dissipator(lk: np.ndarray) -> np.ndarray:
-    """conj(L)⊗L - 1/2 I⊗(L†L) - 1/2 (L†L)^T⊗I."""
-    eye = np.eye(D)
-    lklk = lk.conj().T @ lk
-    return np.kron(lk.conj(), lk) - 0.5 * np.kron(eye, lklk) - 0.5 * np.kron(lklk.T, eye)
+def _dissipators(ls: np.ndarray) -> np.ndarray:
+    """conj(L)⊗L - 1/2 I⊗(L†L) - 1/2 (L†L)^T⊗I of every operator of a
+    (K, 4, 4) stack, as a (K, 16, 16) stack."""
+    lklk = ls.conj().swapaxes(-1, -2) @ ls
+    return (
+        broadcast_kron(ls.conj(), ls)
+        - 0.5 * broadcast_kron(_EYE, lklk)
+        - 0.5 * broadcast_kron(lklk.swapaxes(-1, -2), _EYE)
+    )
 
 
 def make_generator(dims=(2, 2), hamiltonian=None, jumps=(), autonomous=None) -> Generator:
@@ -255,22 +272,24 @@ def make_generator(dims=(2, 2), hamiltonian=None, jumps=(), autonomous=None) -> 
         jumps=tuple(channels),
         autonomous=bool(autonomous),
     )
+    # each distinct rate once: a rate group's channels share one object or
+    # equal frozen values, so they share every value checked here
     for t in _SPOT_CHECK_TIMES:
         h = g.ham(t)
         if not np.isfinite(h).all():
             raise ValueError(f"hamiltonian has a non-finite entry at t={t}")
         if np.max(np.abs(h - h.conj().T)) > 1e-12:
             raise ValueError(f"hamiltonian not Hermitian at t={t}")
-        for ch in g.jumps:
-            if not np.isfinite(ch.rate(t)):
-                raise ValueError(f"non-finite rate {ch.rate(t)} at t={t}")
-            if ch.rate(t) < 0.0:
-                raise ValueError(f"negative rate {ch.rate(t)} at t={t}")
+        for rate in g.rates:
+            if not np.isfinite(rate(t)):
+                raise ValueError(f"non-finite rate {rate(t)} at t={t}")
+            if rate(t) < 0.0:
+                raise ValueError(f"negative rate {rate(t)} at t={t}")
     if g.autonomous:
         h0 = g.ham(0.0)
         for t in _SPOT_CHECK_TIMES[1:]:
             if np.max(np.abs(g.ham(t) - h0)) > 1e-12 or any(
-                abs(ch.rate(t) - ch.rate(0.0)) > 1e-12 for ch in g.jumps
+                abs(rate(t) - rate(0.0)) > 1e-12 for rate in g.rates
             ):
                 raise ValueError("autonomous flag set but generator varies with t")
     return g

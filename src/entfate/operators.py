@@ -21,10 +21,18 @@ def bell_vectors() -> list[np.ndarray]:
     return [phi_p, phi_m, psi_p, psi_m]
 
 
-def two_qubit_paulis() -> list[np.ndarray]:
-    """The 15 tensor products of single-qubit Paulis other than I⊗I."""
-    singles = [EYE2, SX, SY, SZ]
-    return [np.kron(a, b) for a in singles for b in singles][1:]
+def broadcast_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the matrices on the last two axes of a and b, entry by entry,
+    broadcast over their leading axes: one product for whole stacks."""
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return p.reshape(*p.shape[:-4], p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1])
+
+
+def two_qubit_paulis() -> np.ndarray:
+    """The 15 tensor products of single-qubit Paulis other than I⊗I, as a
+    (15, 4, 4) stack in the order np.kron(a, b) for a, then b, in I, X, Y, Z."""
+    s = np.stack([EYE2, SX, SY, SZ])
+    return broadcast_kron(s[:, None], s[None, :]).reshape(16, 4, 4)[1:]
 
 
 def single_qubit_probe_vectors() -> list[np.ndarray]:

@@ -285,6 +285,34 @@ def hilbert_schmidt_state(rng: np.random.Generator) -> QState:
     return new_state(m / m.trace().real)
 
 
+def _checked_states(ms: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """``new_state``'s checks on every matrix of an (N, 4, 4) complex stack,
+    at once: the read-only stack of their symmetrized matrices.  The first
+    matrix that fails a check goes through ``new_state``, which raises its
+    own error."""
+    h = ms.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):  # the failures new_state reports
+        ok = np.abs(ms - h).max(axis=(-2, -1)) <= tol  # NaN fails too
+        sym = 0.5 * (ms + h)
+        ok &= np.abs(np.trace(sym, axis1=-2, axis2=-1).real - 1.0) <= tol
+    rest = np.flatnonzero(ok)  # finite, Hermitian, unit trace: only these reach eigvalsh
+    ok[rest] = np.linalg.eigvalsh(sym[rest])[:, 0] >= -tol
+    if not ok.all():
+        new_state(ms[np.argmin(ok)], tol=tol)
+    sym.setflags(write=False)
+    return sym
+
+
+def hilbert_schmidt_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The matrices of n successive ``hilbert_schmidt_state(rng)`` draws, bit
+    for bit, as one read-only (n, 4, 4) stack: one draw, one stacked product
+    and one stacked check.  rng is left where those n draws leave it."""
+    z = rng.normal(size=(n, 2, D, D))  # each state's real parts, then imaginary
+    g = z[:, 0] + 1j * z[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return _checked_states(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+
+
 def sample(spec: EnsembleSpec) -> QState:
     """Draw one state from the ensemble. Pure function of spec."""
     rng = _rng(spec.seed)

@@ -22,7 +22,13 @@ from entfate.dynamics import (
     vec,
 )
 from entfate.errors import BadParams, Inconclusive, NotConverged, OscillatoryAsymptotics
-from entfate.operators import EYE2, SZ, two_qubit_paulis
+from entfate.operators import (
+    EYE2,
+    SZ,
+    bell_vectors,
+    single_qubit_probe_vectors,
+    two_qubit_paulis,
+)
 from entfate.states import hilbert_schmidt_state, transpose_b
 
 
@@ -309,6 +315,15 @@ class TestRotatedBoundary:
             ef.classify_generator(coherent_pumping())
 
 
+def kron_pure_probes():
+    """The labelled pure probes built one np.kron at a time: the oracle of
+    the broadcast ``_pure_probes``."""
+    singles = list(zip(["0", "1", "+", "+i"], single_qubit_probe_vectors()))
+    probes = [(f"product |{la}{lb}>", np.kron(va, vb)) for la, va in singles for lb, vb in singles]
+    bells = zip(["Phi+", "Phi-", "Psi+", "Psi-"], bell_vectors())
+    return probes + [(f"Bell {name}", b) for name, b in bells]
+
+
 def scalar_pt_adjoint(a, y):
     """P∞†(T_B |y><y|) of one ket, the product the stacked one replaced."""
     return unvec(a.map_matrix.conj().T @ vec(transpose_b(np.outer(y, y.conj()))))
@@ -335,7 +350,7 @@ def per_probe_classification(a, tol=ef.asymptotics.DEFAULT_CLASS_TOL, n_probes=5
         raw = (a.map_matrix @ m.flatten(order="F")).reshape((4, 4), order="F")
         return ef.QState(_repair_states(raw[None])[0])
 
-    pure = _pure_probes()
+    pure = kron_pure_probes()
     probes = [(f"image({label})", ef.new_state(np.outer(v, v.conj()))) for label, v in pure]
     rng = np.random.default_rng(seed)
     probes += [(f"image(random #{i})", hilbert_schmidt_state(rng)) for i in range(n_probes)]
@@ -429,7 +444,7 @@ class TestProbeStack:
         rng = np.random.default_rng(11)
         # the product and Bell starts, then the leading eigenvectors of
         # Hilbert-Schmidt draws
-        kets = [v for _, v in _pure_probes()]
+        kets = [v for _, v in kron_pure_probes()]
         kets += [np.linalg.eigh(hilbert_schmidt_state(rng).matrix)[1][:, -1] for _ in range(10)]
         got = _seesaw_min(aset, np.stack(kets))
         assert got.shape == (30, 4)
@@ -444,7 +459,7 @@ class TestProbeStack:
 
     def test_seesaw_eigensolves_are_those_of_its_slowest_start(self, monkeypatch):
         aset = ef.asymptotic_set(ef.catalog_generator(6))
-        kets = [v for _, v in _pure_probes()]
+        kets = [v for _, v in kron_pure_probes()]
         calls = []
         eigh = np.linalg.eigh
 
@@ -464,6 +479,69 @@ class TestProbeStack:
         assert len(calls) == max(alone) == 73
         assert sum(alone) == 778
         assert calls[0] == (20, 4, 4)
+
+    def test_pure_probes_are_the_kron_products(self):
+        labels, kets = _pure_probes()
+        want = kron_pure_probes()
+        assert labels == [label for label, _ in want]
+        assert kets.shape == (20, 4)
+        assert kets.tobytes() == np.stack([v for _, v in want]).tobytes()
+
+    @pytest.mark.parametrize("class_id", [4, 5, 6])
+    def test_random_probes_come_from_one_draw(self, monkeypatch, class_id):
+        from entfate import asymptotics, states
+
+        aset = ef.asymptotic_set(ef.catalog_generator(class_id))
+        want = per_probe_classification(aset, seed=3)  # its own scalar draws
+
+        def no_scalar_draws(rng):
+            raise AssertionError("a scalar Hilbert-Schmidt draw")
+
+        monkeypatch.setattr(states, "hilbert_schmidt_state", no_scalar_draws)
+        monkeypatch.setattr(asymptotics, "hilbert_schmidt_state", no_scalar_draws)
+        got = ef.classify_theorem_class(aset, seed=3)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_probes", -3),
+            ("n_probes", True),
+            ("n_probes", 2.5),
+            ("n_probes", "7"),
+            ("n_probes", None),
+            ("n_probes", np.float64(7.0)),
+            ("seed", 2.5),
+            ("seed", True),
+            ("seed", -1),
+            ("seed", "0"),
+            ("seed", None),
+            ("seed", np.bool_(True)),
+        ],
+    )
+    def test_probe_count_and_seed_must_be_whole(self, monkeypatch, name, value):
+        from entfate import asymptotics
+
+        aset = ef.asymptotic_set(ef.catalog_generator(5))
+
+        def no_work(*args):
+            raise AssertionError("probing started")
+
+        monkeypatch.setattr(asymptotics, "_seesaw_min", no_work)
+        monkeypatch.setattr(asymptotics, "asymptotic_set", no_work)
+        message = f"{name} must be a non-negative integer, got {value!r}"
+        with pytest.raises(ValueError) as got:
+            ef.classify_theorem_class(aset, **{name: value})
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            ef.classify_generator(ef.catalog_generator(5), **{name: value})
+        assert str(got.value) == message
+
+    def test_numpy_integers_count_and_seed(self):
+        aset = ef.asymptotic_set(ef.catalog_generator(5))
+        want = ef.classify_theorem_class(aset, n_probes=7, seed=3)
+        assert ef.classify_theorem_class(aset, n_probes=np.int8(7), seed=np.uint64(3)) == want
 
     def test_no_random_probes(self):
         aset = ef.asymptotic_set(ef.catalog_generator(5))

@@ -21,7 +21,10 @@ from entfate.dynamics import (
     ConstantRate,
     ExponentialRate,
     PropagatorSource,
+    _SPOT_CHECK_TIMES,
+    _dissipators,
     _factorizes,
+    _hamiltonian_superop,
     _repair_states,
     apply_map,
     liouvillian_matrix,
@@ -30,7 +33,7 @@ from entfate.dynamics import (
     vec,
 )
 from entfate.errors import PositivityLost, StepFailure
-from entfate.operators import EYE2, SMINUS, SX
+from entfate.operators import EYE2, SMINUS, SX, SY, SZ, two_qubit_paulis
 
 GAMMA = 1.0
 
@@ -242,6 +245,47 @@ class TestMakeGenerator:
         g = make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ExponentialRate(1.0))])
         assert not g.autonomous
 
+    @pytest.mark.parametrize(
+        "make_rate, shared, message",
+        [
+            (lambda: ConstantRate(-0.1), True, "negative rate -0.1 at t=0.0"),
+            (lambda: ConstantRate(-0.1), False, "negative rate -0.1 at t=0.0"),
+            (lambda: ConstantRate(np.nan), True, "non-finite rate nan at t=0.0"),
+            (lambda: ConstantRate(np.nan), False, "non-finite rate nan at t=0.0"),
+            (lambda: ExponentialRate(-2.0), False, "negative rate -2.0 at t=0.0"),
+            (lambda: lambda t: np.inf if t > 5 else 1.0, True, "non-finite rate inf at t=10.0"),
+            (lambda: lambda t: -1.0 if t == 1.0 else 1.0, True, "negative rate -1.0 at t=1.0"),
+        ],
+        ids=["negative", "negative-equal", "nan", "nan-separate", "negative-exponential-equal",
+             "inf-at-t", "negative-at-t"],
+    )
+    def test_bad_rate_of_fifteen_channels(self, make_rate, shared, message):
+        # one rate object on all 15 channels, or 15 separately built ones:
+        # the error is that of a single channel with the rate
+        rates = [make_rate()] * 15 if shared else [make_rate() for _ in range(15)]
+        with pytest.raises(ValueError) as alone:
+            make_generator((2, 2), jumps=[(two_qubit_paulis()[0], rates[0])])
+        with pytest.raises(ValueError) as got:
+            make_generator((2, 2), jumps=list(zip(two_qubit_paulis(), rates)))
+        assert str(got.value) == str(alone.value) == message
+
+    @pytest.mark.parametrize("autonomous", [None, True])
+    def test_each_distinct_rate_is_spot_checked_once(self, autonomous):
+        calls = []
+
+        def rate(t):
+            calls.append(t)
+            return 0.5
+
+        seen = []
+        for n in (1, 15):
+            calls.clear()
+            jumps = [(p, rate) for p in two_qubit_paulis()[:n]]
+            make_generator((2, 2), jumps=jumps, autonomous=autonomous)
+            seen.append(list(calls))
+        assert seen[0] == seen[1]
+        assert set(seen[1]) == set(_SPOT_CHECK_TIMES)
+
     def test_equality_is_identity_and_hashable(self):
         g, h = ef.catalog_generator(2), ef.catalog_generator(2)
         assert g == g and g != h
@@ -271,6 +315,36 @@ class TestLiouvillianMatrix:
         assert abs(drho[0, 0] - 1.0) < 1e-14
         assert abs(drho[2, 2] + 1.0) < 1e-14
         assert np.max(np.abs(drho - np.diag([1.0, 0.0, -1.0, 0.0]))) < 1e-14
+
+
+class TestBroadcastProducts:
+    """The superoperator pieces and the Paulis are broadcast products, bit
+    for bit the np.kron forms kept here as oracles."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hamiltonian_part(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for h in (0.5 * (z + z.conj().T), z, z.real, -z, np.zeros((4, 4))):
+            got = _hamiltonian_superop(h)
+            assert got.shape == (16, 16)
+            assert got.tobytes() == kron_hamiltonian_part(h).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dissipators(self, seed):
+        rng = np.random.default_rng(seed)
+        ls = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+        ls[3] = np.kron(SMINUS, EYE2)
+        got = _dissipators(ls)
+        assert got.shape == (7, 16, 16)
+        assert [d.tobytes() for d in got] == [kron_dissipator(lk).tobytes() for lk in ls]
+
+    def test_two_qubit_paulis(self):
+        singles = [EYE2, SX, SY, SZ]
+        want = [np.kron(a, b) for a in singles for b in singles][1:]
+        got = two_qubit_paulis()
+        assert got.shape == (15, 4, 4)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
 class TestCompiledGenerator:

@@ -352,6 +352,87 @@ def test_fixed_concurrence_bit_identical_to_two_draws(c):
         assert ef.sample(spec).matrix.tobytes() == two_unitary_oracle(spec).matrix.tobytes()
 
 
+def rngs(seed):
+    """Two generators with one stream, of each kind that draws states:
+    PCG64 for classify's probes and Philox for ensemble samples."""
+    if seed % 2:
+        return [np.random.Generator(np.random.Philox(key=seed)) for _ in range(2)]
+    return [np.random.default_rng(seed) for _ in range(2)]
+
+
+def non_hermitian():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 0.3
+    return m
+
+
+def non_finite(value, *where):
+    m = np.eye(4, dtype=complex) / 4
+    for ij in where:
+        m[ij] = value
+    return m
+
+
+NOT_STATES = {
+    "nan-off-diagonal": lambda: non_finite(np.nan, (1, 2), (2, 1)),
+    "inf-imaginary-diagonal": lambda: non_finite(complex(1.0, np.inf), (0, 0)),
+    "inf-lower": lambda: non_finite(-np.inf, (3, 0)),
+    "non-hermitian": non_hermitian,
+    "trace": lambda: np.eye(4, dtype=complex) / 2,
+    "non-psd": lambda: np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex),
+}
+
+
+class TestHilbertSchmidtStack:
+    """``hilbert_schmidt_states`` is n scalar draws in one stack, bit for bit,
+    and its stacked check refuses what ``new_state`` refuses."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7919])
+    def test_equals_scalar_draws(self, seed):
+        # 4 seeds of 500: 2,000 states
+        batch, scalar = rngs(seed)
+        got = states.hilbert_schmidt_states(batch, 500)
+        assert got.shape == (500, 4, 4) and not got.flags.writeable
+        want = [states.hilbert_schmidt_state(scalar).matrix.tobytes() for _ in range(500)]
+        assert [m.tobytes() for m in got] == want
+        # the stream goes on where the n scalar draws leave it
+        assert batch.normal(size=8).tobytes() == scalar.normal(size=8).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_small_counts(self, seed, n):
+        batch, scalar = rngs(seed)
+        got = states.hilbert_schmidt_states(batch, n)
+        assert got.shape == (n, 4, 4) and got.dtype == complex
+        want = [states.hilbert_schmidt_state(scalar).matrix.tobytes() for _ in range(n)]
+        assert [m.tobytes() for m in got] == want
+        assert batch.normal(size=8).tobytes() == scalar.normal(size=8).tobytes()
+
+    def test_check_symmetrizes_as_new_state_does(self):
+        rng = np.random.default_rng(2)
+        ms = np.array(states.hilbert_schmidt_states(rng, 20))
+        ms += 1e-12 * (rng.normal(size=ms.shape) + 1j * rng.normal(size=ms.shape))
+        got = states._checked_states(ms)
+        assert not got.flags.writeable
+        assert [m.tobytes() for m in got] == [ef.new_state(m).matrix.tobytes() for m in ms]
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    @pytest.mark.parametrize("bad", list(NOT_STATES))
+    def test_check_refuses_what_new_state_refuses(self, bad, k):
+        ms = np.array(states.hilbert_schmidt_states(np.random.default_rng(k), 6))
+        ms[k] = NOT_STATES[bad]()
+        others = [name for name in NOT_STATES if name != bad]
+        for j in range(k + 1, 6):  # later failures of other kinds: the first is reported
+            ms[j] = NOT_STATES[others[j % len(others)]]()
+        for tol in (states.VALIDATION_TOL, 1e-3):
+            with pytest.raises(NotAState) as want:
+                ef.new_state(ms[k], tol=tol)
+            with pytest.raises(NotAState) as got:
+                states._checked_states(ms, tol=tol)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
 def fresh_sample(spec):
     """Each ensemble built the long way: a fresh Philox keyed by the seed
     and separate real and imaginary normal draws."""
