@@ -66,6 +66,7 @@ from .states import (
     D,
     QState,
     check_positive,
+    check_whole,
     hilbert_schmidt_state,
     hilbert_schmidt_states,
     new_state,
@@ -125,6 +126,7 @@ class TheoremClass:
 def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> AsymptoticSet:
     """Spectral kernel of the Liouvillian, from the generator's ``spectrum``
     (ValueError unless g is autonomous), as the asymptotic set."""
+    check_positive("tol", tol)
     w, vl, vr, _ = g.spectrum
     kernel = np.abs(w) <= tol
     peripheral = (~kernel) & (np.abs(w.real) <= tol) & (np.abs(w.imag) > tol)
@@ -161,6 +163,8 @@ def asymptotic_set_nonautonomous(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> AsymptoticSet:
     """Converged total propagator; the asymptotic set is its image of D."""
+    check_positive("horizon", horizon)
+    check_positive("tol", tol)
     _, phi_half, phi = propagator_matrices(g, (0.0, 0.5 * horizon, horizon), opts)
     residual = float(np.max(np.abs(phi - phi_half)))
     if residual > tol:
@@ -288,13 +292,6 @@ def _seesaw_min(a: AsymptoticSet, xs: np.ndarray, max_iter: int = 100) -> np.nda
     return xs
 
 
-def _check_whole(name: str, value) -> None:
-    """A probe count or seed must be a non-negative Python or numpy integer;
-    a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def classify_theorem_class(
     a: AsymptoticSet,
     tol: float = DEFAULT_CLASS_TOL,
@@ -304,8 +301,8 @@ def classify_theorem_class(
     """Assign the asymptotic set to one of the six classes.  ``n_probes`` and
     ``seed`` are non-negative integers (``ValueError`` otherwise)."""
     check_positive("tol", tol)
-    _check_whole("n_probes", n_probes)
-    _check_whole("seed", seed)
+    check_whole("n_probes", n_probes)
+    check_whole("seed", seed)
     if a.cardinality == "one":
         region = classify_region(representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
@@ -373,8 +370,8 @@ def classify_generator(
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> tuple[AsymptoticSet, TheoremClass]:
     """Full pipeline: ``asymptotic_set``, then ``classify_theorem_class``."""
-    _check_whole("n_probes", n_probes)
-    _check_whole("seed", seed)
+    check_whole("n_probes", n_probes)
+    check_whole("seed", seed)
     aset = asymptotic_set(g, kernel_tol, horizon, convergence_tol, opts)
     return aset, classify_theorem_class(aset, tol=class_tol, n_probes=n_probes, seed=seed)
 
@@ -385,19 +382,23 @@ def catalog_generator(class_id: int, **params: float) -> Generator:
     ``CATALOG[class_id]`` describes it and names its one rate parameter,
     with its default: gamma for the constant rates of classes 1, 2, 3 and 5,
     c for the rates c*exp(-t) of the quenches 4 and 6, which need c >=
-    ``CLASS4_MIN_C`` and c >= ``CLASS6_MIN_C``.  An id outside the table (a
-    boolean included), or a parameter the class does not read, is
-    ``BadParams``.
+    ``CLASS4_MIN_C`` and c >= ``CLASS6_MIN_C``.  An id that is not an integer
+    in 1..6 (a float or bool included), a parameter the class does not read,
+    or a value not positive and finite is ``BadParams``.
     """
-    if isinstance(class_id, bool) or class_id not in CATALOG:
-        raise BadParams(f"class_id must be 1..6, got {class_id!r}")
+    try:
+        class_id = check_whole("class_id", class_id, min(CATALOG), max(CATALOG))
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
     ((name, default),) = CATALOG[class_id][1].items()
     for key in params:
         if key != name:
             raise BadParams(f"class {class_id} takes only the parameter {name}, got {key}")
     value = params.get(name, default)
-    if name == "gamma" and value <= 0.0:
-        raise BadParams(f"gamma must be positive, got {value}")
+    try:
+        check_positive(name, value)
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
     if class_id == 4 and float(value) < CLASS4_MIN_C:
         raise BadParams(
             f"class 4 needs c >= {CLASS4_MIN_C:.7f}, just past ln 3, where the least "

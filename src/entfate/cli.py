@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -422,7 +423,9 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="entfate",
         description="Two-qubit open-system entanglement-fate simulator",

@@ -86,7 +86,7 @@ import numpy as np
 from .errors import PositivityLost, StepFailure
 from .geometry import min_pt_eigenvalues
 from .operators import broadcast_kron
-from .states import D, QState, check_dims
+from .states import D, QState, check_dims, check_positive
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
@@ -134,8 +134,7 @@ class ExponentialRate:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        check_positive("tau", self.tau)
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.exp(-t / self.tau)
@@ -321,8 +320,14 @@ def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """An RK45 solve's relative and absolute tolerances, each positive and finite."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
+
+    def __post_init__(self):
+        check_positive("rtol", self.rtol)
+        check_positive("atol", self.atol)
 
 
 DEFAULT_OPTS = SolverOptions()

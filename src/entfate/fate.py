@@ -32,7 +32,6 @@ rather than guessing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -41,7 +40,7 @@ import numpy as np
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, propagate
 from .errors import EntfateError, HorizonTooShort
 from .geometry import concurrence, min_pt_eigenvalue
-from .states import EnsembleSpec, QState, check_positive, sample, split_seed
+from .states import EnsembleSpec, QState, check_positive, check_whole, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
 DEFAULT_GRID_POINTS = 400
@@ -184,13 +183,10 @@ def detect_fate(
 
 
 def fate_grid(horizon: float, grid_points: int) -> np.ndarray:
-    """grid_points equal steps from 0 to the horizon; grid_points must be a
-    whole number >= 2, as a config's ``run.grid_points`` is."""
+    """grid_points equal steps from 0 to the horizon; grid_points is an
+    integer >= 2."""
     check_positive("horizon", horizon)
-    whole = isinstance(grid_points, numbers.Real) and float(grid_points).is_integer()
-    if isinstance(grid_points, bool) or not (whole and grid_points >= 2):
-        raise ValueError(f"grid_points must be a whole number >= 2, got {grid_points!r}")
-    return np.linspace(0.0, horizon, int(grid_points) + 1)
+    return np.linspace(0.0, horizon, check_whole("grid_points", grid_points, 2) + 1)
 
 
 def fate_of_trajectory(
@@ -311,12 +307,13 @@ def fate_statistics(
 
     Returns (stats, records) where records[i] is the FateRecord for
     sample i, or the error string if that sample failed.  Failures are
-    counted in ``failure_reasons`` by exception type name.
+    counted in ``failure_reasons`` by exception type name.  ``n`` and
+    ``workers`` are integers >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_whole("n", n, 1)
+    workers = check_whole("workers", workers, 1)
     task = partial(_fate_task, g, spec, horizon, grid_points, refine_tol, tol, opts)
-    if workers <= 1:
+    if workers == 1:
         results = list(map(task, range(n)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run needs it

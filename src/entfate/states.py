@@ -21,7 +21,6 @@ are exactly those of a fresh ``Philox(key=seed)``.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,6 +34,7 @@ VALIDATION_TOL = 1e-10
 
 ENSEMBLE_KINDS = ("hilbert_schmidt_mixed", "haar_pure", "fixed_concurrence_pure")
 SEED_MAX = 2**64 - 1  # a sample's seed is its Philox key word
+_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +46,22 @@ class QState:
 
 
 def check_positive(name: str, value: float) -> None:
-    """A tolerance or horizon must be positive and finite (NaN is neither)."""
-    if not 0.0 < value < np.inf:
+    """The one rule of a tolerance, horizon or time scale: a Python or numpy
+    real number (a bool is not one), positive and finite (NaN is neither)."""
+    if not isinstance(value, _REAL) or isinstance(value, bool) or not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_whole(name: str, value, least: int = 0, most: int | None = None) -> int:
+    """The one rule of a count, index or seed: a Python or numpy integer (a
+    bool is not one) in [least, most], returned as an int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+        if least <= n and (most is None or n <= most):
+            return n
+    rule = (f"an integer >= {least}" + ("" if most is None else f" and <= {most}")
+            if least or most is not None else "a non-negative integer")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_dims(dims) -> None:
@@ -68,18 +81,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise UnsupportedEnsemble(f"unknown ensemble kind {self.kind!r}")
-        if (
-            not isinstance(self.seed, (int, np.integer))
-            or isinstance(self.seed, bool)
-            or not 0 <= self.seed <= SEED_MAX
-        ):
-            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
+        check_whole("seed", self.seed, 0, SEED_MAX)
         c = self.target_concurrence
-        if (
-            not isinstance(c, (int, float, np.integer, np.floating))
-            or isinstance(c, bool)
-            or not 0.0 <= c <= 1.0
-        ):
+        if not isinstance(c, _REAL) or isinstance(c, bool) or not 0.0 <= c <= 1.0:
             raise ValueError(f"target_concurrence must lie in [0, 1] as a real number, got {c!r}")
 
 
@@ -212,31 +216,18 @@ def _seed_pool(seed: int) -> tuple:
     return tuple(pool), h
 
 
-def _whole(name: str, value) -> int:
-    """A non-negative Python or numpy integer, as an int; bools refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative, got {n}")
-    return n
-
-
 def split_seed(seed: int, index: int) -> int:
     """Derive a 64-bit child seed for sample ``index`` of a base seed.
 
     It is numpy's SeedSequence spawn-key hash, computed in Python ints
     from a memoized pool of the base seed, and bit-identical to
     ``SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1,
-    np.uint64)[0]``.  Seed and index are Python or numpy integers
-    (``TypeError`` otherwise), and non-negative (``ValueError``).
+    np.uint64)[0]``.  Seed and index are non-negative Python or numpy
+    integers (``ValueError`` otherwise).
     """
-    pool, h = _seed_pool(_whole("seed", seed))
+    pool, h = _seed_pool(check_whole("seed", seed))
     pool = list(pool)
-    for w in _words(_whole("index", index)):
+    for w in _words(check_whole("index", index)):
         h = _mix_in(pool, w, h)
     lo, h = _hashmix(pool[0], _INIT_B, _MULT_B)  # generate_state's two words
     hi, _ = _hashmix(pool[1], h, _MULT_B)

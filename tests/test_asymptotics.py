@@ -37,6 +37,13 @@ def random_state(seed):
 
 
 class TestStationarySetAutonomous:
+    def test_tol_is_checked_before_the_spectrum(self):
+        g = ef.catalog_generator(2)
+        with pytest.raises(ValueError) as got:
+            ef.stationary_set_autonomous(g, tol=np.nan)
+        assert str(got.value) == "tol must be positive and finite, got nan"
+        assert "spectrum" not in vars(g)  # no eigendecomposition was made
+
     def test_depolarizing_unique_maximally_mixed(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(1))
         assert aset.cardinality == "one"
@@ -137,6 +144,30 @@ class TestKernelProjector:
 
 
 class TestAsymptoticSetNonautonomous:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"convergence_tol": np.nan, "horizon": 2.0},
+             "tol must be positive and finite, got nan"),
+            ({"convergence_tol": np.nan, "horizon": -5.0},
+             "horizon must be positive and finite, got -5.0"),
+            ({"horizon": -5.0}, "horizon must be positive and finite, got -5.0"),
+        ],
+        ids=["nan-tol", "nan-tol-negative-horizon", "negative-horizon"],
+    )
+    def test_horizon_and_tol_are_checked_before_the_flow(self, monkeypatch, kwargs, message):
+        # a NaN tolerance used to pass an unconverged propagator (residual
+        # 1.5e-2 at horizon 2) as a "many" set
+        from entfate import dynamics
+
+        def no_work(*args):
+            raise AssertionError("a flow started")
+
+        monkeypatch.setattr(dynamics, "_flow", no_work)
+        with pytest.raises(ValueError) as got:
+            ef.asymptotic_set(ef.catalog_generator(6), **kwargs)
+        assert str(got.value) == message
+
     def test_quenched_depolarizing_closed_form(self):
         # scalar ODE for the depolarizing weight: w(inf) = exp(-c)
         c = 2.0
@@ -614,6 +645,22 @@ class TestCatalog:
         ])
         _, cls = ef.classify_generator(g)
         assert cls.class_id == want
+
+    @pytest.mark.parametrize("class_id", [0, 7, True, 1.0, np.float64(6.0), "1", None], ids=repr)
+    def test_class_id_must_be_an_integer_in_the_table(self, class_id):
+        # 1.0 and np.float64(6.0) used to pass as ids 1 and 6
+        with pytest.raises(BadParams) as got:
+            ef.catalog_generator(class_id)
+        assert str(got.value) == f"class_id must be an integer >= 1 and <= 6, got {class_id!r}"
+        assert ef.catalog_generator(np.int64(6)).jumps
+
+    @pytest.mark.parametrize("class_id, name", [(1, "gamma"), (5, "gamma"), (4, "c"), (6, "c")])
+    @pytest.mark.parametrize("value", ["2", np.nan, np.inf, True, 0.0], ids=repr)
+    def test_param_must_be_positive_and_finite(self, class_id, name, value):
+        # nan used to fail later as make_generator's ValueError, and "2" as a TypeError
+        with pytest.raises(BadParams) as got:
+            ef.catalog_generator(class_id, **{name: value})
+        assert str(got.value) == f"{name} must be positive and finite, got {value!r}"
 
     @pytest.mark.parametrize("class_id, params, reads", [
         (4, {"gamma": -1.0}, "c"),  # refused for gamma, not for being negative

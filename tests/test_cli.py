@@ -859,3 +859,32 @@ class TestFates:
                 outputs.append((out / "fates.csv").read_bytes())
             assert outputs[0] == outputs[1]
             assert len(outputs[0].splitlines()) == 1 + run["n_samples"]
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        # the parser used to be rebuilt, four subcommands and all, by every main
+        import argparse
+        import types
+
+        from entfate import cli
+
+        builds = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.prog == "entfate":  # the root, not a subcommand's parser
+                    builds.append(self)
+
+        # argparse's own __init__ reads its module's ArgumentParser: patch cli's view only
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountingParser))
+        cli.make_parser.cache_clear()
+        cfg = write_config(tmp_path / "c.json", catalog_config(5))
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+        cli.make_parser.cache_clear()
+        assert len(builds) == 1
+        first, second = ((out / "classification.json").read_bytes() for out in outs)
+        assert first == second

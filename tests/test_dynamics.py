@@ -239,6 +239,13 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="tau must be positive"):
             ExponentialRate(1.0, tau)
 
+    @pytest.mark.parametrize("tau", [np.inf, True, "1"], ids=repr)
+    def test_exponential_rate_needs_finite_real_tau(self, tau):
+        # inf used to give a constant rate that claimed to decay
+        with pytest.raises(ValueError) as got:
+            ExponentialRate(1.0, tau)
+        assert str(got.value) == f"tau must be positive and finite, got {tau!r}"
+
     def test_autonomy_autodetected(self):
         g = make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ConstantRate(1.0))])
         assert g.autonomous
@@ -606,6 +613,78 @@ class TestPropagatorMatrix:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 ef.propagator_matrix(ef.catalog_generator(2), t)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, True, "1e-9"], ids=repr)
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    def test_tolerances_must_be_positive_and_finite(self, monkeypatch, name, bad):
+        # atol = nan used to make a non-autonomous solve run until killed
+        from entfate import dynamics
+
+        def no_work(*args):
+            raise AssertionError("a flow started")
+
+        monkeypatch.setattr(dynamics, "_flow", no_work)
+        with pytest.raises(ValueError) as got:
+            ef.propagate(ef.catalog_generator(6), ef.max_entangled(), [0.0, 1.0],
+                         ef.SolverOptions(**{name: bad}))
+        assert str(got.value) == f"{name} must be positive and finite, got {bad!r}"
+
+
+def bell_basis():
+    """Columns Phi+, Phi-, Psi+, Psi- in the product basis."""
+    s = 1.0 / np.sqrt(2.0)
+    return s * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
+
+
+def depolarized(rho, f):
+    """e^-F rho + (1 - e^-F) tr(rho) I/4."""
+    return np.exp(-f) * rho + (1.0 - np.exp(-f)) * np.trace(rho) * np.eye(4) / 4
+
+
+def pumped_into_phi_plus(rho, f):
+    """In the Bell basis, entry (j, k) scaled by e^{-F (d_j + d_k)/2} with
+    d = (0, 1, 1, 1), and the weight lost added to (Phi+, Phi+)."""
+    b = bell_basis()
+    r = b.conj().T @ rho @ b
+    d = np.array([0.0, 1.0, 1.0, 1.0])
+    out = r * np.exp(-f * (d[:, None] + d[None, :]) / 2)
+    out[0, 0] += np.trace(r) - np.trace(out)
+    return b @ out @ b.conj().T
+
+
+def dephased(rho, gamma_t):
+    """Entry (ij, kl) scaled by e^{-2 gamma t ([i != k] + [j != l])}."""
+    bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    flips = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
+    return rho * np.exp(-2.0 * gamma_t * flips)
+
+
+class TestCatalogClosedForms:
+    """The propagator of every catalog class against its closed-form map
+    (class 2 has its amplitude-damping Kraus oracle above).  F is the
+    integrated rate: gamma t for a constant rate, c (1 - e^-t) for a quench."""
+
+    @pytest.mark.parametrize(
+        "class_id, params, oracle, integrated, bound",
+        [
+            (1, {"gamma": 0.7}, depolarized, lambda t: 0.7 * t, 1e-12),
+            (4, {"c": 2.0}, depolarized, lambda t: 2.0 * (1.0 - np.exp(-t)), 1e-9),
+            (3, {"gamma": 0.9}, pumped_into_phi_plus, lambda t: 0.9 * t, 1e-12),
+            (6, {"c": 10.0}, pumped_into_phi_plus, lambda t: 10.0 * (1.0 - np.exp(-t)), 1e-9),
+            (5, {"gamma": 0.4}, dephased, lambda t: 0.4 * t, 1e-12),
+        ],
+        ids=["class1", "class4", "class3", "class6", "class5"],
+    )
+    def test_propagator_matches_closed_form(self, class_id, params, oracle, integrated, bound):
+        g = ef.catalog_generator(class_id, **params)
+        for t in (0.3, 0.7, 2.0):
+            phi = ef.propagator_matrix(g, t)
+            for seed in range(3):
+                rho = random_state(seed).matrix
+                got = unvec(phi @ vec(rho))
+                assert np.max(np.abs(got - oracle(rho, integrated(t)))) < bound
 
 
 class TestOneFlow:

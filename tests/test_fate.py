@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,13 +107,14 @@ class TestDetectFate:
     @pytest.mark.parametrize("grid_points", [2.5, 1, 0, -3, True, float("nan"), "40", None])
     def test_grid_points_must_be_a_whole_number_of_at_least_two(self, grid_points):
         g = ef.catalog_generator(1)
-        with pytest.raises(ValueError, match="grid_points must be a whole number >= 2"):
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 2"):
             ef.detect_fate(g, ef.max_entangled(), 10.0, grid_points=grid_points)
 
     def test_fate_grid(self):
         grid = fate.fate_grid(10.0, 40)
         assert np.array_equal(grid, np.linspace(0.0, 10.0, 41))
-        assert np.array_equal(fate.fate_grid(10.0, 40.0), grid)
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 2, got 40.0"):
+            fate.fate_grid(10.0, 40.0)
         assert np.array_equal(fate.fate_grid(10.0, np.int64(40)), grid)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             fate.fate_grid(0.0, 40)
@@ -174,6 +180,59 @@ class TestMarginCurve:
 
 
 class TestFateStatistics:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": True}, "n must be an integer >= 1, got True"),
+            ({"n": 2.5}, "n must be an integer >= 1, got 2.5"),
+            ({"n": 0}, "n must be an integer >= 1, got 0"),
+            ({"workers": 0}, "workers must be an integer >= 1, got 0"),
+            ({"workers": 2.5}, "workers must be an integer >= 1, got 2.5"),
+            ({"workers": True}, "workers must be an integer >= 1, got True"),
+        ],
+        ids=["n-bool", "n-float", "n-zero", "workers-zero", "workers-float", "workers-bool"],
+    )
+    def test_counts_are_checked_before_sampling(self, monkeypatch, kwargs, message):
+        # n=True used to run one sample and report n: True; workers=0 ran serially
+        from entfate import dynamics
+
+        def no_work(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(fate, "sample", no_work)
+        monkeypatch.setattr(dynamics, "_flow", no_work)
+        spec = ef.EnsembleSpec("haar_pure", seed=3)
+        with pytest.raises(ValueError) as got:
+            ef.fate_statistics(ef.catalog_generator(2), spec, horizon=5.0, **{"n": 3, **kwargs})
+        assert str(got.value) == message
+
+    def test_numpy_counts(self):
+        g = ef.catalog_generator(2)
+        spec = ef.EnsembleSpec("haar_pure", seed=3)
+        want = ef.fate_statistics(g, spec, n=2, horizon=10.0, grid_points=50)
+        got = ef.fate_statistics(g, spec, n=np.int64(2), horizon=10.0, grid_points=np.int32(50),
+                                 workers=np.int8(1))
+        assert got == want
+        assert type(got[0].n) is int
+
+    def test_nan_atol_fails_fast_on_a_nonautonomous_generator(self):
+        # the RK45 solve with atol = nan never returned (killed after 25 s); a
+        # child process turns a regression into a failure instead of a hung suite
+        src = str(Path(ef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import entfate as ef\n"
+            "try:\n"
+            "    ef.detect_fate(ef.catalog_generator(6), ef.max_entangled(), 5.0,\n"
+            "                   opts=ef.SolverOptions(atol=float('nan')))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "atol must be positive and finite, got nan\n"
+
     def test_class2_dichotomy_at_equal_concurrence(self):
         g = ef.catalog_generator(2)
         spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=7, target_concurrence=0.6)

@@ -299,7 +299,7 @@ class TestSplitSeed:
     )
     def test_non_integers_are_refused(self, seed, index, name):
         # 3.7 used to give seed 3's child, and 2.9 index 2's
-        with pytest.raises(TypeError, match=name):
+        with pytest.raises(ValueError, match=name):
             ef.split_seed(seed, index)
 
     @pytest.mark.parametrize("seed, index, name", [(-1, 0, "seed"), (3, -1, "index")])
@@ -557,3 +557,62 @@ def test_dimension_edges(call, error):
     matrix of the wrong shape is still a DimensionMismatch."""
     with pytest.raises(error):
         call()
+
+
+class TestArgumentRules:
+    """check_whole and check_positive are the library's one rule for a count,
+    index or seed and for a tolerance, horizon or time scale."""
+
+    @pytest.mark.parametrize(
+        "value", [0, 7, np.int8(7), np.uint64(2**64 - 1), 2**80], ids=repr
+    )
+    def test_whole_accepts_python_and_numpy_integers(self, value):
+        got = states.check_whole("n", value)
+        assert type(got) is int and got == int(value)
+
+    @pytest.mark.parametrize(
+        "value", [-1, True, False, np.bool_(True), 2.0, np.float64(7.0), 2.5, "3", None,
+                  float("nan")], ids=repr
+    )
+    def test_whole_refuses_the_rest(self, value):
+        with pytest.raises(ValueError) as got:
+            states.check_whole("n_probes", value)
+        assert str(got.value) == f"n_probes must be a non-negative integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "least, most, value, rule",
+        [
+            (2, None, 1, "an integer >= 2"),
+            (1, None, 2.5, "an integer >= 1"),
+            (1, 64, 65, "an integer >= 1 and <= 64"),
+            (0, 3, -1, "an integer >= 0 and <= 3"),
+        ],
+    )
+    def test_whole_message_names_the_bounds(self, least, most, value, rule):
+        with pytest.raises(ValueError) as got:
+            states.check_whole("workers", value, least, most)
+        assert str(got.value) == f"workers must be {rule}, got {value!r}"
+        assert states.check_whole("workers", least, least, most) == least
+
+    @pytest.mark.parametrize("value", [True, "1e-7", None, 1j, 0.0, -1.0, float("nan"),
+                                       float("inf")], ids=repr)
+    def test_positive_refuses_non_reals_and_bools(self, value):
+        # True and "1e-7" used to pass as 1 and end in a TypeError
+        with pytest.raises(ValueError) as got:
+            states.check_positive("tol", value)
+        assert str(got.value) == f"tol must be positive and finite, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1e-7, 3, np.float32(0.5), np.int64(2)], ids=repr)
+    def test_positive_accepts_positive_reals(self, value):
+        states.check_positive("tol", value)
+
+    def test_ensemble_seed_is_checked_before_sampling(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(states, "_rng", no_work)
+        with pytest.raises(ValueError) as got:
+            ef.EnsembleSpec("hilbert_schmidt_mixed", seed=2**64)
+        assert str(got.value) == (
+            "seed must be an integer >= 0 and <= 18446744073709551615, got 18446744073709551616"
+        )
