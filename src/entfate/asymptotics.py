@@ -6,12 +6,17 @@ under one linear map P∞ on vectorized operators, which ``asymptotic_set`` pick
   * autonomous dynamics   -- the spectral projector onto the Liouvillian
                              kernel (from ``Generator.spectrum``), which
                              fixes every stationary state,
-  * non-autonomous dynamics -- the converged total propagator.
+  * a quench, L(t) = a·e^{−t/τ}·D (no Hamiltonian, and one
+    ``ExponentialRate`` shared by every channel) -- its exact limit
+    exp(a·τ·D), since its flow is Φ(t) = exp(F(t)·D) with
+    F(t) = ∫₀ᵗ a·e^{−s/τ} ds → a·τ,
+  * any other non-autonomous dynamics -- the converged total propagator.
 
 A set is one state iff P∞(X) = tr(X)·P∞(I/4) for every X: a one-dimensional
-kernel, or max|P∞ − vec(P∞(I/4))·vec(I)†| ≤ tol for the converged
-propagator, the norm and tolerance of its convergence check.  One
-constructor builds every set and checks that P∞(I/4) is a state.
+kernel, or max|P∞ − vec(P∞(I/4))·vec(I)†| ≤ tol for the exact limit and
+the converged propagator, at the tolerance of the propagator's
+convergence check.  One constructor builds every set and checks that
+P∞(I/4) is a state.
 A singleton set also carries its state P∞(I/4).  Classification into the
 six classes is driven by the PT margin over probe states: a singleton is
 placed by the trichotomy directly.  A larger set is probed by one stack:
@@ -33,12 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     DEFAULT_OPTS,
     ConstantRate,
     ExponentialRate,
     Generator,
     SolverOptions,
+    _trace_preserving,
     apply_map,
     make_generator,
     map_operators,
@@ -64,6 +71,7 @@ from .operators import (
 )
 from .states import (
     D,
+    VALIDATION_TOL,
     QState,
     check_positive,
     check_whole,
@@ -172,11 +180,37 @@ def asymptotic_set_nonautonomous(
             f"propagator residual {residual:.3e} > {tol:.1e} at horizon {horizon}; "
             "extend the horizon"
         )
-    # one state iff P∞ = vec(P∞(I/4)) vec(I)†, to the tolerance P∞ is known to
-    eye = vec(np.eye(D))
-    traceless = float(np.max(np.abs(phi - np.outer(phi @ eye / D, eye))))
+    traceless = _traceless_residual(phi)
     diagnostics = {"convergence_residual": residual, "traceless_residual": traceless}
     return _set_of_map(phi, traceless <= tol, diagnostics)
+
+
+def _quench_limit_set(g: Generator, tol: float) -> AsymptoticSet:
+    """The exact limit exp(a·τ·D) of a quench, L(t) = a·e^{−t/τ}·D; one
+    state by the propagator's traceless test at ``tol``."""
+    ((rate,), (dissipator,)) = g.rates, g.dissipators
+    integral = rate.amplitude * rate.tau
+    p_inf = _trace_preserving(dynamics.expm(integral * dissipator)[None])[0]
+    traceless = _traceless_residual(p_inf)
+    diagnostics = {"rate_integral": integral, "traceless_residual": traceless}
+    return _set_of_map(p_inf, traceless <= tol, diagnostics)
+
+
+def _is_quench(g: Generator) -> bool:
+    """Whether g is L(t) = a·e^{−t/τ}·D: a constant zero Hamiltonian and
+    exactly one distinct rate, an ``ExponentialRate``."""
+    return (
+        g.hamiltonian_part is not None
+        and not g.hamiltonian_part.any()
+        and len(g.rates) == 1
+        and type(g.rates[0]) is ExponentialRate
+    )
+
+
+def _traceless_residual(p_inf: np.ndarray) -> float:
+    """max|P∞ − vec(P∞(I/4))·vec(I)†|: zero iff P∞ maps every state to one."""
+    eye = vec(np.eye(D))
+    return float(np.max(np.abs(p_inf - np.outer(p_inf @ eye / D, eye))))
 
 
 def asymptotic_set(
@@ -186,15 +220,24 @@ def asymptotic_set(
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> AsymptoticSet:
-    """The set of g: the Liouvillian kernel if g is autonomous, else the converged propagator's."""
+    """The set of g: the Liouvillian kernel if g is autonomous, the exact
+    limit exp(a·τ·D) if g is a quench, else the converged propagator's.
+    ``horizon`` and ``convergence_tol`` are checked for every non-autonomous
+    g, though only the propagator reads the horizon."""
     if g.autonomous:
         return stationary_set_autonomous(g, tol=kernel_tol)
+    check_positive("horizon", horizon)
+    check_positive("tol", convergence_tol)
+    if _is_quench(g):
+        return _quench_limit_set(g, convergence_tol)
     return asymptotic_set_nonautonomous(g, horizon=horizon, tol=convergence_tol, opts=opts)
 
 
 def _set_of_map(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSet:
     """The set P∞(D), once its centre P∞(I/4) is checked to be a state;
-    a singleton keeps the centre, clipped only when needed, as its state."""
+    a singleton keeps the centre as its state, clipped only when needed and
+    renormalized only when clipped or off by more in trace than
+    ``new_state`` allows."""
     ref = unvec(p_inf @ vec(np.eye(D) / D))
     ref = 0.5 * (ref + ref.conj().T)
     tr = np.trace(ref).real
@@ -208,6 +251,7 @@ def _set_of_map(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSe
         if eigs[0] < 0.0:
             ww, vv = np.linalg.eigh(ref)
             ref = (vv * np.clip(ww, 0.0, None)) @ vv.conj().T
+        if eigs[0] < 0.0 or abs(tr - 1.0) > VALIDATION_TOL:
             ref /= np.trace(ref).real
         state = new_state(ref)
     return AsymptoticSet("one" if one else "many", p_inf, state, diagnostics)

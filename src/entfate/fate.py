@@ -308,10 +308,14 @@ def fate_statistics(
     Returns (stats, records) where records[i] is the FateRecord for
     sample i, or the error string if that sample failed.  Failures are
     counted in ``failure_reasons`` by exception type name.  ``n`` and
-    ``workers`` are integers >= 1.
+    ``workers`` are integers >= 1; they, the grid and both tolerances are
+    checked before any sample is drawn or any worker started.
     """
     n = check_whole("n", n, 1)
     workers = check_whole("workers", workers, 1)
+    fate_grid(horizon, grid_points)
+    check_positive("refine_tol", refine_tol)
+    check_positive("tol", tol)
     task = partial(_fate_task, g, spec, horizon, grid_points, refine_tol, tol, opts)
     if workers == 1:
         results = list(map(task, range(n)))

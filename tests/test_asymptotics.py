@@ -14,6 +14,7 @@ from entfate.asymptotics import (
     _seesaw_min,
 )
 from entfate.dynamics import (
+    ConstantRate,
     ExponentialRate,
     _repair_states,
     liouvillian_matrix,
@@ -21,9 +22,16 @@ from entfate.dynamics import (
     unvec,
     vec,
 )
-from entfate.errors import BadParams, Inconclusive, NotConverged, OscillatoryAsymptotics
+from entfate.errors import (
+    BadParams,
+    Inconclusive,
+    NotConverged,
+    OscillatoryAsymptotics,
+    StepFailure,
+)
 from entfate.operators import (
     EYE2,
+    SMINUS,
     SZ,
     bell_vectors,
     single_qubit_probe_vectors,
@@ -251,6 +259,161 @@ class TestAsymptoticSetNonautonomous:
     def test_not_converged_reported(self):
         with pytest.raises(NotConverged):
             ef.asymptotic_set_nonautonomous(ef.catalog_generator(6), horizon=4.0)
+
+
+def depolarizing_limit(c):
+    """e^-c I + (1 - e^-c) R on vectorized operators, R(X) = tr(X) I/4."""
+    return np.exp(-c) * np.eye(16) + (1.0 - np.exp(-c)) * np.outer(
+        vec(np.eye(4) / 4), vec(np.eye(4))
+    )
+
+
+def bell_pumping_limit(f):
+    """Pumping into Phi+ at integrated rate F, on vectorized operators: in
+    the Bell basis, entry (j, k) scaled by e^{-F (d_j + d_k)/2} with
+    d = (0, 1, 1, 1), and the trace lost added to (Phi+, Phi+)."""
+    b = np.stack(bell_vectors(), axis=1)
+    d = np.array([0.0, 1.0, 1.0, 1.0])
+    scale = np.exp(-f * (d[:, None] + d[None, :]) / 2)
+    columns = []
+    for x in unvec(np.eye(16)):
+        r = b.conj().T @ x @ b
+        out = r * scale
+        out[0, 0] += np.trace(r) - np.trace(out)
+        columns.append(vec(b @ out @ b.conj().T))
+    return np.stack(columns, axis=1)
+
+
+def count_solves(monkeypatch):
+    """Rebind ``dynamics.solve_ivp`` to count its calls; the list of calls."""
+    from entfate import dynamics
+
+    calls = []
+    solve_ivp = dynamics.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("t_eval"))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    return calls
+
+
+def no_flow(monkeypatch):
+    from entfate import dynamics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow started")
+
+    monkeypatch.setattr(dynamics, "_flow", refuse)
+
+
+def quench_two_rate_dephasing(second_rate):
+    """Dephasing on qubit A at rate e^-t and on qubit B at ``second_rate``."""
+    return make_generator(
+        jumps=[(np.kron(SZ, EYE2), ExponentialRate(1.0)), (np.kron(EYE2, SZ), second_rate)]
+    )
+
+
+class TestQuenchLimit:
+    """A quench L(t) = a e^{-t/tau} D, with no Hamiltonian, has the exact
+    limit exp(a tau D): no flow, no horizon, no NotConverged."""
+
+    @pytest.mark.parametrize("c", ["least", 2.0, 10.0, 18.1, 19.0])
+    @pytest.mark.parametrize(
+        "class_id, least, closed_form",
+        [(4, CLASS4_MIN_C, depolarizing_limit), (6, CLASS6_MIN_C, bell_pumping_limit)],
+        ids=["class4", "class6"],
+    )
+    def test_closed_forms(self, monkeypatch, class_id, least, closed_form, c):
+        c = least if c == "least" else c
+        g = ef.catalog_generator(class_id, c=c)
+        no_flow(monkeypatch)
+        aset = ef.asymptotic_set(g)
+        want = closed_form(c)
+        assert np.max(np.abs(aset.map_matrix - want)) < 1e-13
+        (rate,) = g.rates
+        assert sorted(aset.diagnostics) == ["rate_integral", "traceless_residual"]
+        assert aset.diagnostics["rate_integral"] == rate.amplitude * rate.tau
+        # one state iff P∞ = vec(P∞(I/4)) vec(I)† to the convergence tolerance
+        eye = vec(np.eye(4))
+        traceless = np.max(np.abs(want - np.outer(want @ eye / 4, eye)))
+        assert aset.diagnostics["traceless_residual"] == pytest.approx(traceless, abs=1e-13)
+        assert aset.cardinality == ("one" if traceless <= 1e-8 else "many")
+        if class_id == 4 and c == 19.0:
+            assert ef.trace_distance(aset.state, ef.new_state(np.eye(4) / 4)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "make, horizon",
+        [
+            (lambda: ef.catalog_generator(4, c=2.0), 60.0),
+            (lambda: ef.catalog_generator(4, c=19.0), 60.0),
+            (lambda: ef.catalog_generator(6, c=CLASS6_MIN_C), 60.0),
+            (lambda: ef.catalog_generator(6), 60.0),
+            # equal rates of two channels, as separate objects, are one rate
+            (lambda: quench_two_rate_dephasing(ExponentialRate(1.0)), 60.0),
+            # tau != 1 on random jumps
+            (lambda: make_generator(jumps=[
+                (ch.operator, ExponentialRate(0.8, tau=2.5))
+                for ch in random_generator(4, 3, False).jumps
+            ]), 200.0),
+        ],
+        ids=["class4", "class4-one", "class6-least", "class6", "shared-rate", "tau"],
+    )
+    def test_agrees_with_the_propagator(self, monkeypatch, make, horizon):
+        g = make()
+        want = ef.asymptotic_set_nonautonomous(g, horizon=horizon)
+        calls = count_solves(monkeypatch)
+        got = ef.asymptotic_set(g)
+        assert calls == []
+        assert np.max(np.abs(got.map_matrix - want.map_matrix)) < 1e-8
+        assert got.cardinality == want.cardinality
+
+    def test_no_horizon_needed(self, monkeypatch):
+        # the propagator at horizon 4 has not converged; the exact limit needs none
+        with pytest.raises(NotConverged):
+            ef.asymptotic_set_nonautonomous(ef.catalog_generator(6), horizon=4.0)
+        no_flow(monkeypatch)
+        aset = ef.asymptotic_set(ef.catalog_generator(6), horizon=4.0)
+        assert aset.cardinality == "many"
+        assert ef.classify_theorem_class(aset).class_id == 6
+
+    @pytest.mark.parametrize(
+        "make, converges",
+        [
+            (lambda: quench_two_rate_dephasing(ExponentialRate(1.0, tau=0.5)), True),
+            (lambda: quench_two_rate_dephasing(ConstantRate(2.0)), True),
+            (lambda: quench_two_rate_dephasing(lambda t: np.exp(-t)), True),
+            # the Hamiltonian keeps rotating the coherences the quench leaves
+            (lambda: make_generator(hamiltonian=np.kron(SZ, SZ),
+                                    jumps=[(np.kron(SMINUS, EYE2), ExponentialRate(1.0))]),
+             False),
+        ],
+        ids=["two-exponential-rates", "constant-rate", "callable-rate", "hamiltonian"],
+    )
+    def test_other_generators_keep_one_propagator_solve(self, monkeypatch, make, converges):
+        g = make()
+        calls = count_solves(monkeypatch)
+        if converges:
+            assert ef.asymptotic_set(g).diagnostics["convergence_residual"] <= 1e-8
+        else:
+            with pytest.raises(NotConverged):
+                ef.asymptotic_set(g)
+        assert len(calls) == 1
+        assert list(calls[0]) == [0.0, 30.0, 60.0]
+
+    @pytest.mark.parametrize("class_id, want", [(6, 3), (4, 1)])
+    def test_large_quench_is_a_singleton_without_a_flow(self, monkeypatch, class_id, want):
+        # at c = 1e6 the RK45 propagator took 48 s on a 2-vCPU host
+        no_flow(monkeypatch)
+        aset = ef.asymptotic_set(ef.catalog_generator(class_id, c=1e6))
+        assert aset.cardinality == "one"
+        assert ef.classify_theorem_class(aset).class_id == want
+
+    def test_overflowing_limit_is_a_step_failure(self, monkeypatch):
+        no_flow(monkeypatch)
+        with pytest.raises(StepFailure):
+            ef.asymptotic_set(ef.catalog_generator(6, c=1e300))
 
 
 class TestClassifyTheoremClass:

@@ -926,8 +926,8 @@ class TestPropagatorSource:
         monkeypatch.setattr(dynamics, "solve_ivp", recording)
         dynamics._grid_source.cache_clear()
         g = ef.catalog_generator(6)
-        ef.asymptotic_set(g)
-        ef.asymptotic_set(ef.catalog_generator(4))
+        ef.asymptotic_set_nonautonomous(g)
+        ef.asymptotic_set_nonautonomous(ef.catalog_generator(4))
         ef.propagator_matrix(g, 2.0)
         ef.propagator_matrices(g, self.GRID)
         ef.evolve_state(g, random_state(1), 0.5, 2.0)

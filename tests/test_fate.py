@@ -206,6 +206,35 @@ class TestFateStatistics:
             ef.fate_statistics(ef.catalog_generator(2), spec, horizon=5.0, **{"n": 3, **kwargs})
         assert str(got.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"horizon": -1.0}, "horizon must be positive and finite, got -1.0"),
+            ({"grid_points": 1}, "grid_points must be an integer >= 2, got 1"),
+            ({"refine_tol": np.nan}, "refine_tol must be positive and finite, got nan"),
+            ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ],
+        ids=["horizon", "grid_points", "refine_tol", "tol"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_and_tolerances_are_checked_before_any_work(
+        self, monkeypatch, kwargs, message, workers
+    ):
+        # each used to be checked only inside a sample's detect_fate: a sample
+        # was drawn first, and with workers > 1 a process pool was started
+        import concurrent.futures
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sample was drawn or a pool started")
+
+        monkeypatch.setattr(fate, "sample", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        spec = ef.EnsembleSpec("haar_pure", seed=3)
+        run = {"n": 5, "horizon": 10.0, "workers": workers, **kwargs}
+        with pytest.raises(ValueError) as got:
+            ef.fate_statistics(ef.catalog_generator(2), spec, **run)
+        assert str(got.value) == message
+
     def test_numpy_counts(self):
         g = ef.catalog_generator(2)
         spec = ef.EnsembleSpec("haar_pure", seed=3)

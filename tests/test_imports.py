@@ -70,6 +70,26 @@ print(json.dumps({{"linalg": "scipy.linalg" in sys.modules,
     assert json.loads((tmp_path / "classification.json").read_text())["class_id"] == 2
 
 
+def test_quench_classify_loads_scipy_linalg_only(tmp_path):
+    # a quench's set is its exact limit exp(a tau D), with no flow
+    configs = []
+    for class_id in (4, 6):
+        config = tmp_path / f"class_{class_id}.json"
+        config.write_text(json.dumps({"generator": {"catalog": {"class_id": class_id}}}))
+        configs.append((str(config), str(tmp_path / f"out_{class_id}")))
+    found = run_fresh(f"""
+import entfate.cli
+for config, out in {configs!r}:
+    assert entfate.cli.main(["classify", "--config", config, "--out", out]) == 0
+print(json.dumps({{"linalg": "scipy.linalg" in sys.modules,
+                  "integrate": loaded("scipy.integrate")}}))
+""")
+    assert found == {"linalg": True, "integrate": []}
+    for class_id in (4, 6):
+        out = tmp_path / f"out_{class_id}" / "classification.json"
+        assert json.loads(out.read_text())["class_id"] == class_id
+
+
 def test_nonautonomous_fate_loads_scipy_integrate():
     found = run_fresh("""
 import entfate as ef
