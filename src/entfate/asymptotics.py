@@ -94,6 +94,14 @@ DEFAULT_N_PROBES = 50
 CLASS4_MIN_C = float(np.log(3.0) - np.log(1.0 - 40.0 * DEFAULT_CLASS_TOL))
 CLASS6_MIN_C = float(-np.log(0.5 - 10.0 * DEFAULT_CLASS_TOL))
 
+# The rate integral F1 past which a quench's limit exp(F·D) is read at F1.
+# expm's squaring loses trace in proportion to F: on class 4 the residual is
+# 3.9e-14 at c = 1e3 (F = 62.5), 1.2e-10 at F = 6.25e4 and 9.8e-9 at
+# F = 6.25e6, and past F = 6.25e7 (c = 1e9) it fails the 1e-8 trace check.
+# At F1 = 128 it is about 1e-13, while the catalog's slowest decay, class 6's
+# e^{-F/2}, is e^-64 = 1.6e-28, far below round-off.
+QUENCH_LIMIT_F1 = 128.0
+
 # the generator catalog: class id -> (description, {its one rate parameter: default})
 CATALOG = {
     1: ("constant depolarizing toward I/4", {"gamma": 1.0}),
@@ -187,10 +195,20 @@ def asymptotic_set_nonautonomous(
 
 def _quench_limit_set(g: Generator, tol: float) -> AsymptoticSet:
     """The exact limit exp(a·τ·D) of a quench, L(t) = a·e^{−t/τ}·D; one
-    state by the propagator's traceless test at ``tol``."""
+    state by the propagator's traceless test at ``tol``.
+
+    Past a·τ = QUENCH_LIMIT_F1 the limit is E = exp(F1·D) once D·E vanishes
+    to round-off: then exp(s·D)·E = E for every s >= 0, so
+    exp(a·τ·D) = exp((a·τ − F1)·D)·E = E, without the squaring error that
+    grows with a·τ."""
     ((rate,), (dissipator,)) = g.rates, g.dissipators
     integral = rate.amplitude * rate.tau
-    p_inf = _trace_preserving(dynamics.expm(integral * dissipator)[None])[0]
+    p_inf = dynamics.expm(min(integral, QUENCH_LIMIT_F1) * dissipator)
+    # D·E above the round-off of a 16-term product: E is not yet the limit
+    roundoff = 16 * np.finfo(float).eps * np.max(np.abs(dissipator))
+    if integral > QUENCH_LIMIT_F1 and np.max(np.abs(dissipator @ p_inf)) > roundoff:
+        p_inf = dynamics.expm(integral * dissipator)
+    p_inf = _trace_preserving(p_inf[None])[0]
     traceless = _traceless_residual(p_inf)
     diagnostics = {"rate_integral": integral, "traceless_residual": traceless}
     return _set_of_map(p_inf, traceless <= tol, diagnostics)

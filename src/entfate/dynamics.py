@@ -342,7 +342,10 @@ class Trajectory:
     state the trajectory started from.  ``generator`` and ``opts`` are
     those of the source.  Built once on first use, ``states`` wraps the
     stack as QStates, with ``states[0] is initial``, and ``margins`` is
-    their read-only array of PT margins.
+    their read-only array of PT margins, from one stacked eigensolve, which
+    ``fate.margin_curve`` and ``entfate simulate`` read.  The fate scan
+    does not: it eigensolves only the grid states that a bound cannot
+    place (``fate.fate_of_trajectory``).
     """
 
     times: tuple[float, ...]

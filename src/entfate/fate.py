@@ -3,7 +3,14 @@
 The PT margin m(t) is read off a propagated trajectory.  One numpy scan
 subdivides its near-tangential grid intervals, and another records its
 definite sign events (from below -tol to above +tol or back), which
-alternate in direction.  Three times are read from the events, each
+alternate in direction.  Both scans read a grid margin only for its band
+(below -tol, above +tol, or within 10 tol of zero).  So a grid state is
+not eigensolved when Weyl's inequality places it: the partial transpose
+keeps the Frobenius norm, so |m_k - m_T| <= ||rho_k - rho_T||_F for the
+final margin m_T, and a state this places beyond 10 tol on m_T's side
+enters the scans as that bound, in the same band and with the same slope
+signs.  Margins read as values (the ends of refined brackets and the
+extrapolated tail) are exact.  Three times are read from the events, each
 refined by ITP bracketing (regula falsi steps held within bisection's
 worst case plus one step) from the known margins at the bracket's ends,
 on the trajectory's off-grid states, which its propagator source gives
@@ -39,12 +46,15 @@ import numpy as np
 
 from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, propagate
 from .errors import EntfateError, HorizonTooShort
-from .geometry import concurrence, min_pt_eigenvalue
+from .geometry import concurrence, min_pt_eigenvalue, min_pt_eigenvalues
 from .states import EnsembleSpec, QState, check_positive, check_whole, sample, split_seed
 
 DEFAULT_FATE_TOL = 1e-7
 DEFAULT_GRID_POINTS = 400
 DEFAULT_REFINE_TOL = 1e-6
+# slack of a Weyl certificate for the round-off of one 4x4 eigvalsh and one
+# Frobenius norm, each about 1e-15 on a density matrix
+_WEYL_GUARD = 1e-12
 
 FATE_TAGS = (
     "sudden_death",
@@ -189,6 +199,34 @@ def fate_grid(horizon: float, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, horizon, check_whole("grid_points", grid_points, 2) + 1)
 
 
+def _grid_margins(traj, tol):
+    """The grid margins that the scans read, and a mask of those that are
+    bounds rather than eigenvalues.
+
+    The final state's margin m_T is eigensolved first.  A state k with
+    ||rho_k - rho_T||_F < |m_T| - 10 tol - _WEYL_GUARD has its margin beyond
+    10 tol on m_T's side (Weyl's inequality; the partial transpose keeps
+    the Frobenius norm), so it is not eigensolved and its margin is the
+    bound m_T -+ ||rho_k - rho_T||_F, in the same band.  Every other state
+    is eigensolved, in one stack; when |m_T| <= 10 tol + _WEYL_GUARD that
+    is every state."""
+    ms = traj.matrices
+    m_final = float(min_pt_eigenvalues(ms[-1:])[0])
+    margins = np.empty(len(ms))
+    bounded = np.zeros(len(ms), dtype=bool)
+    reach = abs(m_final) - 10.0 * tol - _WEYL_GUARD
+    if reach > 0.0:
+        dist = np.linalg.norm(ms - ms[-1], axis=(1, 2))
+        bounded = dist < reach
+        bounded[-1] = False
+        margins[bounded] = m_final - np.copysign(dist[bounded], m_final)
+    exact = np.flatnonzero(~bounded[:-1])
+    if exact.size:
+        margins[exact] = min_pt_eigenvalues(ms[exact])
+    margins[-1] = m_final
+    return margins, bounded
+
+
 def fate_of_trajectory(
     traj: Trajectory, refine_tol: float = DEFAULT_REFINE_TOL, tol: float = DEFAULT_FATE_TOL
 ) -> FateRecord:
@@ -202,7 +240,8 @@ def fate_of_trajectory(
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = np.asarray(traj.times)
-    margins = np.asarray(traj.margins)
+    margins, bounded = _grid_margins(traj, tol)
+    grid = np.arange(times.size)
 
     # one subdivision pass through near-tangential intervals, ignoring
     # integrator noise around zero
@@ -211,7 +250,25 @@ def fate_of_trajectory(
         mids = 0.5 * (times[split - 1] + times[split])
         times = np.insert(times, split, mids)
         margins = np.insert(margins, split, [_margin_at(traj, t) for t in mids.tolist()])
+        bounded = np.insert(bounded, split, False)
+        grid = np.insert(grid, split, -1)
     events, first_ent = _sign_events(margins, tol)
+
+    # the margins read as values are made exact, in one stack: the ends of
+    # each refined bracket (every entry into entanglement, the last exit,
+    # and the -tol crossing of a birth from an undecided start) and the
+    # tail that the limit is extrapolated from
+    ends = [e[1:] for e in events if e[0] < 0]
+    if events and events[-1][0] > 0:
+        ends.append(events[-1][1:])
+    if first_ent and not (events and events[0][0] < 0):
+        ends.append((first_ent - 1, first_ent))
+    if margins[-1] < -tol:
+        ends.append(range(max(margins.size - 3, 0), margins.size))
+    read = np.array([i for pair in ends for i in pair], dtype=int)
+    read = np.unique(read[bounded[read]])
+    if read.size:
+        margins[read] = min_pt_eigenvalues(traj.matrices[grid[read]])
     times, margins = times.tolist(), margins.tolist()
     final_margin = margins[-1]
 

@@ -9,6 +9,7 @@ from entfate.asymptotics import (
     CATALOG,
     CLASS4_MIN_C,
     CLASS6_MIN_C,
+    QUENCH_LIMIT_F1,
     _pt_adjoint,
     _pure_probes,
     _seesaw_min,
@@ -411,9 +412,38 @@ class TestQuenchLimit:
         assert ef.classify_theorem_class(aset).class_id == want
 
     def test_overflowing_limit_is_a_step_failure(self, monkeypatch):
+        # amplitude damping at rate 1/400 decays too slowly for exp(F1 D) to be
+        # its limit (D exp(F1 D) is 1.8e-3), so exp(a tau D) is taken,
+        # and it overflows; catalog class 6 at c = 1e300 now reaches its limit
         no_flow(monkeypatch)
-        with pytest.raises(StepFailure):
-            ef.asymptotic_set(ef.catalog_generator(6, c=1e300))
+        g = make_generator(jumps=[(0.05 * np.kron(SMINUS, EYE2), ExponentialRate(1e300))])
+        with pytest.raises(StepFailure, match="trace-preservation residual nan"):
+            ef.asymptotic_set(g)
+
+    @pytest.mark.parametrize("c", [1e9, 1e10, 1e12, 1e300])
+    @pytest.mark.parametrize("class_id", [4, 6])
+    def test_large_quench_limits_are_the_closed_forms(self, monkeypatch, class_id, c):
+        # exp(a tau D) lost trace in proportion to a tau: c >= 1e9 ended in
+        # StepFailure ("trace-preservation residual 3.9e-08 > 1e-8"), and
+        # c = 1e300 overflowed; the limits are I/4 (class 4) and Phi+ (class 6)
+        no_flow(monkeypatch)
+        aset = ef.asymptotic_set(ef.catalog_generator(class_id, c=c))
+        phi_plus = bell_vectors()[0]
+        want = np.eye(4) / 4 if class_id == 4 else np.outer(phi_plus, phi_plus.conj())
+        assert aset.cardinality == "one"
+        assert np.max(np.abs(aset.state.matrix - want)) < 1e-12
+        assert np.max(np.abs(aset.map_matrix - np.outer(vec(want), vec(np.eye(4))))) < 1e-12
+        assert aset.diagnostics["rate_integral"] == (c / 16 if class_id == 4 else c)
+
+    @pytest.mark.parametrize("class_id", [4, 6])
+    def test_limit_is_read_at_f1_only_past_it(self, class_id):
+        from entfate import dynamics
+
+        for integral, at in ((QUENCH_LIMIT_F1, QUENCH_LIMIT_F1), (1e4, QUENCH_LIMIT_F1)):
+            g = ef.catalog_generator(class_id, c=integral * (16 if class_id == 4 else 1))
+            (dissipator,) = g.dissipators
+            want = dynamics.expm(at * dissipator)
+            assert np.array_equal(ef.asymptotic_set(g).map_matrix, want)
 
 
 class TestClassifyTheoremClass:

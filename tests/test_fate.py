@@ -12,7 +12,7 @@ import entfate as ef
 from entfate import fate
 from entfate.errors import HorizonTooShort
 from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
-from entfate.geometry import min_pt_eigenvalue
+from entfate.geometry import min_pt_eigenvalue, min_pt_eigenvalues
 from entfate.operators import EYE2, SMINUS
 
 GAMMA = 1.0
@@ -446,8 +446,8 @@ def werner_of_margin(m):
 
 class MarginTrajectory:
     """A duck-typed trajectory whose PT margin follows m(t): its grid
-    margins are m at the grid times and ``state_at(t)`` is the Werner
-    state of margin m(t)."""
+    margins are m at the grid times, ``matrices`` is the stack of their
+    Werner states, and ``state_at(t)`` is the Werner state of margin m(t)."""
 
     opts = ef.SolverOptions()
 
@@ -455,6 +455,7 @@ class MarginTrajectory:
         self.m = m
         self.times = tuple(times)
         self.margins = np.array([m(t) for t in self.times])
+        self.matrices = np.array([werner_of_margin(v).matrix for v in self.margins])
         self.initial = werner_of_margin(self.margins[0])
 
     def state_at(self, t):
@@ -637,3 +638,202 @@ class TestRefinement:
                       lambda v: v < 0.0, DEFAULT_REFINE_TOL)
         assert abs(rec.death_time - np.log(3.0)) <= DEFAULT_REFINE_TOL
         assert 2 * traj.evaluations < bisect.evaluations == 18
+
+
+def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
+    """The scan that eigensolved every grid state: ``fate_of_trajectory``
+    reading ``traj.margins``."""
+    times = np.asarray(traj.times)
+    margins = np.asarray(traj.margins)
+    split = fate._near_tangential(margins, tol, 100.0 * traj.opts.atol)
+    if split.size:
+        mids = 0.5 * (times[split - 1] + times[split])
+        times = np.insert(times, split, mids)
+        margins = np.insert(margins, split, [fate._margin_at(traj, t) for t in mids.tolist()])
+    events, first_ent = fate._sign_events(margins, tol)
+    times, margins = times.tolist(), margins.tolist()
+    final_margin = margins[-1]
+
+    def crossing(lo, hi, level, on_lo_side):
+        return fate._itp(traj, times[lo], margins[lo], times[hi], margins[hi], level,
+                         on_lo_side, refine_tol)
+
+    refine = lambda e: crossing(e[1], e[2], 0.0, lambda m: e[0] * m < 0.0)
+    birth_time = death_time = None
+    if events and events[0][0] < 0:
+        birth_time = refine(events[0])
+    elif first_ent:
+        birth_time = crossing(first_ent - 1, first_ent, -tol, lambda m: not m < -tol)
+    if events and events[-1][0] > 0:
+        death_time = refine(events[-1])
+    revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
+    if final_margin < -tol:
+        limit = fate._aitken_limit(margins)
+        if abs(limit) <= 10.0 * tol:
+            tag = "asymptotic_death"
+        elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
+            tag = "revival" if revival_times else "asymptotically_entangled"
+        else:
+            raise HorizonTooShort(
+                f"margin {final_margin:.3e} still trending at horizon "
+                f"(extrapolated limit {limit:.3e})"
+            )
+    elif first_ent is not None:
+        tag = "sudden_death" if death_time is not None else "asymptotic_death"
+    else:
+        tag = "never_entangled"
+    return fate.FateRecord(ef.concurrence(traj.initial), death_time, birth_time,
+                           revival_times, final_margin, tag)
+
+
+def outcome(scan, traj):
+    """A scan's FateRecord, or its error's type and message."""
+    try:
+        return scan(traj)
+    except HorizonTooShort as exc:
+        return type(exc), str(exc)
+
+
+# the fates workloads' grids and solver options: (horizon, grid points, opts)
+WORKLOAD_GRIDS = {
+    "damping": (30.0, 400, ef.SolverOptions()),
+    "quench": (12.0, 200, ef.SolverOptions(rtol=1e-7, atol=1e-10)),
+}
+
+
+@pytest.fixture(scope="module")
+def workload_trajectories():
+    """50 samples of each catalog class on each fates workload's grid:
+    class 2 from pure states with C = 0.6, as the damping workload draws
+    them, and every other class from Hilbert-Schmidt states."""
+    trajs = []
+    for class_id in range(1, 7):
+        g = ef.catalog_generator(class_id)
+        for name, (horizon, points, opts) in WORKLOAD_GRIDS.items():
+            for i in range(50):
+                seed = ef.split_seed(100 + class_id, i)
+                spec = (ef.EnsembleSpec("fixed_concurrence_pure", seed, 0.6) if class_id == 2
+                        else ef.EnsembleSpec("hilbert_schmidt_mixed", seed=seed))
+                traj = ef.propagate(g, ef.sample(spec), fate.fate_grid(horizon, points), opts)
+                trajs.append((class_id, name, traj))
+    return trajs
+
+
+class WernerTrajectory(MarginTrajectory):
+    """A MarginTrajectory whose grid margins are eigensolved from its Werner
+    stack, as a propagated trajectory's are."""
+
+    def __init__(self, m, times):
+        super().__init__(m, times)
+        self.margins = min_pt_eigenvalues(self.matrices)
+
+
+def flat_after(m_start, m_final, t_flat=5.0):
+    """A margin moving linearly from m_start to m_final by t_flat, then flat."""
+    return lambda t: m_start + (m_final - m_start) * min(t / t_flat, 1.0)
+
+
+def count_eigensolved(monkeypatch):
+    """Rebind ``fate.min_pt_eigenvalues`` to record the size of each stack
+    it receives; the list of sizes."""
+    sizes = []
+    solve = fate.min_pt_eigenvalues
+
+    def counting(matrices):
+        sizes.append(len(matrices))
+        return solve(matrices)
+
+    monkeypatch.setattr(fate, "min_pt_eigenvalues", counting)
+    return sizes
+
+
+class TestCertifiedMargins:
+    """Grid states that Weyl's bound places beyond 10 tol skip the eigensolve."""
+
+    def test_certified_states_lie_beyond_ten_tol_on_the_final_side(self, workload_trajectories):
+        covered = {}
+        for class_id, _, traj in workload_trajectories:
+            margins, bounded = fate._grid_margins(traj, TOL)
+            exact = traj.margins
+            side = np.sign(exact[-1])
+            assert np.all(side * exact[bounded] > 10.0 * TOL)
+            # a stand-in is the Weyl bound, between m_T's side of 10 tol and the margin
+            assert np.all(side * margins[bounded] > 10.0 * TOL)
+            assert np.all(side * margins[bounded] <= side * exact[bounded] + 1e-15)
+            assert np.array_equal(margins[~bounded], exact[~bounded])
+            covered.setdefault(class_id, []).append(bounded.mean())
+        # class 2 ends on the boundary of S, where nothing is certified
+        assert max(covered[2]) == 0.0
+        assert all(np.mean(covered[k]) > 0.9 for k in (1, 3, 4, 5, 6))
+
+    def test_records_equal_the_full_eigensolve_scan(self, workload_trajectories):
+        for _, _, traj in workload_trajectories:
+            assert outcome(ef.fate_of_trajectory, traj) == outcome(oracle_fate, traj)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["separable", "entangled"])
+    @pytest.mark.parametrize("guards, certified", [(0.5, False), (2.0, True)],
+                             ids=["inside", "just-outside"])
+    def test_final_margin_at_the_band_edge(self, monkeypatch, sign, guards, certified):
+        m_final = sign * (10.0 * TOL + guards * fate._WEYL_GUARD)
+        traj = WernerTrajectory(flat_after(-sign * 0.2, m_final), np.linspace(0.0, 10.0, 101))
+        sizes = count_eigensolved(monkeypatch)
+        got = ef.fate_of_trajectory(traj)
+        assert got == oracle_fate(traj)
+        assert got.fate_tag == ("sudden_death" if sign > 0 else "asymptotically_entangled")
+        # the flat tail, t >= 5, is certified only outside the band
+        assert sizes[:2] == ([1, 50] if certified else [1, 100])
+
+    @pytest.mark.parametrize(
+        "class_id, rho0, horizon, tag",
+        [
+            (3, ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=0)), 30.0, "revival"),
+            # |01> is on the boundary of S: born entangled from an undecided start
+            (3, ef.basis_state(0, 1), 30.0, "asymptotically_entangled"),
+        ],
+        ids=["class3-revival", "class3-undecided-birth"],
+    )
+    def test_planted_fates(self, class_id, rho0, horizon, tag):
+        traj = ef.propagate(ef.catalog_generator(class_id), rho0, fate.fate_grid(horizon, 400))
+        got = ef.fate_of_trajectory(traj)
+        assert got == oracle_fate(traj) and got.fate_tag == tag
+        assert got.revival_times if tag == "revival" else got.birth_time is not None
+
+    @pytest.mark.parametrize(
+        "class_id, params, rho0, horizon, message",
+        [
+            (3, {}, ef.basis_state(0, 1), 0.5, "still trending at horizon"),
+            (1, {"gamma": 0.02},
+             ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(5, 26))),
+             30.0, "rejected as wild"),
+        ],
+        ids=["trending", "wild"],
+    )
+    def test_horizon_too_short_tails(self, class_id, params, rho0, horizon, message):
+        g = ef.catalog_generator(class_id, **params)
+        traj = ef.propagate(g, rho0, fate.fate_grid(horizon, 400))
+        got = outcome(ef.fate_of_trajectory, traj)
+        assert got == outcome(oracle_fate, traj)
+        assert got[0] is HorizonTooShort and message in got[1]
+
+    def test_quench_chunk_eigensolves_five_grid_states_a_trajectory(self, monkeypatch):
+        # fates_quench chunk 0 at seed 3: the final state, the two states
+        # nearest t = 0 that no bound places, then the two before the final
+        # one that the extrapolation reads
+        horizon, points, opts = WORKLOAD_GRIDS["quench"]
+        g = ef.catalog_generator(6)
+        sizes = count_eigensolved(monkeypatch)
+        chunk_seed, per_trajectory = ef.split_seed(3, 0), []
+        for i in range(8):
+            spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(chunk_seed, i))
+            sizes.clear()
+            ef.detect_fate(g, ef.sample(spec), horizon, points, opts=opts)
+            per_trajectory.append(list(sizes))
+        assert per_trajectory == [[1, 2, 2]] * 8
+
+    def test_damping_trajectory_eigensolves_every_grid_state(self, monkeypatch):
+        horizon, points, opts = WORKLOAD_GRIDS["damping"]
+        spec = ef.EnsembleSpec("fixed_concurrence_pure", ef.split_seed(ef.split_seed(3, 0), 0), 0.6)
+        sizes = count_eigensolved(monkeypatch)
+        rec = ef.detect_fate(ef.catalog_generator(2), ef.sample(spec), horizon, points, opts=opts)
+        assert sizes == [1, 400] and sum(sizes) == points + 1
+        assert abs(rec.final_margin) <= 10.0 * TOL + fate._WEYL_GUARD
