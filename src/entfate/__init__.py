@@ -15,8 +15,6 @@ from .asymptotics import (
     classify_generator,
     classify_theorem_class,
     membership_residual,
-    representative,
-    sample_member,
     stationary_set_autonomous,
 )
 from .dynamics import (
@@ -62,7 +60,6 @@ from .geometry import (
     concurrence,
     min_pt_eigenvalue,
     min_pt_eigenvalues,
-    negativity,
 )
 from .states import (
     EnsembleSpec,
@@ -70,7 +67,6 @@ from .states import (
     basis_state,
     max_entangled,
     new_state,
-    partial_trace,
     partial_transpose,
     sample,
     split_seed,

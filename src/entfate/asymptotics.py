@@ -75,7 +75,6 @@ from .states import (
     QState,
     check_positive,
     check_whole,
-    hilbert_schmidt_state,
     hilbert_schmidt_states,
     new_state,
     trace_distance,
@@ -275,18 +274,11 @@ def _set_of_map(p_inf: np.ndarray, one: bool, diagnostics: dict) -> AsymptoticSe
     return AsymptoticSet("one" if one else "many", p_inf, state, diagnostics)
 
 
-def representative(a: AsymptoticSet) -> QState:
+def _representative(a: AsymptoticSet) -> QState:
     """Any member of the set (the canonical one for singletons)."""
     if a.state is not None:
         return a.state
     return QState(apply_map(a.map_matrix, (np.eye(D) / D)[None])[0])
-
-
-def sample_member(a: AsymptoticSet, rng: np.random.Generator) -> QState:
-    """Draw a random member of the asymptotic set."""
-    if a.state is not None:
-        return a.state
-    return QState(apply_map(a.map_matrix, hilbert_schmidt_state(rng).matrix[None])[0])
 
 
 def membership_residual(a: AsymptoticSet, s: QState) -> float:
@@ -366,7 +358,7 @@ def classify_theorem_class(
     check_whole("n_probes", n_probes)
     check_whole("seed", seed)
     if a.cardinality == "one":
-        region = classify_region(representative(a), tol)
+        region = classify_region(_representative(a), tol)
         class_id = {"deep_separable": 1, "boundary": 2, "entangled": 3}[region.tag]
         return TheoremClass(
             class_id=class_id,
@@ -393,7 +385,7 @@ def classify_theorem_class(
         bound = float(np.linalg.eigvalsh(_pt_adjoint(a, y))[-1])
         if bound >= -tol:  # no bound below -tol: try the centre as a last member
             names.append("image(I/4)")
-            values = np.append(values, min_pt_eigenvalue(representative(a)))
+            values = np.append(values, min_pt_eigenvalue(_representative(a)))
     # margins equal to 1e-12 are ties, won by the first: a fixed probe before a search
     i_min = int(np.flatnonzero(values <= values.min() + 1e-12)[0])
     i_max = int(np.flatnonzero(values >= values.max() - 1e-12)[0])

@@ -51,4 +51,5 @@ class BadParams(EntfateError):
 
 
 class HorizonTooShort(EntfateError):
-    """PT margin is still trending at the end of the time horizon."""
+    """The state is entangled at the horizon, but its PT margin is not yet
+    within 10% of its limit margin m∞, or that limit is separable."""

@@ -9,12 +9,12 @@ not eigensolved when Weyl's inequality places it: the partial transpose
 keeps the Frobenius norm, so |m_k - m_T| <= ||rho_k - rho_T||_F for the
 final margin m_T, and a state this places beyond 10 tol on m_T's side
 enters the scans as that bound, in the same band and with the same slope
-signs.  Margins read as values (the ends of refined brackets and the
-extrapolated tail) are exact.  Three times are read from the events, each
-refined by ITP bracketing (regula falsi steps held within bisection's
-worst case plus one step) from the known margins at the bracket's ends,
-on the trajectory's off-grid states, which its propagator source gives
-without a new solve (``Trajectory.state_at``):
+signs.  Margins read as values (the ends of refined brackets) are exact.
+Three times are read from the events, each refined by ITP bracketing
+(regula falsi steps held within bisection's worst case plus one step) from
+the known margins at the bracket's ends, on the trajectory's off-grid
+states, which its propagator source gives without a new solve
+(``Trajectory.state_at``):
 
   * birth   -- the first entry into entanglement, from a separable or an
                undecided start (None when m starts below -tol),
@@ -26,25 +26,30 @@ A trajectory is tagged by its final behavior:
   * never_entangled          -- m stayed >= -tol throughout,
   * sudden_death             -- m crossed to definitely positive and
                                 stayed >= -tol until the horizon,
-  * asymptotic_death         -- m < 0 but its (Aitken) extrapolated limit is 0,
-  * asymptotically_entangled -- m converged to a strictly negative value,
+  * asymptotic_death         -- m < 0 but its limit margin m∞ is 0 (within 10 tol),
+  * asymptotically_entangled -- m converged to m∞, strictly negative,
   * revival                  -- ended entangled after at least one
                                 death/rebirth cycle.
 
-If the margin is still trending at the horizon, or its tail is too short
-or too far from geometric to extrapolate, the run raises HorizonTooShort
-rather than guessing.
+The limit of every trajectory is P∞ρ₀, its start mapped by the asymptotic
+set of its generator (``asymptotics.asymptotic_set`` at the library
+defaults, kept for the last generator, so an ensemble run builds one); m∞
+is its margin, read only for a trajectory that ends entangled.  When m_T
+is still more than 0.1 |m∞| from m∞, or m∞ is separable, the run raises
+HorizonTooShort rather than guessing; a generator with no asymptotic set
+raises that set's own error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, propagate
+from . import asymptotics
+from .dynamics import DEFAULT_OPTS, Generator, SolverOptions, Trajectory, map_operators, propagate
 from .errors import EntfateError, HorizonTooShort
 from .geometry import concurrence, min_pt_eigenvalue, min_pt_eigenvalues
 from .states import EnsembleSpec, QState, check_positive, check_whole, sample, split_seed
@@ -159,23 +164,16 @@ def _sign_events(margins, tol):
     return events, (int(entangled[0]) if entangled.size else None)
 
 
-def _aitken_limit(values):
-    """Extrapolated limit of a (near-geometric) tail of margin samples; a
-    wild extrapolation, from a tail that is not yet geometric, or fewer
-    than three samples to extrapolate from, raises HorizonTooShort."""
-    if len(values) < 3:
-        raise HorizonTooShort(f"{len(values)} margin(s), too few to extrapolate a limit from")
-    m0, m1, m2 = values[-3], values[-2], values[-1]
-    denom = (m2 - m1) - (m1 - m0)
-    if abs(denom) < 1e-300:
-        return m2
-    est = m2 - (m2 - m1) ** 2 / denom
-    if not np.isfinite(est) or abs(est - m2) > 10.0 * (abs(m2) + abs(m1 - m2)):
-        raise HorizonTooShort(
-            f"margin {m2:.3e} still trending at horizon (extrapolated limit {est:.3e} "
-            f"rejected as wild)"
-        )
-    return est
+# the asymptotic set of the last generator asked for, at the library defaults:
+# every sample of an ensemble run reads one set
+_limit_set = lru_cache(maxsize=1)(asymptotics.asymptotic_set)
+
+
+def _limit_margin(traj):
+    """m∞, the margin of the trajectory's limit P∞ρ₀; its generator's
+    asymptotic set raises its own error when it has none."""
+    p_inf = _limit_set(traj.generator).map_matrix
+    return float(min_pt_eigenvalues(map_operators(p_inf, traj.initial.matrix[None]))[0])
 
 
 def detect_fate(
@@ -233,7 +231,8 @@ def fate_of_trajectory(
     """Tag the fate of a trajectory from its PT margins, with its birth
     time (first entry into entanglement, from a separable or an undecided
     start), death time (last exit, with no re-entry after it) and revival
-    times (each re-entry after a death).  Crossings are refined by ITP
+    times (each re-entry after a death), and, when it ends entangled, the
+    margin m∞ of its limit P∞ρ₀.  Crossings are refined by ITP
     from the known margins at the ends of their grid intervals, on its
     states between grid times, which its propagator source gives
     (``Trajectory.state_at``)."""
@@ -256,15 +255,12 @@ def fate_of_trajectory(
 
     # the margins read as values are made exact, in one stack: the ends of
     # each refined bracket (every entry into entanglement, the last exit,
-    # and the -tol crossing of a birth from an undecided start) and the
-    # tail that the limit is extrapolated from
+    # and the -tol crossing of a birth from an undecided start)
     ends = [e[1:] for e in events if e[0] < 0]
     if events and events[-1][0] > 0:
         ends.append(events[-1][1:])
     if first_ent and not (events and events[0][0] < 0):
         ends.append((first_ent - 1, first_ent))
-    if margins[-1] < -tol:
-        ends.append(range(max(margins.size - 3, 0), margins.size))
     read = np.array([i for pair in ends for i in pair], dtype=int)
     read = np.unique(read[bounded[read]])
     if read.size:
@@ -290,7 +286,7 @@ def fate_of_trajectory(
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
 
     if final_margin < -tol:
-        limit = _aitken_limit(margins)
+        limit = _limit_margin(traj)
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
@@ -298,7 +294,7 @@ def fate_of_trajectory(
         else:
             raise HorizonTooShort(
                 f"margin {final_margin:.3e} still trending at horizon "
-                f"(extrapolated limit {limit:.3e})"
+                f"(limit margin {limit:.3e})"
             )
     elif first_ent is not None:
         tag = "sudden_death" if death_time is not None else "asymptotic_death"

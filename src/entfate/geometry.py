@@ -42,12 +42,6 @@ def min_pt_eigenvalues(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(transpose_b(matrices))[:, 0]
 
 
-def negativity(s: QState) -> float:
-    """Sum of |negative PT eigenvalues|; zero iff PPT."""
-    eigs = np.linalg.eigvalsh(partial_transpose(s, "B"))
-    return float(-np.sum(eigs[eigs < 0.0]))
-
-
 def concurrence(s: QState) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1]."""
     rho = s.matrix

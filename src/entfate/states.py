@@ -142,19 +142,6 @@ def partial_transpose(s: QState, subsystem: str = "B") -> np.ndarray:
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def partial_trace(s: QState, keep: str = "A") -> np.ndarray:
-    """Reduced 2x2 density matrix of the kept qubit, read-only."""
-    r = s.matrix.reshape(2, 2, 2, 2)
-    if keep == "A":
-        red = np.einsum("ijkj->ik", r)
-    elif keep == "B":
-        red = np.einsum("ijil->jl", r)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    red.setflags(write=False)
-    return red
-
-
 def trace_distance(a: QState, b: QState) -> float:
     """Half the trace norm of a - b."""
     eigs = np.linalg.eigvalsh(a.matrix - b.matrix)

@@ -13,7 +13,7 @@ from entfate import fate
 from entfate.errors import HorizonTooShort
 from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
 from entfate.geometry import min_pt_eigenvalue, min_pt_eigenvalues
-from entfate.operators import EYE2, SMINUS
+from entfate.operators import EYE2, SMINUS, SX, SZ
 
 GAMMA = 1.0
 
@@ -84,24 +84,23 @@ class TestDetectFate:
         with pytest.raises(HorizonTooShort):
             ef.detect_fate(g, ef.basis_state(0, 1), horizon=0.5)
 
-    def test_wild_extrapolation_is_horizon_too_short(self):
+    def test_entangled_at_the_horizon_with_a_separable_limit_is_horizon_too_short(self):
         # the paper makes sudden death necessary here (the set is the interior
-        # point I/4); at horizon 30 the tail is not yet geometric, and the
-        # extrapolation, rejected as wild, used to pass as a converged limit
+        # point I/4, margin 1/4), and this state dies after horizon 30
         g = ef.catalog_generator(1, gamma=0.02)
         rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(5, 26)))
-        with pytest.raises(HorizonTooShort, match=r"extrapolated limit 2\.500e-01 rejected"):
+        with pytest.raises(HorizonTooShort, match=r"\(limit margin 2\.500e-01\)"):
             ef.detect_fate(g, rho0, horizon=30.0)
         rec = ef.detect_fate(g, rho0, horizon=40.0)
         assert rec.fate_tag == "sudden_death"
         assert rec.death_time == pytest.approx(33.249, abs=1e-3)
 
-    def test_too_few_margins_to_extrapolate_is_horizon_too_short(self):
-        # class 1 makes death necessary, and this state dies at ln 3; a tail of
-        # two margins used to pass as its own converged limit
+    def test_two_margins_before_a_death_are_horizon_too_short(self):
+        # class 1 makes death necessary, and this state dies at ln 3, after
+        # the horizon; its limit I/4 is separable
         g = ef.catalog_generator(1)
         traj = ef.propagate(g, ef.max_entangled(), [0.0, 0.5])
-        with pytest.raises(HorizonTooShort, match=r"2 margin\(s\), too few to extrapolate"):
+        with pytest.raises(HorizonTooShort, match=r"\(limit margin 2\.500e-01\)"):
             ef.fate_of_trajectory(traj)
 
     @pytest.mark.parametrize("grid_points", [2.5, 1, 0, -3, True, float("nan"), "40", None])
@@ -367,6 +366,42 @@ class TestFateStatistics:
         assert any(rec.birth_time is not None for rec in records)
         assert len(solves) == 1
 
+    def test_run_builds_one_asymptotic_set(self, monkeypatch):
+        from entfate import asymptotics
+
+        builds = []
+        build = asymptotics._quench_limit_set
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "_quench_limit_set", counting)
+        g = ef.catalog_generator(6)
+        spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=5)
+        opts = ef.SolverOptions(rtol=1e-7, atol=1e-10)
+        stats, records = ef.fate_statistics(g, spec, n=12, horizon=12.0, grid_points=200, opts=opts)
+        # every member of class 6's set is entangled, so every sample reads its limit
+        assert stats.failures == 0 and all(rec.final_margin < -TOL for rec in records)
+        assert len(builds) == 1 and builds[0][0] is g
+
+    def test_samples_without_a_limit_fail_typed(self):
+        # a Hamiltonian flow's margin oscillates forever: its Liouvillian has
+        # peripheral eigenvalues, so no asymptotic set, and a sample entangled
+        # at the horizon has no limit to tag it by
+        g = ef.make_generator(hamiltonian=np.kron(SX, SX) + 0.3 * np.kron(SZ, EYE2))
+        spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=1)
+        stats, records = ef.fate_statistics(g, spec, n=20, horizon=10.0)
+        assert stats.failure_reasons == {"OscillatoryAsymptotics": 16}
+        assert stats.counts["asymptotically_entangled"] == stats.counts["revival"] == 0
+        assert stats.counts["sudden_death"] == 4
+        for i, rec in enumerate(records):
+            rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(1, i)))
+            traj = ef.propagate(g, rho0, fate.fate_grid(10.0, fate.DEFAULT_GRID_POINTS))
+            entangled = traj.margins[-1] < -TOL
+            assert isinstance(rec, str) == entangled
+            assert not entangled or rec.startswith("OscillatoryAsymptotics: non-kernel peripheral")
+
     def test_tolerances_that_fail_the_identity_flow_fail_every_sample(self, monkeypatch):
         from test_dynamics import count_propagator_stacks
 
@@ -432,8 +467,8 @@ class TestFateOfTrajectory:
         rec = ef.fate_of_trajectory(ef.propagate(g, ef.basis_state(0, 1), [0.0]))
         assert rec.fate_tag == "never_entangled"
         assert rec.birth_time is None and rec.death_time is None and not rec.revival_times
-        # an entangled start has no tail to extrapolate its limit from
-        with pytest.raises(HorizonTooShort, match=r"1 margin\(s\), too few to extrapolate"):
+        # an entangled start whose limit, I/4, is separable
+        with pytest.raises(HorizonTooShort, match=r"-5\.000e-01 .*\(limit margin 2\.500e-01\)"):
             ef.fate_of_trajectory(ef.propagate(g, ef.max_entangled(), [0.0]))
 
 
@@ -444,10 +479,21 @@ def werner_of_margin(m):
     return ef.new_state(w * ef.max_entangled().matrix + (1.0 - w) * np.eye(4) / 4.0)
 
 
+def reset_generator(sigma):
+    """The generator L(rho) = tr(rho) sigma - rho, from the jumps
+    sqrt(p_i) |v_i><v_j| of sigma's eigenbasis; its asymptotic set is sigma."""
+    p, v = np.linalg.eigh(sigma.matrix)
+    p = np.clip(p, 0.0, None)
+    jumps = [np.sqrt(p[i]) * np.outer(v[:, i], v[:, j].conj()) for i in range(4) for j in range(4)]
+    return ef.make_generator(jumps=[(op, 1.0) for op in jumps])
+
+
 class MarginTrajectory:
     """A duck-typed trajectory whose PT margin follows m(t): its grid
     margins are m at the grid times, ``matrices`` is the stack of their
-    Werner states, and ``state_at(t)`` is the Werner state of margin m(t)."""
+    Werner states, ``state_at(t)`` is the Werner state of margin m(t), and
+    its ``generator`` resets every state to the Werner state of the final
+    margin, its limit."""
 
     opts = ef.SolverOptions()
 
@@ -457,6 +503,7 @@ class MarginTrajectory:
         self.margins = np.array([m(t) for t in self.times])
         self.matrices = np.array([werner_of_margin(v).matrix for v in self.margins])
         self.initial = werner_of_margin(self.margins[0])
+        self.generator = reset_generator(werner_of_margin(self.margins[-1]))
 
     def state_at(self, t):
         return werner_of_margin(self.m(t))
@@ -668,7 +715,7 @@ def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
         death_time = refine(events[-1])
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
     if final_margin < -tol:
-        limit = fate._aitken_limit(margins)
+        limit = fate._limit_margin(traj)
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
@@ -676,7 +723,7 @@ def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
         else:
             raise HorizonTooShort(
                 f"margin {final_margin:.3e} still trending at horizon "
-                f"(extrapolated limit {limit:.3e})"
+                f"(limit margin {limit:.3e})"
             )
     elif first_ent is not None:
         tag = "sudden_death" if death_time is not None else "asymptotic_death"
@@ -802,9 +849,10 @@ class TestCertifiedMargins:
         "class_id, params, rho0, horizon, message",
         [
             (3, {}, ef.basis_state(0, 1), 0.5, "still trending at horizon"),
+            # entangled at the horizon, its tail far from geometric; its limit I/4 is separable
             (1, {"gamma": 0.02},
              ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(5, 26))),
-             30.0, "rejected as wild"),
+             30.0, "(limit margin 2.500e-01)"),
         ],
         ids=["trending", "wild"],
     )
@@ -815,10 +863,10 @@ class TestCertifiedMargins:
         assert got == outcome(oracle_fate, traj)
         assert got[0] is HorizonTooShort and message in got[1]
 
-    def test_quench_chunk_eigensolves_five_grid_states_a_trajectory(self, monkeypatch):
+    def test_quench_chunk_eigensolves_three_grid_states_and_the_limit(self, monkeypatch):
         # fates_quench chunk 0 at seed 3: the final state, the two states
-        # nearest t = 0 that no bound places, then the two before the final
-        # one that the extrapolation reads
+        # nearest t = 0 that no bound places, then the limit P∞ρ₀, since
+        # each trajectory ends entangled
         horizon, points, opts = WORKLOAD_GRIDS["quench"]
         g = ef.catalog_generator(6)
         sizes = count_eigensolved(monkeypatch)
@@ -828,7 +876,7 @@ class TestCertifiedMargins:
             sizes.clear()
             ef.detect_fate(g, ef.sample(spec), horizon, points, opts=opts)
             per_trajectory.append(list(sizes))
-        assert per_trajectory == [[1, 2, 2]] * 8
+        assert per_trajectory == [[1, 2, 1]] * 8
 
     def test_damping_trajectory_eigensolves_every_grid_state(self, monkeypatch):
         horizon, points, opts = WORKLOAD_GRIDS["damping"]
@@ -837,3 +885,32 @@ class TestCertifiedMargins:
         rec = ef.detect_fate(ef.catalog_generator(2), ef.sample(spec), horizon, points, opts=opts)
         assert sizes == [1, 400] and sum(sizes) == points + 1
         assert abs(rec.final_margin) <= 10.0 * TOL + fate._WEYL_GUARD
+
+
+HS_STARTS = [ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(26, i)))
+             for i in range(5)]
+
+
+class TestLimitMargin:
+    """m∞, the margin of the limit P∞ρ₀, against its closed form on each
+    catalog class."""
+
+    @pytest.mark.parametrize(
+        "class_id, starts, limit",
+        [
+            (1, [ef.max_entangled(), *HS_STARTS], lambda rho: 0.25),  # I/4
+            (2, [ef.max_entangled(), *HS_STARTS], lambda rho: 0.0),  # |00>
+            (3, [ef.max_entangled(), *HS_STARTS], lambda rho: -0.5),  # Phi+
+            # c = 2: the Werner state of weight e^-2
+            (4, [ef.max_entangled()], lambda rho: (1.0 - 3.0 * np.exp(-2.0)) / 4.0),
+            # the diagonal of rho0, which is its own partial transpose
+            (5, HS_STARTS, lambda rho: np.diagonal(rho.matrix).real.min()),
+            (6, [ef.max_entangled()], lambda rho: -0.5),  # Phi+ is fixed
+        ],
+        ids=["class1", "class2", "class3", "class4", "class5", "class6"],
+    )
+    def test_closed_forms(self, class_id, starts, limit):
+        g = ef.catalog_generator(class_id)
+        for rho0 in starts:
+            got = fate._limit_margin(ef.propagate(g, rho0, [0.0]))
+            assert abs(got - limit(rho0)) <= 1e-12

@@ -51,37 +51,46 @@ class TestConcurrence:
         assert abs(ef.concurrence(werner(w)) - max(0.0, (3 * w - 1) / 2)) < 1e-10
 
 
+def pt_eigenvalues(s):
+    return np.linalg.eigvalsh(ef.partial_transpose(s, "B"))
+
+
 class TestNegativity:
+    """A two-qubit partial transpose has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so the negativity is
+    max(0, -min_pt_eigenvalue)."""
+
     def test_maximally_mixed(self):
-        assert ef.negativity(ef.new_state(np.eye(4) / 4, 2, 2)) == 0.0
+        s = ef.new_state(np.eye(4) / 4, 2, 2)
+        assert np.all(pt_eigenvalues(s) > 0.0) and ef.min_pt_eigenvalue(s) > 0.0
 
     def test_bell(self):
-        assert abs(ef.negativity(ef.max_entangled()) - 0.5) < 1e-12
+        eigs = pt_eigenvalues(ef.max_entangled())
+        assert abs(-np.sum(eigs[eigs < 0.0]) - 0.5) < 1e-12
+        assert abs(ef.min_pt_eigenvalue(ef.max_entangled()) + 0.5) < 1e-12
 
     def test_monotone_along_depolarizing(self):
+        # T_B(I/4) = I/4, so m((1 - lam) rho + lam I/4) = (1 - lam) m(rho) + lam/4
         found = 0
         seed = 0
         while found < 50:
             s = random_state(seed)
             seed += 1
-            if ef.min_pt_eigenvalue(s) >= -1e-8:
+            m = ef.min_pt_eigenvalue(s)
+            if m >= -1e-8:
                 continue
             found += 1
-            lams = np.linspace(0.0, 1.0, 11)
-            negs = [
-                ef.negativity(
-                    ef.new_state((1 - lam) * s.matrix + lam * np.eye(4) / 4, 2, 2)
-                )
-                for lam in lams
-            ]
-            assert all(negs[i + 1] <= negs[i] + 1e-12 for i in range(len(negs) - 1))
+            for lam in np.linspace(0.0, 1.0, 11):
+                mixed = ef.new_state((1 - lam) * s.matrix + lam * np.eye(4) / 4, 2, 2)
+                assert abs(ef.min_pt_eigenvalue(mixed) - ((1 - lam) * m + lam / 4)) < 1e-14
 
     def test_zero_iff_ppt(self):
         for seed in range(200):
             s = random_state(seed)
-            n = ef.negativity(s)
-            m = ef.min_pt_eigenvalue(s)
-            assert (n <= 1e-12) == (m >= -1e-12)
+            eigs = pt_eigenvalues(s)
+            assert eigs[1] > -1e-12  # at most one negative eigenvalue
+            negativity = -np.sum(eigs[eigs < 0.0])
+            assert abs(negativity - max(0.0, -ef.min_pt_eigenvalue(s))) < 1e-15
 
 
 class TestClassifyRegion:

@@ -146,32 +146,6 @@ class TestPartialTranspose:
         assert np.max(np.abs(pa - oracle)) < 1e-14
 
 
-class TestPartialTrace:
-    def test_bell_reduction(self):
-        red = ef.partial_trace(ef.max_entangled(), "A")
-        assert red.shape == (2, 2) and not red.flags.writeable
-        assert np.allclose(red, np.eye(2) / 2, atol=1e-14)
-
-    def test_product_factor_recovery(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            za = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            zb = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            ra = za @ za.conj().T
-            ra /= np.trace(ra).real
-            rb = zb @ zb.conj().T
-            rb /= np.trace(rb).real
-            s = ef.new_state(np.kron(ra, rb), 2, 2)
-            assert np.max(np.abs(ef.partial_trace(s, "A") - ra)) < 1e-12
-            assert np.max(np.abs(ef.partial_trace(s, "B") - rb)) < 1e-12
-
-    def test_trace_preserved(self):
-        for seed in range(20):
-            red = ef.partial_trace(random_state(seed), "B")
-            assert abs(np.trace(red) - 1) < 1e-12
-            assert np.array_equal(red, red.conj().T)
-
-
 class TestTraceDistance:
     def test_self(self):
         s = random_state(0)
