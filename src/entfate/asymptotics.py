@@ -442,14 +442,11 @@ def catalog_generator(class_id: int, **params: float) -> Generator:
     """
     try:
         class_id = check_whole("class_id", class_id, min(CATALOG), max(CATALOG))
-    except ValueError as exc:
-        raise BadParams(str(exc)) from None
-    ((name, default),) = CATALOG[class_id][1].items()
-    for key in params:
-        if key != name:
-            raise BadParams(f"class {class_id} takes only the parameter {name}, got {key}")
-    value = params.get(name, default)
-    try:
+        ((name, default),) = CATALOG[class_id][1].items()
+        for key in params:
+            if key != name:
+                raise BadParams(f"class {class_id} takes only the parameter {name}, got {key}")
+        value = params.get(name, default)
         check_positive(name, value)
     except ValueError as exc:
         raise BadParams(str(exc)) from None

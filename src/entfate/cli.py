@@ -1,8 +1,9 @@
 """Scenario-driven command line front end.
 
 Subcommands: simulate | classify | fates | catalog.
-Exit codes: 0 success, 2 config error, 3 solver error,
-4 classification inconclusive, 5 excessive sample failures.
+Exit codes: 0 success, 2 config error, 3 solver error, 4 no asymptotic set
+or no class (a ``simulate`` whose limit has no set too), 5 excessive sample
+failures.  ``main`` alone maps an EntfateError, printed as ``Type: message``.
 
 Configs are JSON; complex entries are [re, im] pairs, and a key that nothing
 reads is a config error.  Every command builds every section of its config
@@ -34,13 +35,10 @@ from .dynamics import ConstantRate, ExponentialRate, SolverOptions, make_generat
 from .errors import (
     BadParams,
     EntfateError,
-    HorizonTooShort,
     Inconclusive,
     NoTraceOneElement,
     NotConverged,
     OscillatoryAsymptotics,
-    PositivityLost,
-    StepFailure,
 )
 from .fate import FateRecord, fate_of_trajectory, fate_statistics, margin_curve
 from .states import SEED_MAX, EnsembleSpec, new_state, sample
@@ -52,6 +50,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_FAILURES = 5
+# exit 4: no asymptotic set or no class; any other EntfateError exits 3
+_NO_SET = (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement)
 
 
 class ConfigError(Exception):
@@ -360,11 +360,10 @@ def cmd_classify(args) -> int:
             seed=int(run["seed"] or 0),
             **asymptotic_set_options(run),
         )
-    except (Inconclusive, OscillatoryAsymptotics, NotConverged, NoTraceOneElement) as exc:
+    except EntfateError as exc:
         failure = {"error": type(exc).__name__, "reason": str(exc)}
         _write_json(outdir / "classification.json", failure)
-        print(f"classification failed: {type(exc).__name__}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        raise
     evidence = dict(vars(cls))  # not dataclasses.asdict, which deep-copies every probe
     verdict = {key: evidence.pop(key) for key in ("class_id", "cardinality")}
     payload = {**verdict, "evidence": evidence, "diagnostics": aset.diagnostics}
@@ -455,9 +454,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityLost, StepFailure, HorizonTooShort) as exc:
+    except EntfateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_INCONCLUSIVE if isinstance(exc, _NO_SET) else EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -33,11 +33,11 @@ A trajectory is tagged by its final behavior:
 
 The limit of every trajectory is P∞ρ₀, its start mapped by the asymptotic
 set of its generator (``asymptotics.asymptotic_set`` at the library
-defaults, kept for the last generator, so an ensemble run builds one); m∞
-is its margin, read only for a trajectory that ends entangled.  When m_T
-is still more than 0.1 |m∞| from m∞, or m∞ is separable, the run raises
-HorizonTooShort rather than guessing; a generator with no asymptotic set
-raises that set's own error.
+defaults, kept, or its error kept, for the last generator, so an ensemble
+run builds one); m∞ is its margin, read only for a trajectory that ends
+entangled.  When m_T is still more than 0.1 |m∞| from m∞, or m∞ is
+separable, the run raises HorizonTooShort rather than guessing; a generator
+with no asymptotic set raises that set's own error.
 """
 
 from __future__ import annotations
@@ -164,16 +164,23 @@ def _sign_events(margins, tol):
     return events, (int(entangled[0]) if entangled.size else None)
 
 
-# the asymptotic set of the last generator asked for, at the library defaults:
-# every sample of an ensemble run reads one set
-_limit_set = lru_cache(maxsize=1)(asymptotics.asymptotic_set)
+@lru_cache(maxsize=1)
+def _limit_set(g):
+    """``asymptotics.asymptotic_set(g)`` at the library defaults, or its
+    error, kept for the last generator: an ensemble run builds one set."""
+    try:
+        return asymptotics.asymptotic_set(g)
+    except EntfateError as exc:
+        return exc
 
 
 def _limit_margin(traj):
     """m∞, the margin of the trajectory's limit P∞ρ₀; its generator's
     asymptotic set raises its own error when it has none."""
-    p_inf = _limit_set(traj.generator).map_matrix
-    return float(min_pt_eigenvalues(map_operators(p_inf, traj.initial.matrix[None]))[0])
+    aset = _limit_set(traj.generator)
+    if isinstance(aset, EntfateError):
+        raise aset.with_traceback(None)  # this raise's frames only, not earlier samples'
+    return float(min_pt_eigenvalues(map_operators(aset.map_matrix, traj.initial.matrix[None]))[0])
 
 
 def detect_fate(
@@ -341,7 +348,7 @@ def _fate_task(g, spec, horizon, grid_points, refine_tol, tol, opts, index):
     try:
         return detect_fate(g, rho0, horizon, grid_points, refine_tol, tol, opts)
     except EntfateError as exc:
-        return exc
+        return exc.with_traceback(None)  # its frames hold the sample's trajectory
 
 
 def fate_statistics(

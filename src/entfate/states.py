@@ -87,13 +87,7 @@ class EnsembleSpec:
             raise ValueError(f"target_concurrence must lie in [0, 1] as a real number, got {c!r}")
 
 
-@np.errstate(invalid="ignore")
-def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|: inf or NaN, without a warning, when an entry is not
-    finite (inf - inf is NaN)."""
-    return np.abs(a - b).max()
-
-
+@np.errstate(invalid="ignore")  # inf - inf is NaN, which fails the Hermiticity check
 def new_state(matrix, dim_a: int = 2, dim_b: int = 2, tol: float = VALIDATION_TOL) -> QState:
     """Validate a matrix as a two-qubit density operator and wrap it as a QState.
 
@@ -107,7 +101,7 @@ def new_state(matrix, dim_a: int = 2, dim_b: int = 2, tol: float = VALIDATION_TO
     if m.shape != (D, D):
         raise DimensionMismatch(f"matrix shape {m.shape}, expected {(D, D)}")
     h = m.conj().T
-    herm_dev = _max_abs_difference(m, h)
+    herm_dev = np.abs(m - h).max()
     if not herm_dev <= tol:
         if not np.isfinite(m).all():
             raise NotAState("matrix has a non-finite entry")

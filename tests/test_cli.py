@@ -813,6 +813,53 @@ class TestClassify:
             assert "class_id" not in payload
 
 
+def pairs(matrix):
+    """A complex matrix as a config's lists of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+class TestExitCodes:
+    """``main`` alone maps an EntfateError to its exit code: 4 when there is
+    no asymptotic set or no class, 3 for any other."""
+
+    def test_simulate_without_a_limit_exits_4(self, tmp_path, capsys):
+        # a Hamiltonian flow has no asymptotic set, and Phi+ stays entangled
+        # under sz x sz, so its fate has no limit to read
+        from entfate.operators import SZ
+
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "generator": {"explicit": {"hamiltonian": pairs(np.kron(SZ, SZ))}},
+                "initial_state": {"matrix": BELL},
+                "run": {"horizon": 5.0, "grid_points": 50},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("OscillatoryAsymptotics: ")
+        assert (out / "resolved_config.json").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_classify_solver_error_exits_3_with_its_record(self, tmp_path, capsys):
+        # the limit exp(a tau D) of this quench overflows (see
+        # test_overflowing_limit_is_a_step_failure)
+        from entfate.operators import EYE2, SMINUS
+
+        jump = {
+            "operator": pairs(0.05 * np.kron(SMINUS, EYE2)),
+            "rate": {"kind": "exponential", "amplitude": 1e300},
+        }
+        cfg = write_config(tmp_path / "c.json", {"generator": {"explicit": {"jumps": [jump]}}})
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert payload["error"] == "StepFailure"
+        assert payload["reason"].startswith("trace-preservation residual nan")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("StepFailure: trace-preservation residual")
+
+
 class TestFates:
     def test_outputs_and_fraction_sum(self, tmp_path):
         cfg = write_config(

@@ -147,6 +147,24 @@ class TestDetectFate:
         )
         assert rec.death_time == pytest.approx(np.log(3.0), abs=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: the scan misses a separable stretch inside one grid step",
+    )
+    @pytest.mark.parametrize(
+        "index, revival", [(3015, 0.191332058), (3258, 0.134961499), (3288, 0.132927198)]
+    )
+    def test_class3_revival_inside_one_grid_step(self, index, revival):
+        # det(T_B rho) has two roots inside one grid step of 0.075: the margin
+        # rises above zero, by at most +9.3e-4, and falls back, so the sample
+        # revives; at 400 points it is tagged asymptotically_entangled, and a
+        # 6,000-point grid tags it revival
+        rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", ef.split_seed(3, index)))
+        rec = ef.detect_fate(ef.catalog_generator(3), rho0, horizon=30.0)
+        assert rec.fate_tag == "revival"
+        assert len(rec.revival_times) == 1
+        assert abs(rec.revival_times[0] - revival) <= DEFAULT_REFINE_TOL
+
 
 class TestMarginCurve:
     def test_constant_zero_generator(self):
@@ -401,6 +419,49 @@ class TestFateStatistics:
             entangled = traj.margins[-1] < -TOL
             assert isinstance(rec, str) == entangled
             assert not entangled or rec.startswith("OscillatoryAsymptotics: non-kernel peripheral")
+
+    def test_a_missing_set_fails_once_per_run(self, monkeypatch):
+        # dephasing quenched at two rates is not a single-rate quench, and its
+        # propagator has not converged by asymptotic_set's horizon of 60
+        from entfate import asymptotics
+
+        builds = []
+        build = asymptotics.asymptotic_set_nonautonomous
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "asymptotic_set_nonautonomous", counting)
+        fate._limit_set.cache_clear()
+        g = ef.make_generator(jumps=[
+            (np.kron(SZ, EYE2), ef.ExponentialRate(0.02, tau=200.0)),
+            (np.kron(EYE2, SZ), ef.ExponentialRate(0.02, tau=300.0)),
+        ])
+        spec = ef.EnsembleSpec("haar_pure", seed=4)
+        stats, records = ef.fate_statistics(g, spec, n=6, horizon=10.0)
+        assert stats.counts["sudden_death"] == 1
+        assert stats.failure_reasons == {"NotConverged": 5}
+        assert len(builds) == 1  # one build for the five samples that read the limit
+        # each raise of the kept error carries its own frames, not the build's
+        # nor an earlier sample's
+        traj = ef.propagate(g, ef.basis_state(0, 0), fate.fate_grid(1.0, 4))
+        for _ in range(2):
+            with pytest.raises(ef.NotConverged) as info:
+                fate._limit_margin(traj)
+            assert info.traceback[-1].name == "_limit_margin"
+            assert len(info.traceback) == 2
+        assert len(builds) == 1
+
+    def test_failed_samples_keep_no_frames(self):
+        # a kept traceback holds the failed sample's frames and its trajectory:
+        # with them, a run of 300 samples at this horizon (288 HorizonTooShort)
+        # had a tracemalloc peak of 60 MB, against 17.5 MB without them
+        g = ef.catalog_generator(1)
+        spec = ef.EnsembleSpec("haar_pure", seed=1)
+        exc = fate._fate_task(g, spec, 0.3, 400, DEFAULT_REFINE_TOL, DEFAULT_FATE_TOL,
+                              ef.SolverOptions(), 0)
+        assert isinstance(exc, HorizonTooShort) and exc.__traceback__ is None
 
     def test_tolerances_that_fail_the_identity_flow_fail_every_sample(self, monkeypatch):
         from test_dynamics import count_propagator_stacks
