@@ -57,11 +57,12 @@ source that made it; ``state_at`` gives its state at any time of its span
 through that source.  ``vec``/``unvec`` act on whole stacks.  Every
 propagated or mapped state passes through ``_repair_states`` (a stack of
 one from ``evolve_state`` and ``state_at``, of images from
-``apply_map``), which decides positivity per state: a state with a finite
-Cholesky factor is a density matrix to working precision, so one stacked
-factorization certifies a whole stack without an eigensolve; a stack that
-fails it is eigendecomposed, and only its states that fail the
-factorization alone are clipped.  QStates are built on request.
+``apply_map``), which decides positivity per state by the certificate of
+``states``: a state with a finite Cholesky factor is a density matrix to
+working precision, so one stacked factorization certifies a whole stack
+without an eigensolve; a stack that fails it is eigendecomposed, and
+only its states that fail the factorization alone are clipped.  QStates
+are built on request.
 
 scipy is imported on first use, and only the part a call needs:
 ``solve_ivp`` (``scipy.integrate``) on the first non-autonomous flow and
@@ -86,7 +87,7 @@ import numpy as np
 from .errors import PositivityLost, StepFailure
 from .geometry import min_pt_eigenvalues
 from .operators import broadcast_kron
-from .states import D, QState, check_dims, check_positive
+from .states import D, QState, _factorizes, check_dims, check_positive
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
 PSD_REPAIR = 1e-9  # eigenvalues in [-PSD_REPAIR, 0) of a propagated state are clipped
@@ -380,16 +381,6 @@ class Trajectory:
     @cached_property
     def margins(self) -> np.ndarray:
         return _read_only(min_pt_eigenvalues(self.matrices))
-
-
-def _factorizes(ms: np.ndarray) -> bool:
-    """Whether every matrix of a Hermitian stack has a finite Cholesky
-    factor, i.e. is positive definite to working precision.  (A NaN entry
-    gives a NaN factor, not a LinAlgError.)"""
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(ms)).all())
-    except np.linalg.LinAlgError:
-        return False
 
 
 def _repair_states(ms: np.ndarray) -> np.ndarray:

@@ -9,14 +9,21 @@ Conventions (fixed once, used everywhere):
 Only ``new_state`` and ``dynamics.make_generator`` take dimensions, and
 both accept (2, 2) alone.
 
+Positivity has one certificate, ``_factorizes``: a Hermitian matrix with
+a finite Cholesky factor is positive to working precision.  ``new_state``,
+the stacked check of ``hilbert_schmidt_states`` and ``dynamics``' state
+repair all use it, and only a matrix that fails it is eigensolved.
+
 Randomness uses the counter-based Philox generator; per-sample streams
 are derived by spawn-key splitting so ensembles are reproducible and
 independent of worker count.  A child seed is numpy's SeedSequence
 spawn-key hash, computed in Python ints from a memoized pool of the base
-seed, and is bit-identical to ``SeedSequence(entropy=seed,
-spawn_key=(index,))``.  Each thread keeps one Philox bit generator and
-re-keys it for every sample rather than building a new one; the streams
-are exactly those of a fresh ``Philox(key=seed)``.
+seed: each word of the index is mixed into the two pool words that the
+child reads, and nothing else.  It is bit-identical to
+``SeedSequence(entropy=seed, spawn_key=(index,))``.  Each thread keeps
+one Philox bit generator and re-keys it for every sample rather than
+building a new one; the streams are exactly those of a fresh
+``Philox(key=seed)``.
 """
 
 from __future__ import annotations
@@ -87,32 +94,49 @@ class EnsembleSpec:
             raise ValueError(f"target_concurrence must lie in [0, 1] as a real number, got {c!r}")
 
 
-@np.errstate(invalid="ignore")  # inf - inf is NaN, which fails the Hermiticity check
+def _factorizes(ms: np.ndarray) -> bool:
+    """Whether a Hermitian matrix, or every matrix of a stack, has a finite
+    Cholesky factor: the one positivity certificate.  A finite factor of a
+    trace-one 4x4 matrix puts its least eigenvalue above about -1e-15, its
+    own round-off.  (A NaN entry gives a NaN factor, not a LinAlgError.)"""
+    try:
+        factor = np.linalg.cholesky(ms)
+    except np.linalg.LinAlgError:
+        return False
+    return np.count_nonzero(np.isfinite(factor)) == factor.size
+
+
 def new_state(matrix, dim_a: int = 2, dim_b: int = 2, tol: float = VALIDATION_TOL) -> QState:
     """Validate a matrix as a two-qubit density operator and wrap it as a QState.
 
-    The matrix is symmetrized to (M + M†)/2 before the trace and PSD
-    checks; a non-finite entry, then a Hermiticity deviation beyond
-    ``tol``, is rejected first.  ``tol`` must be positive and finite.
+    A non-finite entry, then a Hermiticity deviation beyond ``tol``, is
+    rejected first.  The matrix is then symmetrized to (M + M†)/2 for the
+    trace and positivity checks.  A matrix with a finite Cholesky factor
+    is positive; only one without goes to ``eigvalsh``, and is rejected
+    if its least eigenvalue is below ``-tol``.  The two rules give the
+    same verdict unless ``tol`` is below about 1e-14, where ``eigvalsh``'s
+    own round-off decides.  ``tol`` must be positive and finite.
     """
     check_dims((dim_a, dim_b))
     check_positive("tol", tol)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (D, D):
         raise DimensionMismatch(f"matrix shape {m.shape}, expected {(D, D)}")
+    if np.count_nonzero(np.isfinite(m)) < D * D:
+        raise NotAState("matrix has a non-finite entry")
     h = m.conj().T
-    herm_dev = np.abs(m - h).max()
-    if not herm_dev <= tol:
-        if not np.isfinite(m).all():
-            raise NotAState("matrix has a non-finite entry")
+    herm_dev = max(abs(m - h).ravel().tolist())
+    if herm_dev > tol:
         raise NotAState(f"not Hermitian: max |M - M†| = {herm_dev:.3e} > {tol:.1e}")
     m = 0.5 * (m + h)
-    trace_dev = abs(m.trace().real - 1.0)
+    d = m.real.diagonal().tolist()
+    trace_dev = abs((d[0] + d[1]) + (d[2] + d[3]) - 1.0)  # np.trace's order, bit for bit
     if trace_dev > tol:
         raise NotAState(f"trace deviates from 1 by {trace_dev:.3e} > {tol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -tol:
-        raise NotAState(f"not PSD: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
+    if not _factorizes(m):
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < -tol:
+            raise NotAState(f"not PSD: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
     m.setflags(write=False)
     return QState(m)
 
@@ -160,10 +184,10 @@ def _words(n: int) -> list:
     return words
 
 
-def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple:
+def _hashmix(value: int, h: int) -> tuple:
     """numpy's hashmix: the hashed value and the next hash constant."""
     value ^= h
-    h = h * mult & _M32
+    h = h * _MULT_A & _M32
     value = value * h & _M32
     return value ^ value >> 16, h
 
@@ -181,9 +205,9 @@ def _mix_in(pool: list, word: int, h: int, skip: int = -1) -> int:
 
 @lru_cache(maxsize=32)
 def _seed_pool(seed: int) -> tuple:
-    """SeedSequence's pool after the base seed's words, and the hash
-    constant that the spawn key's words continue from.  A spawn key pads
-    the seed's words with zeros to the pool size."""
+    """Words 0 and 1 of SeedSequence's pool after the base seed's words,
+    and the hash constant that the spawn key's words continue from.  A
+    spawn key pads the seed's words with zeros to the pool size."""
     words = _words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     pool, h = [], _INIT_A
@@ -194,7 +218,15 @@ def _seed_pool(seed: int) -> tuple:
         h = _mix_in(pool, pool[src], h, skip=src)
     for w in words[_POOL_SIZE:]:
         h = _mix_in(pool, w, h)
-    return tuple(pool), h
+    return pool[0], pool[1], h
+
+
+# The hash constants depend only on the place in the chain: a spawn-key
+# word that starts at h mixes into pool words 0 and 1 with h·M and h·M²
+# (M = _MULT_A), and the next word starts at h·M⁴.  generate_state's two
+# words use fixed constants.
+_MULT_A2, _MULT_A4 = _MULT_A**2 & _M32, _MULT_A**4 & _M32
+_OUT_LO, _OUT_HI = _INIT_B * _MULT_B & _M32, _INIT_B * _MULT_B**2 & _M32
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -203,16 +235,30 @@ def split_seed(seed: int, index: int) -> int:
     It is numpy's SeedSequence spawn-key hash, computed in Python ints
     from a memoized pool of the base seed, and bit-identical to
     ``SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1,
-    np.uint64)[0]``.  Seed and index are non-negative Python or numpy
-    integers (``ValueError`` otherwise).
+    np.uint64)[0]``.  That child reads pool words 0 and 1 only, and
+    SeedSequence mixes each spawn-key word into each pool word on its
+    own, so each 32-bit word of the index is mixed into those two alone.
+    Seed and index are non-negative Python or numpy integers
+    (``ValueError`` otherwise).
     """
-    pool, h = _seed_pool(check_whole("seed", seed))
-    pool = list(pool)
-    for w in _words(check_whole("index", index)):
-        h = _mix_in(pool, w, h)
-    lo, h = _hashmix(pool[0], _INIT_B, _MULT_B)  # generate_state's two words
-    hi, _ = _hashmix(pool[1], h, _MULT_B)
-    return lo | hi << 32
+    p0, p1, h = _seed_pool(check_whole("seed", seed))
+    n = check_whole("index", index)
+    while True:  # the index's words, least significant first; 0 is one word
+        w = n & _M32
+        h1, h2 = h * _MULT_A & _M32, h * _MULT_A2 & _M32
+        v = (w ^ h) * h1 & _M32
+        r = (_MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16)) & _M32
+        p0 = r ^ r >> 16
+        v = (w ^ h1) * h2 & _M32
+        r = (_MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16)) & _M32
+        p1 = r ^ r >> 16
+        n >>= 32
+        if not n:
+            break
+        h = h * _MULT_A4 & _M32
+    lo = (p0 ^ _INIT_B) * _OUT_LO & _M32
+    hi = (p1 ^ _OUT_LO) * _OUT_HI & _M32
+    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
 
 
 _thread = threading.local()
@@ -259,18 +305,21 @@ def hilbert_schmidt_state(rng: np.random.Generator) -> QState:
 
 def _checked_states(ms: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     """``new_state``'s checks on every matrix of an (N, 4, 4) complex stack,
-    at once: the read-only stack of their symmetrized matrices.  The first
-    matrix that fails a check goes through ``new_state``, which raises its
-    own error."""
+    at once: the read-only stack of their symmetrized matrices.  A stack
+    that passes the elementwise checks and factorizes as a whole needs no
+    eigensolve.  The first matrix that fails a check goes through
+    ``new_state``, which raises its own error."""
     h = ms.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore", over="ignore"):  # the failures new_state reports
         ok = np.abs(ms - h).max(axis=(-2, -1)) <= tol  # NaN fails too
         sym = 0.5 * (ms + h)
         ok &= np.abs(np.trace(sym, axis1=-2, axis2=-1).real - 1.0) <= tol
-    rest = np.flatnonzero(ok)  # finite, Hermitian, unit trace: only these reach eigvalsh
-    ok[rest] = np.linalg.eigvalsh(sym[rest])[:, 0] >= -tol
-    if not ok.all():
-        new_state(ms[np.argmin(ok)], tol=tol)
+    if not (ok.all() and _factorizes(sym)):
+        rest = np.flatnonzero(ok)  # finite, Hermitian, unit trace: only these reach eigvalsh
+        for k in rest[np.linalg.eigvalsh(sym[rest])[:, 0] < -tol]:
+            ok[k] = _factorizes(sym[k])
+        if not ok.all():
+            new_state(ms[np.argmin(ok)], tol=tol)
     sym.setflags(write=False)
     return sym
 

@@ -1087,8 +1087,9 @@ class TestStackedTrajectory:
         return calls
 
     def test_propagate_makes_one_stacked_factorization(self, monkeypatch):
+        rho0 = ef.max_entangled()
         calls = self.count_factorizations(monkeypatch)
-        traj = ef.propagate(ef.catalog_generator(2), ef.max_entangled(), np.linspace(0.0, 30.0, 400))
+        traj = ef.propagate(ef.catalog_generator(2), rho0, np.linspace(0.0, 30.0, 400))
         assert [a.shape for a in calls["cholesky"]] == [(399, 4, 4)]
         assert calls["eigh"] == []
         assert traj.matrices.shape == (400, 4, 4)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import random
 
@@ -83,6 +84,122 @@ class TestNewState:
         m[0, 1] = 1e-12  # below tolerance, symmetrized away
         s = ef.new_state(m, 2, 2)
         assert np.max(np.abs(s.matrix - s.matrix.conj().T)) == 0.0
+
+
+def eigvalsh_rule(matrix, tol):
+    """``new_state``'s checks with positivity decided by ``eigvalsh`` alone:
+    the symmetrized matrix, or the NotAState it raises."""
+    m = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotAState("matrix has a non-finite entry")
+    herm_dev = np.abs(m - m.conj().T).max()
+    if herm_dev > tol:
+        raise NotAState(f"not Hermitian: max |M - M†| = {herm_dev:.3e} > {tol:.1e}")
+    sym = 0.5 * (m + m.conj().T)
+    trace_dev = abs(np.trace(sym).real - 1.0)
+    if trace_dev > tol:
+        raise NotAState(f"trace deviates from 1 by {trace_dev:.3e} > {tol:.1e}")
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    if min_eig < -tol:
+        raise NotAState(f"not PSD: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
+    return sym
+
+
+def with_least_eigenvalue(seed, least):
+    """A Hermitian trace-one matrix with least eigenvalue ``least``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    w = rng.uniform(0.1, 1.0, size=3)
+    w = np.concatenate([[least], w * (1.0 - least) / w.sum()])
+    return (q * w) @ q.conj().T
+
+
+def rank_two_mixture(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    p = rng.uniform()
+    return p * np.outer(v[0], v[0].conj()) + (1.0 - p) * np.outer(v[1], v[1].conj())
+
+
+def certificate_cases():
+    """Matrices on both sides of the positivity rule, and off it."""
+    cases = []
+    for i in range(40):
+        for kind, c in (("hilbert_schmidt_mixed", 0.0), ("haar_pure", 0.0),
+                        ("fixed_concurrence_pure", 0.6)):
+            spec = ef.EnsembleSpec(kind, seed=ef.split_seed(11, i), target_concurrence=c)
+            cases.append(np.array(ef.sample(spec).matrix))
+        cases.append(rank_two_mixture(i))
+    for i, least in enumerate([-5e-11, -2e-10, -5e-4, -2e-3, -1e-3] * 8):
+        cases.append(with_least_eigenvalue(i, least))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for ij in ((0, 0), (1, 2), (3, 0)):
+            m = np.eye(4, dtype=complex) / 4
+            m[ij] = bad
+            cases.append(m)
+    off = np.eye(4, dtype=complex) / 4
+    off[0, 1] = 0.3
+    return cases + [off, np.eye(4, dtype=complex) / 2]
+
+
+class TestPositivityCertificate:
+    """A finite Cholesky factor decides positivity; only a matrix without
+    one reaches ``eigvalsh``.  Verdicts, messages and the symmetrized
+    matrix are those of the eigvalsh rule."""
+
+    @pytest.mark.parametrize("tol", [states.VALIDATION_TOL, 1e-3])
+    def test_verdict_and_message_equal_the_eigvalsh_rule(self, tol):
+        verdicts = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in certificate_cases():
+                try:
+                    want = eigvalsh_rule(m, tol)
+                except NotAState as e:
+                    with pytest.raises(NotAState) as got:
+                        ef.new_state(m, tol=tol)
+                    assert str(got.value) == str(e)
+                    verdicts.add(str(e).split(":")[0].split(" by ")[0])
+                    continue
+                got = ef.new_state(m, tol=tol).matrix
+                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+                verdicts.add("state")
+        assert verdicts == {"state", "matrix has a non-finite entry", "not Hermitian",
+                            "trace deviates from 1", "not PSD"}
+
+    def test_boundary_states_reach_eigvalsh(self):
+        # -tol/2 is a state and -2 tol is not, though neither factorizes
+        m_in, m_out = with_least_eigenvalue(1, -5e-11), with_least_eigenvalue(1, -2e-10)
+        assert not states._factorizes(m_in) and not states._factorizes(m_out)
+        ef.new_state(m_in)
+        with pytest.raises(NotAState, match="not PSD"):
+            ef.new_state(m_out)
+
+    def test_below_1e_14_the_certificate_decides(self):
+        # a pure state of trace 1 exactly that factorizes, though eigvalsh's
+        # round-off puts its least eigenvalue at -2.6e-16
+        m = ef.sample(ef.EnsembleSpec("haar_pure", seed=ef.split_seed(1, 1128))).matrix
+        assert states._factorizes(m) and np.linalg.eigvalsh(m)[0] < -1e-16
+        with pytest.raises(NotAState, match="not PSD"):
+            eigvalsh_rule(m, 1e-17)
+        assert ef.new_state(m, tol=1e-17).matrix.tobytes() == m.tobytes()
+        # the stacked check takes the same verdict, and still finds a later failure
+        assert states._checked_states(m[None], tol=1e-17).tobytes() == m.tobytes()
+        with pytest.raises(NotAState, match="not PSD"):
+            states._checked_states(np.stack([m, np.diag([0.6, 0.6, -0.1, -0.1])]), tol=1e-17)
+
+    def test_a_hilbert_schmidt_sample_makes_one_factorization(self, monkeypatch):
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(3, 5)))
+        assert calls == {"cholesky": 1, "eigvalsh": 0}
 
 
 class TestQStateIdentity:
@@ -263,6 +380,17 @@ class TestSplitSeed:
 
     def test_numpy_integers(self):
         assert ef.split_seed(np.uint64(2**64 - 1), np.int32(3)) == seed_sequence_child(2**64 - 1, 3)
+
+    @pytest.mark.parametrize("seed", GRID_SEEDS)
+    def test_indices_of_one_two_and_three_words(self, seed):
+        # each word of the index enters pool words 0 and 1 only
+        indices = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+                   2**79, 2**80 - 1, np.int8(7), np.uint16(2**16 - 1), np.uint32(2**32 - 1),
+                   np.int64(2**40 + 9), np.uint64(2**64 - 1)]
+        for index in indices:
+            assert ef.split_seed(seed, index) == seed_sequence_child(seed, int(index))
+        if seed < 2**64:
+            assert ef.split_seed(np.uint64(seed), np.uint32(5)) == seed_sequence_child(seed, 5)
 
     @pytest.mark.parametrize(
         "seed, index, name",
