@@ -7,9 +7,11 @@ alternate in direction.  Both scans read a grid margin only for its band
 (below -tol, above +tol, or within 10 tol of zero).  So a grid state is
 not eigensolved when Weyl's inequality places it: the partial transpose
 keeps the Frobenius norm, so |m_k - m_T| <= ||rho_k - rho_T||_F for the
-final margin m_T, and a state this places beyond 10 tol on m_T's side
-enters the scans as that bound, in the same band and with the same slope
-signs.  Margins read as values (the ends of refined brackets) are exact.
+final margin m_T, and a state this places beyond 10 tol on m_T's side,
+with both its neighbors placed so too, enters the scans as that bound, in
+the same band and with the same slope signs.  The margins read as values,
+the ends of refined brackets, are exact by construction: each end has an
+undecided or opposite-side neighbor, so it is not a bound.
 Three times are read from the events, each refined by ITP bracketing
 (regula falsi steps held within bisection's worst case plus one step) from
 the known margins at the bracket's ends, on the trajectory's off-grid
@@ -205,16 +207,18 @@ def fate_grid(horizon: float, grid_points: int) -> np.ndarray:
 
 
 def _grid_margins(traj, tol):
-    """The grid margins that the scans read, and a mask of those that are
-    bounds rather than eigenvalues.
+    """The grid margins that the scans read.
 
-    The final state's margin m_T is eigensolved first.  A state k with
-    ||rho_k - rho_T||_F < |m_T| - 10 tol - _WEYL_GUARD has its margin beyond
-    10 tol on m_T's side (Weyl's inequality; the partial transpose keeps
-    the Frobenius norm), so it is not eigensolved and its margin is the
-    bound m_T -+ ||rho_k - rho_T||_F, in the same band.  Every other state
-    is eigensolved, in one stack; when |m_T| <= 10 tol + _WEYL_GUARD that
-    is every state."""
+    The final state's margin m_T is eigensolved first.  An earlier state k
+    with ||rho_k - rho_T||_F < |m_T| - 10 tol - _WEYL_GUARD is placed: its
+    margin lies beyond 10 tol on m_T's side (Weyl's inequality; the partial
+    transpose keeps the Frobenius norm).  A placed state whose two
+    neighbors are placed too is not eigensolved, and its margin is the
+    bound m_T -+ ||rho_k - rho_T||_F, in the same band.  So a state next to
+    one that is not placed is eigensolved, as every end of a sign change
+    is: its neighbor inside the change is undecided or on the other side.
+    Every other state is eigensolved, in one stack; when
+    |m_T| <= 10 tol + _WEYL_GUARD that is every state."""
     ms = traj.matrices
     m_final = float(min_pt_eigenvalues(ms[-1:])[0])
     margins = np.empty(len(ms))
@@ -222,14 +226,15 @@ def _grid_margins(traj, tol):
     reach = abs(m_final) - 10.0 * tol - _WEYL_GUARD
     if reach > 0.0:
         dist = np.linalg.norm(ms - ms[-1], axis=(1, 2))
-        bounded = dist < reach
-        bounded[-1] = False
+        placed = dist < reach
+        placed[-1] = False
+        bounded[1:-1] = placed[:-2] & placed[1:-1] & placed[2:]
         margins[bounded] = m_final - np.copysign(dist[bounded], m_final)
     exact = np.flatnonzero(~bounded[:-1])
     if exact.size:
         margins[exact] = min_pt_eigenvalues(ms[exact])
     margins[-1] = m_final
-    return margins, bounded
+    return margins
 
 
 def fate_of_trajectory(
@@ -246,8 +251,7 @@ def fate_of_trajectory(
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = np.asarray(traj.times)
-    margins, bounded = _grid_margins(traj, tol)
-    grid = np.arange(times.size)
+    margins = _grid_margins(traj, tol)
 
     # one subdivision pass through near-tangential intervals, ignoring
     # integrator noise around zero
@@ -256,22 +260,7 @@ def fate_of_trajectory(
         mids = 0.5 * (times[split - 1] + times[split])
         times = np.insert(times, split, mids)
         margins = np.insert(margins, split, [_margin_at(traj, t) for t in mids.tolist()])
-        bounded = np.insert(bounded, split, False)
-        grid = np.insert(grid, split, -1)
     events, first_ent = _sign_events(margins, tol)
-
-    # the margins read as values are made exact, in one stack: the ends of
-    # each refined bracket (every entry into entanglement, the last exit,
-    # and the -tol crossing of a birth from an undecided start)
-    ends = [e[1:] for e in events if e[0] < 0]
-    if events and events[-1][0] > 0:
-        ends.append(events[-1][1:])
-    if first_ent and not (events and events[0][0] < 0):
-        ends.append((first_ent - 1, first_ent))
-    read = np.array([i for pair in ends for i in pair], dtype=int)
-    read = np.unique(read[bounded[read]])
-    if read.size:
-        margins[read] = min_pt_eigenvalues(traj.matrices[grid[read]])
     times, margins = times.tolist(), margins.tolist()
     final_margin = margins[-1]
 

@@ -28,6 +28,7 @@ building a new one; the streams are exactly those of a fresh
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,8 +55,11 @@ class QState:
 
 def check_positive(name: str, value: float) -> None:
     """The one rule of a tolerance, horizon or time scale: a Python or numpy
-    real number (a bool is not one), positive and finite (NaN is neither)."""
-    if not isinstance(value, _REAL) or isinstance(value, bool) or not 0.0 < value < np.inf:
+    real number (a bool is not one), positive and finite (NaN is neither).
+    A Python int or numpy longdouble beyond the float range is not finite
+    either."""
+    if (not isinstance(value, _REAL) or isinstance(value, bool) or not 0.0 < value < np.inf
+            or isinstance(value, (int, np.longdouble)) and value > sys.float_info.max):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -307,19 +311,16 @@ def _checked_states(ms: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     """``new_state``'s checks on every matrix of an (N, 4, 4) complex stack,
     at once: the read-only stack of their symmetrized matrices.  A stack
     that passes the elementwise checks and factorizes as a whole needs no
-    eigensolve.  The first matrix that fails a check goes through
-    ``new_state``, which raises its own error."""
+    eigensolve.  Any other stack goes through ``new_state`` one matrix at a
+    time, and the first matrix that fails raises its own error."""
     h = ms.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore", over="ignore"):  # the failures new_state reports
         ok = np.abs(ms - h).max(axis=(-2, -1)) <= tol  # NaN fails too
         sym = 0.5 * (ms + h)
         ok &= np.abs(np.trace(sym, axis1=-2, axis2=-1).real - 1.0) <= tol
     if not (ok.all() and _factorizes(sym)):
-        rest = np.flatnonzero(ok)  # finite, Hermitian, unit trace: only these reach eigvalsh
-        for k in rest[np.linalg.eigvalsh(sym[rest])[:, 0] < -tol]:
-            ok[k] = _factorizes(sym[k])
-        if not ok.all():
-            new_state(ms[np.argmin(ok)], tol=tol)
+        for m in ms:
+            new_state(m, tol=tol)
     sym.setflags(write=False)
     return sym
 

@@ -161,6 +161,12 @@ class TestConfigErrors:
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
 
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert "cannot read config: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_beyond_json_digit_limit(self, tmp_path, capsys):
         # json reads at most 4300 digits of an integer; more used to end in ValueError
         p = tmp_path / "bad.json"
@@ -254,6 +260,22 @@ class TestConfigErrors:
              "schema_version must be 1, got '1'"),
             ("fates", {"schema_version": True, **catalog_config(1)},
              "schema_version must be 1, got True"),
+            # make_generator's own refusals, named by the section
+            ("classify", {"generator": {"explicit": {"hamiltonian": [[[0.0, 0.0]] * 2] * 2}}},
+             "generator.explicit: hamiltonian shape (2, 2), expected (4, 4)"),
+            ("classify", {"generator": {"explicit": {"hamiltonian": [
+                [[1.0, 0.0] if (i, j) == (0, 1) else [0.0, 0.0] for j in range(4)]
+                for i in range(4)
+            ]}}}, "generator.explicit: hamiltonian not Hermitian at t=0.0"),
+            ("classify", {"generator": {"explicit": {"jumps": [{"operator": BELL, "rate": -1.0}]}}},
+             "generator.explicit: negative rate -1.0 at t=0.0"),
+            ("classify",
+             {"generator": {"explicit": {"jumps": [{"operator": BELL, "rate": "fast"}]}}},
+             "generator.explicit.jumps[0].rate: rate must be a number or an object with 'kind'"),
+            ("classify", {"generator": {"explicit": {"jumps": [
+                {"operator": BELL, "rate": {"kind": "sine"}}
+            ]}}}, "unknown rate kind 'sine'"),
+            ("classify", [1], "config root must be a JSON object"),
         ],
         ids=[
             "classify-dims",
@@ -287,6 +309,12 @@ class TestConfigErrors:
             "schema-version-99",
             "schema-version-string",
             "schema-version-true",
+            "two-by-two-hamiltonian",
+            "non-hermitian-hamiltonian",
+            "negative-rate",
+            "string-rate",
+            "sine-rate",
+            "root-not-an-object",
         ],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, command, payload, field):

@@ -203,6 +203,11 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="Hermitian"):
             make_generator((2, 2), hamiltonian=m)
 
+    def test_rejects_a_one_qubit_jump_operator(self):
+        with pytest.raises(ValueError) as got:
+            make_generator(jumps=[(np.eye(2), 1.0)])
+        assert str(got.value) == "jump operator shape (2, 2), expected (4, 4)"
+
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="negative rate"):
             make_generator((2, 2), jumps=[(np.kron(SMINUS, EYE2), ConstantRate(-1.0))])
@@ -239,7 +244,8 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="tau must be positive"):
             ExponentialRate(1.0, tau)
 
-    @pytest.mark.parametrize("tau", [np.inf, True, "1"], ids=repr)
+    @pytest.mark.parametrize("tau", [np.inf, True, "1", pytest.param(10**400, id="10**400")],
+                             ids=repr)
     def test_exponential_rate_needs_finite_real_tau(self, tau):
         # inf used to give a constant rate that claimed to decay
         with pytest.raises(ValueError) as got:
@@ -616,7 +622,9 @@ class TestPropagatorMatrix:
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, True, "1e-9"], ids=repr)
+    @pytest.mark.parametrize(
+        "bad", [np.nan, 0.0, -1.0, True, "1e-9", pytest.param(10**400, id="10**400")], ids=repr
+    )
     @pytest.mark.parametrize("name", ["rtol", "atol"])
     def test_tolerances_must_be_positive_and_finite(self, monkeypatch, name, bad):
         # atol = nan used to make a non-autonomous solve run until killed
@@ -758,6 +766,11 @@ class TestOneFlow:
         for t_from, t_to in ((0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)):
             with pytest.raises(ValueError, match="must be finite"):
                 ef.evolve_state(g, ef.max_entangled(), t_from, t_to)
+
+    def test_evolve_state_rejects_a_backward_step(self):
+        with pytest.raises(ValueError) as got:
+            ef.evolve_state(ef.catalog_generator(2), ef.max_entangled(), 2.0, 1.0)
+        assert str(got.value) == "t_to must be >= t_from"
 
     def test_nan_grid_fails_fast_on_a_nonautonomous_generator(self):
         # the RK45 solve over [0, nan] never returned; a child process

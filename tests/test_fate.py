@@ -123,11 +123,14 @@ class TestDetectFate:
         with pytest.raises(ValueError):
             ef.detect_fate(g, ef.max_entangled(), horizon=0.0)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"),
+                                         pytest.param(10**400, id="10**400")])
     def test_horizon_must_be_positive_and_finite(self, horizon):
         g = ef.catalog_generator(1)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
-            ef.detect_fate(g, ef.max_entangled(), horizon=horizon)
+            ef.detect_fate(g, ef.max_entangled(), horizon=horizon, grid_points=4)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            fate.fate_grid(horizon, 4)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["refine_tol", "tol"])
@@ -855,14 +858,33 @@ def count_eigensolved(monkeypatch):
     return sizes
 
 
+def bound_mask(monkeypatch, traj):
+    """The grid states that ``_grid_margins`` gives a bound rather than an
+    eigenvalue: it runs with every stack after the final state's read as
+    NaN.  (A bound may equal the state's eigenvalue to the last bit, as on
+    class 5's dephased tail, so comparing values would miss it.)"""
+    solve, calls = fate.min_pt_eigenvalues, []
+
+    def probe(matrices):
+        calls.append(len(matrices))
+        return solve(matrices) if len(calls) == 1 else np.full(len(matrices), np.nan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fate, "min_pt_eigenvalues", probe)
+        bounded = ~np.isnan(fate._grid_margins(traj, TOL))
+    bounded[-1] = False
+    return bounded
+
+
 class TestCertifiedMargins:
     """Grid states that Weyl's bound places beyond 10 tol skip the eigensolve."""
 
-    def test_certified_states_lie_beyond_ten_tol_on_the_final_side(self, workload_trajectories):
+    def test_certified_states_lie_beyond_ten_tol_on_the_final_side(self, monkeypatch,
+                                                                   workload_trajectories):
         covered = {}
         for class_id, _, traj in workload_trajectories:
-            margins, bounded = fate._grid_margins(traj, TOL)
-            exact = traj.margins
+            margins, exact = fate._grid_margins(traj, TOL), traj.margins
+            bounded = bound_mask(monkeypatch, traj)
             side = np.sign(exact[-1])
             assert np.all(side * exact[bounded] > 10.0 * TOL)
             # a stand-in is the Weyl bound, between m_T's side of 10 tol and the margin
@@ -873,6 +895,30 @@ class TestCertifiedMargins:
         # class 2 ends on the boundary of S, where nothing is certified
         assert max(covered[2]) == 0.0
         assert all(np.mean(covered[k]) > 0.9 for k in (1, 3, 4, 5, 6))
+
+    def test_every_bound_lies_between_two_states_beyond_ten_tol(self, monkeypatch,
+                                                                  workload_trajectories):
+        # so no bound is next to an undecided or opposite-side state, as
+        # every bracket end is: the ends of a sign change are eigensolved
+        for _, _, traj in workload_trajectories:
+            bounded, exact = bound_mask(monkeypatch, traj), traj.margins
+            assert not bounded[0] and not bounded[-1]
+            inner, side = np.flatnonzero(bounded), np.sign(exact[-1])
+            for k in (inner - 1, inner, inner + 1):
+                assert np.all(side * exact[k] > 10.0 * TOL)
+
+    def test_sign_changes_next_to_placed_states_read_exact_ends(self, monkeypatch):
+        # margin 0.2 but for a dip to -0.2 at t = 5: the Weyl bound places the
+        # states of margin above about 0.027, so those at t = 4.4 and 5.6, which
+        # end the birth's and the death's brackets beside the undecided states
+        # at t = 4.5 and 5.5, are placed with a placed state on one side only
+        traj = WernerTrajectory(lambda t: 0.2 - 0.4 * max(0.0, 1.0 - abs(t - 5.0)),
+                                np.linspace(0.0, 10.0, 101))
+        bounded = bound_mask(monkeypatch, traj)
+        assert bounded[1:44].all() and bounded[57:-2].all()
+        assert not bounded[44:57].any()
+        got = ef.fate_of_trajectory(traj)
+        assert got == oracle_fate(traj) and got.fate_tag == "sudden_death"
 
     def test_records_equal_the_full_eigensolve_scan(self, workload_trajectories):
         for _, _, traj in workload_trajectories:
@@ -888,8 +934,9 @@ class TestCertifiedMargins:
         got = ef.fate_of_trajectory(traj)
         assert got == oracle_fate(traj)
         assert got.fate_tag == ("sudden_death" if sign > 0 else "asymptotically_entangled")
-        # the flat tail, t >= 5, is certified only outside the band
-        assert sizes[:2] == ([1, 50] if certified else [1, 100])
+        # the flat tail, t >= 5, is certified only outside the band, but for its
+        # first state and the one before the final state
+        assert sizes[:2] == ([1, 52] if certified else [1, 100])
 
     @pytest.mark.parametrize(
         "class_id, rho0, horizon, tag",
@@ -924,10 +971,12 @@ class TestCertifiedMargins:
         assert got == outcome(oracle_fate, traj)
         assert got[0] is HorizonTooShort and message in got[1]
 
-    def test_quench_chunk_eigensolves_three_grid_states_and_the_limit(self, monkeypatch):
+    def test_quench_chunk_eigensolves_four_grid_states_and_the_limit(self, monkeypatch):
         # fates_quench chunk 0 at seed 3: the final state, the two states
-        # nearest t = 0 that no bound places, then the limit P∞ρ₀, since
-        # each trajectory ends entangled
+        # nearest t = 0 that the bound does not place, the states next to
+        # them and to the final state, which it places with one neighbor
+        # it does not, then the limit P∞ρ₀, since each trajectory ends
+        # entangled
         horizon, points, opts = WORKLOAD_GRIDS["quench"]
         g = ef.catalog_generator(6)
         sizes = count_eigensolved(monkeypatch)
@@ -937,7 +986,7 @@ class TestCertifiedMargins:
             sizes.clear()
             ef.detect_fate(g, ef.sample(spec), horizon, points, opts=opts)
             per_trajectory.append(list(sizes))
-        assert per_trajectory == [[1, 2, 1]] * 8
+        assert per_trajectory == [[1, 4, 1]] * 8
 
     def test_damping_trajectory_eigensolves_every_grid_state(self, monkeypatch):
         horizon, points, opts = WORKLOAD_GRIDS["damping"]

@@ -697,14 +697,19 @@ class TestArgumentRules:
         assert states.check_whole("workers", least, least, most) == least
 
     @pytest.mark.parametrize("value", [True, "1e-7", None, 1j, 0.0, -1.0, float("nan"),
-                                       float("inf")], ids=repr)
+                                       float("inf"), pytest.param(2**1024, id="2**1024"),
+                                       pytest.param(10**400, id="10**400"),
+                                       np.longdouble("1e400")], ids=repr)
     def test_positive_refuses_non_reals_and_bools(self, value):
-        # True and "1e-7" used to pass as 1 and end in a TypeError
+        # True and "1e-7" used to pass as 1 and end in a TypeError; an int
+        # or longdouble beyond the float range used to pass, and end in numpy's
+        # UFuncTypeError or in another field's error
         with pytest.raises(ValueError) as got:
             states.check_positive("tol", value)
         assert str(got.value) == f"tol must be positive and finite, got {value!r}"
 
-    @pytest.mark.parametrize("value", [1e-7, 3, np.float32(0.5), np.int64(2)], ids=repr)
+    @pytest.mark.parametrize("value", [1e-7, 3, np.float32(0.5), np.int64(2),
+                                       pytest.param(2**1023, id="2**1023")], ids=repr)
     def test_positive_accepts_positive_reals(self, value):
         states.check_positive("tol", value)
 
