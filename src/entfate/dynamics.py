@@ -33,9 +33,16 @@ of them as columns, from the first of a list of times to each later one:
 exp(L dt) steps (scaling and squaring) for an autonomous generator, one
 per run of steps equal to within round-off (``_exp_steps``), else one
 adaptive Runge-Kutta solve of order 5 with an order-4 error estimate
-(Dormand-Prince), sampled at the times.  ``propagator_matrices`` flows
-the identity to give the maps Phi(t) at every time of a grid, and
-``evolve_state`` flows one state between two times.
+(Dormand-Prince), sampled at the times.  The solve runs in the orthonormal
+Pauli basis B = [vec(P_k)/2], where every Lindblad superoperator is a real
+16 x 16 matrix: it carries the real B^H Phi B (a state as B^H vec rho)
+under B^H L(t) B, whose constant pieces are conjugated once per flow and
+whose Hamiltonian part, when H is callable, is summed from H(t)'s 16 Pauli
+coefficients; its grid values and step interpolants are turned back into
+column-stacking maps and states where the flow returns them.
+``propagator_matrices`` flows the identity to give the maps Phi(t) at
+every time of a grid, and ``evolve_state`` flows one state between two
+times.
 
 An autonomous generator's ``spectrum`` is the one eigendecomposition of
 its constant L, from one ``scipy.linalg.eig`` on first use: eigenvalues
@@ -80,13 +87,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .errors import PositivityLost, StepFailure
 from .geometry import min_pt_eigenvalues
-from .operators import broadcast_kron
+from .operators import broadcast_kron, two_qubit_paulis
 from .states import D, QState, _factorizes, check_dims, check_positive
 
 _SPOT_CHECK_TIMES = (0.0, 1.0, 10.0)
@@ -303,6 +310,86 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.reshape(v, (*np.shape(v)[:-1], D, D)).swapaxes(-1, -2)
 
 
+@cache
+def _pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orthonormal Pauli basis B, whose column k is vec(P_k)/2 with P_k =
+    I⊗I and then the 15 products of ``two_qubit_paulis``, with B^H and
+    [Re B; Im B], read-only and built on first use, so that importing the
+    module builds nothing.  In B a superoperator that maps Hermitian
+    operators to Hermitian ones, as every Lindbladian does, is the real
+    16 x 16 matrix B^H M B, and a Hermitian operator A is the real vector
+    B^H vec(A); the first row of B^H L B is the trace functional applied to
+    L, so it is zero."""
+    paulis = np.concatenate([np.eye(D, dtype=complex)[None], two_qubit_paulis()])
+    b = np.ascontiguousarray(vec(paulis).T / 2)
+    return tuple(map(_read_only, (b, b.conj().T.copy(), np.concatenate([b.real, b.imag]))))
+
+
+def _to_pauli(y: np.ndarray, maps: bool) -> np.ndarray:
+    """y in the Pauli basis: B^H y B of a 16 x 16 map or a stack of them if
+    ``maps``, else B^H y of a vector or a stack of them; complex, with an
+    imaginary part of round-off size when y maps Hermitian operators to
+    Hermitian ones or is the vec of a Hermitian operator."""
+    b, bh, _ = _pauli_basis()
+    return bh @ y @ b if maps else y @ b.conj()
+
+
+def _from_pauli(z: np.ndarray, maps: bool) -> np.ndarray:
+    """The inverse of ``_to_pauli`` on real data: B z B^H of a map or a stack
+    of them if ``maps``, else B z of a vector or a stack of them.  A map
+    takes two real products: m = [Re B; Im B] z [Re B; Im B]^T holds
+    Re B z Re B^T, Re B z Im B^T, Im B z Re B^T and Im B z Im B^T as its
+    16 x 16 blocks."""
+    b, _, parts = _pauli_basis()
+    if not maps:
+        return z @ b.T
+    n = D * D
+    m = parts @ z @ parts.T
+    phi = np.empty(z.shape, dtype=complex)
+    phi.real = m[..., :n, :n] + m[..., n:, n:]
+    phi.imag = m[..., n:, :n] - m[..., :n, n:]
+    return phi
+
+
+@cache
+def _pauli_hamiltonians() -> np.ndarray:
+    """B^H (-i [P_k/2, .]) B for every k, real, flattened to rows and built
+    on first use: a Hermitian H = sum_k c_k P_k/2 with c = B^H vec(H), which
+    is real, has B^H L_H B = c @ _pauli_hamiltonians(), reshaped."""
+    halves = unvec(_pauli_basis()[0].T)  # P_k/2
+    return _read_only(
+        np.array([_to_pauli(_hamiltonian_superop(p), True).real.ravel() for p in halves])
+    )
+
+
+def _pauli_hamiltonian(h: np.ndarray) -> np.ndarray:
+    """B^H (-i (I⊗H - H^T⊗I)) B of the Hermitian part of H, a fresh real
+    16 x 16 matrix assembled from H's 16 Pauli coefficients."""
+    c = (_pauli_basis()[1] @ vec(h)).real
+    return (c @ _pauli_hamiltonians()).reshape(D * D, D * D)
+
+
+def _pauli_liouvillian(g: Generator):
+    """t -> B^H L(t) B, a real 16 x 16 matrix summed like ``liouvillian_matrix``:
+    L_H(t) plus r(t) D_r for each distinct rate r that is nonzero at t.  A
+    constant L_H and every D_r are conjugated once, here, and a zero L_H is
+    left out; a callable H(t) is assembled by ``_pauli_hamiltonian``."""
+    lh = g.hamiltonian_part
+    driven = lh is None
+    lh = None if driven or not lh.any() else _to_pauli(lh, True).real
+    pieces = [(rate, _to_pauli(dr, True).real) for rate, dr in zip(g.rates, g.dissipators)]
+
+    def at(t: float) -> np.ndarray:
+        lmat = _pauli_hamiltonian(g.ham(t)) if driven else lh
+        for rate, dr in pieces:
+            gam = rate(t)
+            if gam != 0.0:
+                lmat = gam * dr if lmat is None else lmat + gam * dr
+        return np.zeros((D * D, D * D)) if lmat is None else lmat
+
+    return at
+
+
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
     """Column-stacking superoperator matrix of the generator at time t,
     a fresh writable array summed from the generator's compiled pieces:
@@ -443,17 +530,25 @@ def _check_grid(t_grid) -> np.ndarray:
 
 def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
           dense: bool = False):
-    """Carry y0 -- one vectorized operator, or a block of them as columns --
-    from times[0] to every time in ``times``, by exp steps if g is
-    autonomous, else by one RK45 solve: the (len(times), *y0.shape) stack
-    whose entry k is y(times[k]), and the solve's step interpolants
-    (t -> flat y(t)) if ``dense``, else None."""
+    """Carry y0 -- the vec of one Hermitian operator, or a map that keeps
+    Hermitian operators Hermitian, such as the identity -- from times[0] to
+    every time in ``times``, by exp steps if g is autonomous, else by one
+    RK45 solve: the (len(times), *y0.shape) stack whose entry k is
+    y(times[k]), and the solve's step interpolants (t -> y(t)) if
+    ``dense``, else None.
+
+    The RK45 solve runs in the Pauli basis, on real data: it carries
+    ``_to_pauli(y0)`` under B^H L(t) B (``_pauli_liouvillian``), and the
+    grid values and interpolants are brought back by ``_from_pauli``."""
     if times.size == 1 or g.autonomous:
         return _exp_steps(liouvillian_matrix(g), y0, times), None
+    lmat = _pauli_liouvillian(g)
+    maps = y0.ndim == 2
+    z0 = _to_pauli(y0, maps).real
     sol = _module.solve_ivp(
-        lambda t, y: (liouvillian_matrix(g, t) @ y.reshape(y0.shape)).ravel(),
+        lambda t, z: (lmat(t) @ z.reshape(z0.shape)).ravel(),
         (times[0], times[-1]),
-        y0.ravel(),
+        z0.ravel(),
         method="RK45",
         t_eval=times,
         dense_output=dense,
@@ -462,7 +557,11 @@ def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     )
     if not sol.success:
         raise StepFailure(sol.message)
-    return np.ascontiguousarray(np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)), sol.sol
+    ys = _from_pauli(np.moveaxis(sol.y.reshape(*z0.shape, -1), -1, 0), maps)
+    if not dense:
+        return ys, None
+    interpolant = sol.sol
+    return ys, lambda t: _from_pauli(interpolant(t).reshape(z0.shape), maps)
 
 
 def _exp_steps(lmat: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -516,7 +615,7 @@ class PropagatorSource:
         if t == times[i]:
             return self.maps[i]
         if self._dense is not None:
-            return self._dense(t).reshape(D * D, D * D)
+            return self._dense(t)
         values, _, right, inverse = self.generator.spectrum
         if inverse is not None:
             return (right * np.exp(values * t)) @ inverse

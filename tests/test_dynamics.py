@@ -24,8 +24,13 @@ from entfate.dynamics import (
     _SPOT_CHECK_TIMES,
     _dissipators,
     _factorizes,
+    _from_pauli,
     _hamiltonian_superop,
+    _pauli_basis,
+    _pauli_hamiltonian,
+    _pauli_liouvillian,
     _repair_states,
+    _to_pauli,
     apply_map,
     liouvillian_matrix,
     make_generator,
@@ -947,6 +952,152 @@ class TestPropagatorSource:
         assert len(dense) == 5 and not any(dense)
         ef.propagate(g, random_state(1), self.GRID)
         assert dense[5:] == [True]
+
+
+def driven_generator():
+    """H(t) = 1/2 cos t X⊗X + 0.3 Z⊗I with decay of each qubit, one at a
+    constant rate and one at an exponentially falling one."""
+    xx, zi = np.kron(SX, SX), np.kron(SZ, EYE2)
+    return make_generator(
+        hamiltonian=lambda t: 0.5 * np.cos(t) * xx + 0.3 * zi,
+        jumps=[(np.kron(SMINUS, EYE2), 0.4), (np.kron(EYE2, SMINUS), ExponentialRate(1.0, 2.0))],
+    )
+
+
+def random_hermitian(rng):
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return z + z.conj().T
+
+
+def record_solve_starts(monkeypatch):
+    """Record the start vector of every ``solve_ivp`` call."""
+    from entfate import dynamics
+
+    starts = []
+    solve_ivp = dynamics.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        starts.append(y0)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    dynamics._grid_source.cache_clear()
+    return starts
+
+
+class TestPauliFlow:
+    """A non-autonomous flow runs in the orthonormal Pauli basis B, whose
+    column k is vec(P_k)/2, on real data, and hands back column-stacking
+    maps and states."""
+
+    GENERATORS = [ef.catalog_generator(c) for c in range(1, 7)] + [
+        random_generator(seed, n_jumps=3) for seed in range(4)
+    ]
+
+    def test_basis_is_orthonormal(self):
+        b, bh, parts = _pauli_basis()
+        assert np.array_equal(bh, b.conj().T) and np.array_equal(bh @ b, np.eye(16))
+        assert np.array_equal(b[:, 0], vec(np.eye(4)) / 2)
+        assert np.array_equal(unvec(b.T)[1:] * 2, two_qubit_paulis())
+        assert np.array_equal(parts, np.concatenate([b.real, b.imag]))
+
+    def test_flows_start_from_real_data(self, monkeypatch):
+        starts = record_solve_starts(monkeypatch)
+        g = ef.catalog_generator(6)
+        grid = np.linspace(0.0, 2.0, 9)
+        ef.propagate(g, random_state(1), grid)
+        ef.propagate(driven_generator(), random_state(1), grid)
+        ef.propagator_matrices(g, grid)
+        ef.propagator_matrix(driven_generator(), 1.0)
+        assert len(starts) == 4
+        for y0 in starts:
+            assert y0.dtype == np.float64 and y0.shape == (256,)
+            # the identity map is the identity in every orthonormal basis
+            assert np.array_equal(y0, np.eye(16).ravel())
+        rho = random_state(2)
+        ef.evolve_state(g, rho, 0.5, 1.0)
+        y0 = starts[-1]
+        assert y0.dtype == np.float64 and y0.shape == (16,)
+        assert np.max(np.abs(y0 - _pauli_basis()[1] @ vec(rho.matrix))) <= 1e-15
+
+    @pytest.mark.parametrize("g", GENERATORS, ids=[f"class{c}" for c in range(1, 7)]
+                             + [f"random{seed}" for seed in range(4)])
+    def test_pieces_are_real_with_a_zero_first_row(self, g):
+        for piece in (g.hamiltonian_part, *g.dissipators):
+            z = _to_pauli(piece, True)
+            assert np.max(np.abs(z.imag)) <= 1e-15
+            # row 0 is vec(I)^H L / 2: the trace functional, which L annihilates
+            assert np.max(np.abs(z[0])) <= 1e-15
+        for t in (0.0, 0.7, 3.0):
+            lmat = _pauli_liouvillian(g)(t)
+            assert lmat.dtype == np.float64
+            assert np.max(np.abs(lmat - _to_pauli(liouvillian_matrix(g, t), True))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trips(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(3, 16, 16))
+        assert np.max(np.abs(_to_pauli(_from_pauli(z[0], True), True) - z[0])) <= 1e-15
+        phis = _from_pauli(z, True)
+        for zk, phi in zip(z, phis):
+            assert np.max(np.abs(phi - _pauli_basis()[0] @ zk @ _pauli_basis()[1])) <= 1e-15
+        g = random_generator(seed)
+        for m in (liouvillian_matrix(g), ef.propagator_matrix(g, 0.8)):
+            back = _from_pauli(_to_pauli(m, True).real, True)
+            assert np.max(np.abs(back - m)) <= 1e-14 * max(1.0, np.max(np.abs(m)))
+        hs = np.array([random_hermitian(rng) for _ in range(4)])
+        c = _to_pauli(vec(hs), False)
+        assert c.shape == (4, 16) and np.max(np.abs(c.imag)) <= 1e-15
+        assert np.max(np.abs(_from_pauli(c.real, False) - vec(hs))) <= 1e-15
+        assert np.max(np.abs(_from_pauli(c[0].real, False) - vec(hs[0]))) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coefficient_assembly_matches_the_conjugated_superoperator(self, seed):
+        h = random_hermitian(np.random.default_rng(seed))
+        got = _pauli_hamiltonian(h)
+        assert got.dtype == np.float64 and got.shape == (16, 16)
+        assert np.max(np.abs(got - _to_pauli(_hamiltonian_superop(h), True))) <= 1e-15
+
+    def test_flow_builds_no_liouvillian_matrix(self, monkeypatch):
+        from entfate import dynamics
+
+        calls = []
+        original = dynamics.liouvillian_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix", counting)
+        dynamics._grid_source.cache_clear()
+        for g in (ef.catalog_generator(6), driven_generator()):
+            ef.propagate(g, random_state(1), np.linspace(0.0, 3.0, 13))
+        assert calls == []
+
+    def test_driven_generator_matches_a_column_stacking_solve(self):
+        from scipy.integrate import solve_ivp
+
+        g = driven_generator()
+        grid = np.linspace(0.0, 5.0, 21)
+        opts = ef.SolverOptions(rtol=1e-10, atol=1e-12)
+        oracle = solve_ivp(
+            lambda t, y: (reference_liouvillian(g, t) @ y.reshape(16, 16)).ravel(),
+            (0.0, grid[-1]), np.eye(16, dtype=complex).ravel(), method="RK45",
+            t_eval=grid, dense_output=True, rtol=opts.rtol, atol=opts.atol,
+        )
+        assert oracle.success
+        want = np.moveaxis(oracle.y.reshape(16, 16, -1), -1, 0)
+        got = ef.propagator_matrices(g, grid, opts)
+        assert np.max(np.abs(got - want)) <= 1e-8
+        traj = ef.propagate(g, random_state(4), grid, opts)
+        for t in (0.01, 1.37, 2.6, 4.99):
+            want_t = oracle.sol(t).reshape(16, 16)
+            assert np.max(np.abs(traj.source.at(t) - want_t)) <= 1e-8
+            rho = unvec(want_t @ vec(traj.initial.matrix))
+            assert np.max(np.abs(traj.state_at(t).matrix - rho)) <= 1e-8
+        st = ef.evolve_state(g, traj.initial, 0.0, 3.0, opts)
+        rho = unvec(oracle.sol(3.0).reshape(16, 16) @ vec(traj.initial.matrix))
+        assert np.max(np.abs(st.matrix - rho)) <= 1e-8
 
 
 class TestSpectralMaps:
