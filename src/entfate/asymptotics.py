@@ -4,12 +4,14 @@ Every asymptotic set is held as the image A = P∞(D) of the state set D
 under one linear map P∞ on vectorized operators, which ``asymptotic_set`` picks:
 
   * autonomous dynamics   -- the spectral projector onto the Liouvillian
-                             kernel (from ``Generator.spectrum``), which
-                             fixes every stationary state,
+                             kernel, biorthogonalized from its right
+                             kernel (``Generator.spectrum``) and its left
+                             kernel (one numpy eigendecomposition of L^H),
+                             which fixes every stationary state,
   * a quench, L(t) = a·e^{−t/τ}·D (no Hamiltonian, and one
     ``ExponentialRate`` shared by every channel) -- its exact limit
-    exp(a·τ·D), since its flow is Φ(t) = exp(F(t)·D) with
-    F(t) = ∫₀ᵗ a·e^{−s/τ} ds → a·τ,
+    exp(a·τ·D) (``dynamics.expm``), since its flow is Φ(t) = exp(F(t)·D)
+    with F(t) = ∫₀ᵗ a·e^{−s/τ} ds → a·τ,
   * any other non-autonomous dynamics -- the converged total propagator.
 
 A set is one state iff P∞(X) = tr(X)·P∞(I/4) for every X: a one-dimensional
@@ -47,6 +49,7 @@ from .dynamics import (
     SolverOptions,
     _trace_preserving,
     apply_map,
+    liouvillian_matrix,
     make_generator,
     map_operators,
     propagator_matrices,
@@ -95,10 +98,10 @@ CLASS6_MIN_C = float(-np.log(0.5 - 10.0 * DEFAULT_CLASS_TOL))
 
 # The rate integral F1 past which a quench's limit exp(F·D) is read at F1.
 # expm's squaring loses trace in proportion to F: on class 4 the residual is
-# 3.9e-14 at c = 1e3 (F = 62.5), 1.2e-10 at F = 6.25e4 and 9.8e-9 at
-# F = 6.25e6, and past F = 6.25e7 (c = 1e9) it fails the 1e-8 trace check.
-# At F1 = 128 it is about 1e-13, while the catalog's slowest decay, class 6's
-# e^{-F/2}, is e^-64 = 1.6e-28, far below round-off.
+# 8.4e-15 at c = 1e3 (F = 62.5), 9.5e-11 at F = 6.25e4 and 7.2e-9 at
+# F = 6.25e6, and at F = 6.25e7 (c = 1e9) it is 1.5e-7, failing the 1e-8
+# trace check.  At F1 = 128 it is 5.7e-14, while the catalog's slowest decay,
+# class 6's e^{-F/2}, is e^-64 = 1.6e-28, far below round-off.
 QUENCH_LIMIT_F1 = 128.0
 
 # the generator catalog: class id -> (description, {its one rate parameter: default})
@@ -139,10 +142,13 @@ class TheoremClass:
 
 
 def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> AsymptoticSet:
-    """Spectral kernel of the Liouvillian, from the generator's ``spectrum``
-    (ValueError unless g is autonomous), as the asymptotic set."""
+    """Spectral kernel of the Liouvillian as the asymptotic set: its right
+    kernel from the generator's ``spectrum`` (ValueError unless g is
+    autonomous), its left kernel from one eigendecomposition of L^H, each
+    the eigenvectors with |lambda| <= tol; kernels of unequal dimension are
+    NoTraceOneElement."""
     check_positive("tol", tol)
-    w, vl, vr, _ = g.spectrum
+    w, vr, _ = g.spectrum
     kernel = np.abs(w) <= tol
     peripheral = (~kernel) & (np.abs(w.real) <= tol) & (np.abs(w.imag) > tol)
     if np.any(peripheral):
@@ -152,8 +158,13 @@ def stationary_set_autonomous(g: Generator, tol: float = DEFAULT_KERNEL_TOL) -> 
     k = int(np.sum(kernel))
     if k == 0:
         raise NoTraceOneElement("Liouvillian has an empty kernel")
+    mu, vl = np.linalg.eig(liouvillian_matrix(g).conj().T)
+    left = np.abs(mu) <= tol
+    k_left = int(np.sum(left))
+    if k_left != k:
+        raise NoTraceOneElement(f"left kernel of dimension {k_left}, right kernel of dimension {k}")
     vk = vr[:, kernel]
-    wk = vl[:, kernel]
+    wk = vl[:, left]
     # spectral projector onto the kernel (biorthogonalized)
     proj = vk @ np.linalg.inv(wk.conj().T @ vk) @ wk.conj().T
     if k > 1:

@@ -30,8 +30,9 @@ channel-by-channel sum only where channels share a nonzero rate.
 Every state, trajectory and propagator comes from one flow, ``_flow``,
 the one place that picks how to carry a vectorized operator, or a block
 of them as columns, from the first of a list of times to each later one:
-exp(L dt) steps (scaling and squaring) for an autonomous generator, one
-per run of steps equal to within round-off (``_exp_steps``), else one
+exp(L dt) steps for an autonomous generator, one per run of steps equal
+to within round-off (``_exp_steps``), each from ``expm``, a [13/13] Pade
+approximant with scaling and squaring in numpy; else one
 adaptive Runge-Kutta solve of order 5 with an order-4 error estimate
 (Dormand-Prince), sampled at the times.  The solve runs in the orthonormal
 Pauli basis B = [vec(P_k)/2], where every Lindblad superoperator is a real
@@ -45,19 +46,21 @@ every time of a grid, and ``evolve_state`` flows one state between two
 times.
 
 An autonomous generator's ``spectrum`` is the one eigendecomposition of
-its constant L, from one ``scipy.linalg.eig`` on first use: eigenvalues
-Lambda, left and right eigenvectors W and V, and V^-1 unless cond(V)
-exceeds SPECTRAL_COND_MAX.  Off-grid maps and the stationary set of
+its constant L, from one ``np.linalg.eig`` on first use: eigenvalues
+Lambda, right eigenvectors V, and V^-1 unless cond(V) exceeds
+SPECTRAL_COND_MAX.  Off-grid maps and the stationary set of
 ``asymptotics`` both read it.
 
 ``propagate`` maps a state through the maps of a ``PropagatorSource``:
 one per generator, grid and options, kept for the next ``propagate``
 with the same three (a one-entry memo, so every sample of an ensemble
 run shares one source).  A source flows the identity once over its grid
-and gives Phi(t) between grid times too: from the RK45 step
-interpolants, or as V e^{Lambda t} V^-1 straight from t = 0, or, when
-V^-1 is None (L near defective), as exp(L (t - t_i)) Phi(t_i) from the
-nearest earlier grid time t_i.  Only sources keep interpolants.
+and maps vectorized operators by Phi(t) between grid times too, on one
+path that ``at(t)`` takes for the identity and ``state_at`` for one
+state: by the RK45 step interpolant Z(t) in the Pauli basis as
+B (Z(t) (B^H y)), or as V (e^{Lambda t} (V^-1 y)) straight from t = 0,
+or, when V^-1 is None (L near defective), as exp(L (t - t_i)) (Phi(t_i) y)
+from the nearest earlier grid time t_i.  Only sources keep interpolants.
 
 A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 source that made it; ``state_at`` gives its state at any time of its span
@@ -71,15 +74,17 @@ without an eigensolve; a stack that fails it is eigendecomposed, and
 only its states that fail the factorization alone are clipped.  QStates
 are built on request.
 
-scipy is imported on first use, and only the part a call needs:
-``solve_ivp`` (``scipy.integrate``) on the first non-autonomous flow and
-``expm`` (``scipy.linalg``) on the first exponential step, so sampling,
-geometry and the catalog never load scipy, and an autonomous flow never
-loads ``scipy.integrate``.  Both stay attributes of this module that are
-scipy's own functions: the module ``__getattr__`` imports one on its
-first lookup and binds it into the module, and every call reads it
-through the module, so a tracer or test that rebinds
-``dynamics.solve_ivp`` or ``dynamics.expm`` sees every call.
+The only part of scipy the package imports is ``solve_ivp``
+(``scipy.integrate``), on the first non-autonomous flow: sampling,
+geometry, the catalog, every autonomous flow and spectrum and every
+quench limit run on numpy alone.  ``solve_ivp`` stays an attribute of this
+module that is scipy's own function: the module ``__getattr__`` imports
+it on its first lookup and binds it into the module.  Every call of
+``solve_ivp`` and of ``expm`` reads the name through the module, so a
+tracer or test that rebinds ``dynamics.solve_ivp`` or ``dynamics.expm``
+sees every call.  An L whose rates overflow gives non-finite maps and
+steps without a floating-point warning, which the trace and finiteness
+checks fail as ``StepFailure``.
 """
 
 from __future__ import annotations
@@ -107,16 +112,58 @@ _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """``solve_ivp`` and ``expm``, imported from scipy on first lookup and
+    """``solve_ivp``, imported from ``scipy.integrate`` on first lookup and
     bound into the module."""
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp as value
-    elif name == "expm":
-        from scipy.linalg import expm as value
-    else:
+    if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+    from scipy.integrate import solve_ivp
+
+    globals()[name] = solve_ivp
+    return solve_ivp
+
+
+# the [13/13] Pade coefficients of exp, divided by the first so that exp(0) = I
+# exactly, and the 1-norm they serve unscaled (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005), Table 2.3)
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640,
+    1323241920, 40840800, 960960, 16380, 182, 1,
+))
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix, by the [13/13] Pade approximant with scaling
+    and squaring: a is scaled by the least power of two 2^-s that brings its
+    1-norm to at most theta_13, which is exact, and the approximant is
+    squared s times.  A matrix with a non-finite entry, or whose 1-norm
+    overflows, gives an all-NaN matrix, and so does a square that overflows,
+    without a warning: the callers' trace and finiteness checks fail such
+    maps typed."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):  # a NaN or inf entry, or a 1-norm past the float range
+        return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
+    mantissa, s = math.frexp(norm / _THETA13)  # norm / theta_13 = mantissa * 2^s
+    s = max(0, s - (mantissa == 0.5))  # the least s with norm / 2^s <= theta_13
+    a = a * math.ldexp(1.0, -s)  # 2^-s is a float for every s a finite norm gives
+    b = _PADE13
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    if not np.isfinite(r).all():
+        r[...] = np.nan
+    return r
 
 
 def _read_only(m):
@@ -206,16 +253,17 @@ class Generator:
     @cached_property
     def spectrum(self) -> tuple:
         """The one eigendecomposition of an autonomous generator's constant L,
-        made on first use: read-only (Lambda, W, V, V^-1) with L V = V diag(Lambda)
-        and W^H L = diag(Lambda) W^H; V^-1 is None when cond(V) exceeds
-        SPECTRAL_COND_MAX (or is NaN)."""
+        made on first use: read-only (Lambda, V, V^-1) with L V = V diag(Lambda);
+        V^-1 is None when cond(V) exceeds SPECTRAL_COND_MAX (or is NaN).  An L
+        with a non-finite entry (its rates overflow) is a StepFailure."""
         if not self.autonomous:
             raise ValueError("generator is not autonomous")
-        import scipy.linalg  # on first use: only an autonomous spectrum needs it
-
-        values, left, right = scipy.linalg.eig(liouvillian_matrix(self), left=True, right=True)
+        lmat = liouvillian_matrix(self)
+        if not np.isfinite(lmat).all():
+            raise StepFailure("Liouvillian has a non-finite entry")
+        values, right = np.linalg.eig(lmat)
         inverse = np.linalg.inv(right) if np.linalg.cond(right) <= SPECTRAL_COND_MAX else None
-        return tuple(map(_read_only, (values, left, right, inverse)))
+        return tuple(map(_read_only, (values, right, inverse)))
 
 
 def _same_rate(a, b) -> bool:
@@ -225,6 +273,7 @@ def _same_rate(a, b) -> bool:
 
 
 _EYE = np.eye(D)
+_IDENTITY = _read_only(np.eye(D * D, dtype=complex))
 
 
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
@@ -393,16 +442,18 @@ def _pauli_liouvillian(g: Generator):
 def liouvillian_matrix(g: Generator, t: float = 0.0) -> np.ndarray:
     """Column-stacking superoperator matrix of the generator at time t,
     a fresh writable array summed from the generator's compiled pieces:
-    L_H(t) plus r(t) D_r for each distinct rate r that is nonzero at t."""
+    L_H(t) plus r(t) D_r for each distinct rate r that is nonzero at t.
+    A sum that overflows leaves non-finite entries, without a warning."""
     if g.hamiltonian_part is None:
         lmat = _hamiltonian_superop(g.ham(t))
     else:
         lmat = g.hamiltonian_part.copy()
-    for rate, dr in zip(g.rates, g.dissipators):
-        gam = rate(t)
-        if gam == 0.0:
-            continue
-        lmat += gam * dr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rate, dr in zip(g.rates, g.dissipators):
+            gam = rate(t)
+            if gam == 0.0:
+                continue
+            lmat += gam * dr
     return lmat
 
 
@@ -457,8 +508,9 @@ class Trajectory:
 
     def state_at(self, t: float) -> QState:
         """The state at any time t in [0, times[-1]]: ``initial`` mapped
-        through the source's Phi(t) and repaired like the grid states."""
-        y = self.source.at(t) @ vec(self.initial.matrix)
+        by the source's Phi(t) (``PropagatorSource.apply``) and repaired like
+        the grid states."""
+        y = self.source.apply(t, vec(self.initial.matrix)[:, None])[:, 0]
         return QState(_repair_states(unvec(y)[None])[0])
 
     @cached_property
@@ -534,12 +586,12 @@ def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     Hermitian operators Hermitian, such as the identity -- from times[0] to
     every time in ``times``, by exp steps if g is autonomous, else by one
     RK45 solve: the (len(times), *y0.shape) stack whose entry k is
-    y(times[k]), and the solve's step interpolants (t -> y(t)) if
-    ``dense``, else None.
+    y(times[k]), and the solve's step interpolants if ``dense``, else None.
 
     The RK45 solve runs in the Pauli basis, on real data: it carries
     ``_to_pauli(y0)`` under B^H L(t) B (``_pauli_liouvillian``), and the
-    grid values and interpolants are brought back by ``_from_pauli``."""
+    grid values are brought back by ``_from_pauli``; the interpolants stay
+    in the basis, t -> the real z(t) with y(t) = ``_from_pauli(z(t))``."""
     if times.size == 1 or g.autonomous:
         return _exp_steps(liouvillian_matrix(g), y0, times), None
     lmat = _pauli_liouvillian(g)
@@ -561,18 +613,21 @@ def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     if not dense:
         return ys, None
     interpolant = sol.sol
-    return ys, lambda t: _from_pauli(interpolant(t).reshape(z0.shape), maps)
+    return ys, lambda t: interpolant(t).reshape(z0.shape)
 
 
 def _exp_steps(lmat: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Carry y0 from times[0] over ``times`` by exp(L dt) steps; a step equal
-    to the previous one within STEP_RTOL reuses its exponential."""
+    to the previous one within STEP_RTOL reuses its exponential.  A non-finite
+    L gives NaN steps (see ``expm``)."""
     ys = np.empty((times.size, *y0.shape), dtype=complex)
     ys[0] = y0
     step, dt_step = None, 0.0
     for k, dt in enumerate(np.diff(times), start=1):
         if step is None or abs(dt - dt_step) > STEP_RTOL * dt_step:
-            step, dt_step = _module.expm(lmat * dt), dt
+            with np.errstate(invalid="ignore"):  # inf * dt is NaN in a complex product
+                ldt = lmat * dt
+            step, dt_step = expm(ldt), dt
         np.matmul(step, ys[k - 1], out=ys[k])
     return ys
 
@@ -591,35 +646,44 @@ class PropagatorSource:
     solver options, from one flow of the identity.
 
     ``maps`` is the read-only (T, 16, 16) stack of Phi at the grid times
-    ``times``; ``at(t)`` gives Phi at any t in [0, times[-1]].  Between
-    grid times a non-autonomous source evaluates the step interpolants of
-    the RK45 solve that gave ``maps``, and an autonomous one returns
-    V e^{Lambda t} V^-1 from its generator's ``spectrum``, or, when V^-1
-    is None, exp(L (t - t_i)) Phi(t_i) from the nearest earlier grid time
-    t_i.  The grid maps themselves always come from the flow.
+    ``times``; ``apply(t, y)`` maps vectorized operators by Phi at any t in
+    [0, times[-1]], and ``at(t)`` is Phi(t) itself, the identity mapped.
+    Between grid times a non-autonomous source evaluates the Pauli-basis
+    step interpolant Z(t) of the RK45 solve that gave ``maps``, as
+    B (Z(t) (B^H y)), and an autonomous one takes V (e^{Lambda t} (V^-1 y))
+    from its generator's ``spectrum``, or, when V^-1 is None,
+    exp(L (t - t_i)) (Phi(t_i) y) from the nearest earlier grid time t_i.
+    The grid maps themselves always come from the flow.
     """
 
     def __init__(self, g: Generator, times: np.ndarray, opts: SolverOptions):
         self.generator = g
         self.times = times = _read_only(np.array(times))
         self.opts = opts
-        maps, self._dense = _flow(g, np.eye(D * D, dtype=complex), times, opts, dense=True)
+        maps, self._dense = _flow(g, _IDENTITY, times, opts, dense=True)
         self.maps = _trace_preserving(maps)
 
-    def at(self, t: float) -> np.ndarray:
-        """Phi(t) for t in [0, times[-1]]; the grid map itself at a grid time."""
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Phi(t) @ y for t in [0, times[-1]] and a (16, k) block y of
+        vectorized operators; the grid map's product at a grid time."""
         times = self.times
         if not 0.0 <= t <= times[-1]:
             raise ValueError(f"t={t!r} outside the source's span [0, {times[-1]!r}]")
         i = int(np.searchsorted(times, t, side="right")) - 1
         if t == times[i]:
-            return self.maps[i]
+            return self.maps[i] @ y
         if self._dense is not None:
-            return self._dense(t)
-        values, _, right, inverse = self.generator.spectrum
+            b, bh, _ = _pauli_basis()
+            return b @ (self._dense(t) @ (bh @ y))
+        values, right, inverse = self.generator.spectrum
         if inverse is not None:
-            return (right * np.exp(values * t)) @ inverse
-        return _module.expm(liouvillian_matrix(self.generator) * (t - times[i])) @ self.maps[i]
+            return right @ (np.exp(values * t)[:, None] * (inverse @ y))
+        return expm(liouvillian_matrix(self.generator) * (t - times[i])) @ (self.maps[i] @ y)
+
+    def at(self, t: float) -> np.ndarray:
+        """Phi(t) for t in [0, times[-1]]: ``apply`` to the identity, so the
+        grid map's values at a grid time."""
+        return self.apply(t, _IDENTITY)
 
 
 # Not kept on the Generator: an RK45 solve puts it in a reference cycle, so a dead
@@ -668,7 +732,7 @@ def propagator_matrices(
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
     the identity."""
-    return _trace_preserving(_flow(g, np.eye(D * D, dtype=complex), _check_grid(t_grid), opts)[0])
+    return _trace_preserving(_flow(g, _IDENTITY, _check_grid(t_grid), opts)[0])
 
 
 def propagator_matrix(

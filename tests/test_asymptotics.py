@@ -27,6 +27,7 @@ from entfate.dynamics import (
 from entfate.errors import (
     BadParams,
     Inconclusive,
+    NoTraceOneElement,
     NotConverged,
     OscillatoryAsymptotics,
     StepFailure,
@@ -40,6 +41,7 @@ from entfate.operators import (
     two_qubit_paulis,
 )
 from entfate.states import hilbert_schmidt_state, transpose_b
+import test_dynamics
 
 
 def random_state(seed):
@@ -61,6 +63,38 @@ class TestStationarySetAutonomous:
             ef.stationary_set_autonomous(g, tol=np.nan)
         assert str(got.value) == "tol must be positive and finite, got nan"
         assert "spectrum" not in vars(g)  # no eigendecomposition was made
+
+    @pytest.mark.parametrize("make", [
+        *(lambda c=c: ef.catalog_generator(c) for c in (1, 2, 3, 5)),
+        *(lambda seed=seed: test_dynamics.random_generator(seed) for seed in (0, 3, 11, 17)),
+        test_dynamics.TestSpectralMaps.exceptional_point,
+    ], ids=["class1", "class2", "class3", "class5", "random0", "random3", "random11",
+            "random17", "exceptional-point"])
+    def test_projector_matches_scipys_left_vectors(self, make):
+        # the reference biorthogonalizes the kernels of one scipy eig with left vectors
+        g = make()
+        w, vl, vr = scipy.linalg.eig(liouvillian_matrix(g), left=True, right=True)
+        kernel = np.abs(w) <= 1e-9
+        vk, wk = vr[:, kernel], vl[:, kernel]
+        want = vk @ np.linalg.inv(wk.conj().T @ vk) @ wk.conj().T
+        aset = ef.stationary_set_autonomous(g)
+        assert aset.diagnostics["kernel_dim"] == int(kernel.sum())
+        assert np.max(np.abs(aset.map_matrix - want)) <= 1e-14
+
+    def test_unequal_left_and_right_kernels_are_no_trace_one_element(self, monkeypatch):
+        g = ef.catalog_generator(5)  # a kernel of dimension 4
+        g.spectrum  # so the one eig below is that of L^H
+        numpy_eig = np.linalg.eig
+
+        def one_left_vector_short(m):
+            values, vectors = numpy_eig(m)
+            values[np.flatnonzero(np.abs(values) <= 1e-9)[0]] = -1.0
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", one_left_vector_short)
+        with pytest.raises(NoTraceOneElement, match="left kernel of dimension 3, right "
+                                                    "kernel of dimension 4"):
+            ef.stationary_set_autonomous(g)
 
     def test_depolarizing_unique_maximally_mixed(self):
         aset = ef.stationary_set_autonomous(ef.catalog_generator(1))
@@ -422,11 +456,16 @@ class TestQuenchLimit:
 
     def test_overflowing_limit_is_a_step_failure(self, monkeypatch):
         # amplitude damping at rate 1/400 decays too slowly for exp(F1 D) to be
-        # its limit (D exp(F1 D) is 1.8e-3), so exp(a tau D) is taken,
-        # and it overflows; catalog class 6 at c = 1e300 now reaches its limit
+        # its limit (D exp(F1 D) is 1.8e-3), so exp(a tau D) is taken; it
+        # overflowed under the expm it replaced, and now reaches the closed form
         no_flow(monkeypatch)
         g = make_generator(jumps=[(0.05 * np.kron(SMINUS, EYE2), ExponentialRate(1e300))])
-        with pytest.raises(StepFailure, match="trace-preservation residual nan"):
+        aset = ef.asymptotic_set(g)
+        assert aset.cardinality == "many"
+        assert np.max(np.abs(aset.map_matrix - test_dynamics.first_qubit_reset_map())) <= 1e-15
+        # a Liouvillian that itself overflows is the failure, with no warning
+        g = make_generator(jumps=[(10.0 * np.kron(SMINUS, EYE2), 1e308)])
+        with pytest.raises(StepFailure, match="Liouvillian has a non-finite entry"):
             ef.asymptotic_set(g)
 
     @pytest.mark.parametrize("c", [1e9, 1e10, 1e12, 1e300])

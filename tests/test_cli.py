@@ -871,21 +871,18 @@ class TestExitCodes:
         assert not (out / "summary.json").exists()
 
     def test_classify_solver_error_exits_3_with_its_record(self, tmp_path, capsys):
-        # the limit exp(a tau D) of this quench overflows (see
+        # this L overflows, so it has no spectrum (see
         # test_overflowing_limit_is_a_step_failure)
         from entfate.operators import EYE2, SMINUS
 
-        jump = {
-            "operator": pairs(0.05 * np.kron(SMINUS, EYE2)),
-            "rate": {"kind": "exponential", "amplitude": 1e300},
-        }
+        jump = {"operator": pairs(10.0 * np.kron(SMINUS, EYE2)), "rate": 1e308}
         cfg = write_config(tmp_path / "c.json", {"generator": {"explicit": {"jumps": [jump]}}})
         assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 3
         payload = json.loads((tmp_path / "classification.json").read_text())
         assert payload["error"] == "StepFailure"
-        assert payload["reason"].startswith("trace-preservation residual nan")
+        assert payload["reason"] == "Liouvillian has a non-finite entry"
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("StepFailure: trace-preservation residual")
+        assert err == ["StepFailure: Liouvillian has a non-finite entry"]
 
 
 class TestFates:

@@ -31,12 +31,14 @@ from entfate.dynamics import (
     _pauli_liouvillian,
     _repair_states,
     _to_pauli,
+    _trace_preserving,
     apply_map,
     liouvillian_matrix,
     make_generator,
     unvec,
     vec,
 )
+from entfate.dynamics import expm as dynamics_expm
 from entfate.errors import PositivityLost, StepFailure
 from entfate.operators import EYE2, SMINUS, SX, SY, SZ, two_qubit_paulis
 
@@ -52,6 +54,14 @@ def random_generator(seed, n_jumps=2):
         l = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         jumps.append((0.5 * l, ConstantRate(rng.uniform(0.2, 1.0))))
     return make_generator((2, 2), hamiltonian=h, jumps=jumps)
+
+
+def first_qubit_reset_map():
+    """P with P vec(X) = vec(|0><0| ⊗ tr_1 X): the limit of amplitude damping
+    by σ−⊗I."""
+    basis = unvec(np.eye(16))  # the operators whose vecs are the unit vectors
+    reduced = np.einsum("nijik->njk", basis.reshape(16, 2, 2, 2, 2))
+    return vec(np.kron(np.diag([1.0, 0.0]), reduced)).T
 
 
 def kron_dissipator(lk):
@@ -748,10 +758,18 @@ class TestOneFlow:
         assert len(calls) == before + 2
 
     def test_non_finite_maps_raise(self):
-        # maps this large overflow to NaN, and a NaN residual used to pass the check
-        g = make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        # this L overflows to inf, its steps are NaN, and a NaN residual used to
+        # pass the check; no floating-point warning is raised on the way
+        g = make_generator(jumps=[(10.0 * np.kron(SMINUS, EYE2), 1e308)])
+        assert not np.isfinite(liouvillian_matrix(g)).all()
         with pytest.raises(StepFailure, match="residual nan"):
             ef.propagator_matrices(g, np.linspace(0.0, 5.0, 21))
+
+    def test_maps_at_a_rate_near_the_float_maximum_reach_their_limit(self):
+        # these maps overflowed to NaN under the expm they replaced
+        g = make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        phis = ef.propagator_matrices(g, np.linspace(0.0, 5.0, 21))
+        assert np.max(np.abs(phis[1:] - first_qubit_reset_map())) <= 1e-15
 
     def test_propagator_matrices_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -1125,7 +1143,7 @@ class TestSpectralMaps:
         for t in np.random.default_rng(class_id).uniform(0.0, 30.0, 25):
             assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
         assert calls == []
-        _, _, v, v_inv = g.spectrum
+        _, v, v_inv = g.spectrum
         assert v_inv is not None and np.linalg.cond(v) == pytest.approx(cond, abs=0.01)
 
     def test_near_defective_generator_falls_back_to_expm(self, monkeypatch):
@@ -1139,7 +1157,7 @@ class TestSpectralMaps:
         ts = np.random.default_rng(0).uniform(0.0, 30.0, 25)
         for t in ts:
             assert np.max(np.abs(source.at(t) - expm(lmat * t))) <= 1e-13
-        assert g.spectrum[3] is None and len(calls) == len(ts)  # no V^-1
+        assert g.spectrum[2] is None and len(calls) == len(ts)  # no V^-1
         assert np.linalg.cond(scipy.linalg.eig(lmat)[1]) > SPECTRAL_COND_MAX
 
     def test_stationary_set_of_a_near_defective_generator_is_the_long_time_map(self):
@@ -1149,25 +1167,121 @@ class TestSpectralMaps:
         assert np.max(np.abs(p_inf - expm(liouvillian_matrix(g, 0.0) * 400.0))) <= 1e-12
 
     def test_one_eig_serves_the_stationary_set_and_the_off_grid_maps(self, monkeypatch):
+        # the spectrum's one eig of L, and one eig of L^H per stationary set
+        g = random_generator(11)
+        lmat = liouvillian_matrix(g, 0.0)
         calls = []
         scipy_eig, numpy_eig = scipy.linalg.eig, np.linalg.eig
+
+        def counting(m, *a, **k):
+            calls.append("L" if np.array_equal(m, lmat) else
+                         "L^H" if np.array_equal(m, lmat.conj().T) else "other")
+            return numpy_eig(m, *a, **k)
+
         monkeypatch.setattr(scipy.linalg, "eig",
                             lambda *a, **k: calls.append("scipy") or scipy_eig(*a, **k))
-        monkeypatch.setattr(np.linalg, "eig",
-                            lambda *a, **k: calls.append("numpy") or numpy_eig(*a, **k))
-        g = random_generator(11)
+        monkeypatch.setattr(np.linalg, "eig", counting)
         ef.stationary_set_autonomous(g)
         source = PropagatorSource(g, self.GRID, DEFAULT_OPTS)
         for t in (0.3, 7.7, 29.9):
             source.at(t)
+            source.apply(t, vec(random_state(3).matrix)[:, None])
         ef.stationary_set_autonomous(g)
-        assert calls == ["scipy"]
+        assert calls == ["L", "L^H", "L^H"]
 
     def test_spectrum_is_read_only_and_autonomous_only(self):
         spectrum = ef.catalog_generator(2).spectrum
+        assert len(spectrum) == 3
         assert not any(m.flags.writeable for m in spectrum)
         with pytest.raises(ValueError, match="not autonomous"):
             ef.catalog_generator(6).spectrum
+
+    def test_an_overflowing_liouvillian_has_no_spectrum(self):
+        g = make_generator(jumps=[(10.0 * np.kron(SMINUS, EYE2), 1e308)])
+        with pytest.raises(StepFailure, match="Liouvillian has a non-finite entry"):
+            g.spectrum
+
+    @pytest.mark.parametrize("make", [
+        lambda: ef.catalog_generator(2),
+        lambda: random_generator(5),
+        lambda: TestSpectralMaps.exceptional_point(),
+        lambda: ef.catalog_generator(6),
+    ], ids=["spectral", "random", "near-defective", "rk45"])
+    def test_one_off_grid_path_maps_states_and_the_identity(self, make):
+        # at(t) is apply(t, I); state_at maps its one vector on the same path
+        g = make()
+        traj = ef.propagate(g, random_state(2), self.GRID[:13])
+        source = traj.source
+        y = vec(traj.initial.matrix)
+        for t in (0.37, 2.5, 8.9):
+            phi = source.at(t)
+            assert np.array_equal(phi, source.apply(t, np.eye(16, dtype=complex)))
+            assert np.max(np.abs(source.apply(t, y[:, None])[:, 0] - phi @ y)) <= 1e-14
+            assert np.max(np.abs(traj.state_at(t).matrix - unvec(phi @ y))) <= 1e-14
+        for k in (0, 5, 12):  # a grid time: the grid map's own values
+            assert np.array_equal(source.at(self.GRID[k]), source.maps[k])
+
+    def test_rk45_interpolant_stays_in_the_pauli_basis(self):
+        source = ef.propagate(ef.catalog_generator(6), random_state(2), self.GRID[:13]).source
+        z = source._dense(1.3)
+        assert z.shape == (16, 16) and z.dtype == float
+        assert np.max(np.abs(_from_pauli(z, True) - source.at(1.3))) <= 1e-15
+
+
+class TestExpm:
+    """``dynamics.expm``, a [13/13] Pade approximant with scaling and
+    squaring in numpy, against scipy's, which stays the reference here."""
+
+    @staticmethod
+    def assert_matches_scipy(a):
+        got, want = dynamics_expm(a), expm(a)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.array_equal(got == 0, want == 0)  # the same exact zeros
+
+    @pytest.mark.parametrize("dt", [0.06, 0.075, 1.0, 30.0])
+    @pytest.mark.parametrize("class_id", range(1, 7))
+    def test_catalog_liouvillians(self, class_id, dt):
+        self.assert_matches_scipy(liouvillian_matrix(ef.catalog_generator(class_id)) * dt)
+
+    @pytest.mark.parametrize("integral", [1.0, 10.0, 128.0])
+    @pytest.mark.parametrize("class_id", [4, 6])
+    def test_quench_dissipators(self, class_id, integral):
+        (dissipator,) = ef.catalog_generator(class_id).dissipators
+        self.assert_matches_scipy(integral * dissipator)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_generators(self, seed):
+        lmat = liouvillian_matrix(random_generator(seed))
+        for dt in (0.06, 1.0, 30.0):
+            self.assert_matches_scipy(lmat * dt)
+
+    def test_exceptional_point(self):
+        lmat = liouvillian_matrix(TestSpectralMaps.exceptional_point())
+        for dt in (0.06, 1.0, 30.0):
+            self.assert_matches_scipy(lmat * dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_argument_gives_a_nan_map(self, bad):
+        a = liouvillian_matrix(ef.catalog_generator(2)).copy()
+        a[3, 5] = bad
+        got = dynamics_expm(a)
+        assert got.shape == a.shape and np.isnan(got).all()
+        with pytest.raises(StepFailure, match="trace-preservation residual nan"):
+            _trace_preserving(got[None])
+
+    def test_one_norm_near_the_float_maximum(self):
+        # 2^-s is taken exactly, with no OverflowError from 2.0 ** s at s >= 1024;
+        # a decay this fast leaves its limit, and exp(0) = 1 survives every square
+        big = np.finfo(float).max
+        for x in (1e300, 1e307, big / 4, big):
+            got = dynamics_expm(np.diag([-x, 0.0, 0.0]).astype(complex))
+            assert np.array_equal(got, np.diag([0.0, 1.0, 1.0]))
+        # a 1-norm past the float range is a NaN map
+        assert np.isnan(dynamics_expm(np.array([[-big, 0.0], [big, 0.0]]))).all()
+
+    def test_zero_and_identity(self):
+        assert np.array_equal(dynamics_expm(np.zeros((16, 16), dtype=complex)), np.eye(16))
+        assert np.max(np.abs(dynamics_expm(np.eye(4)) - np.e * np.eye(4))) <= 1e-15
 
 
 class TestStackedTrajectory:

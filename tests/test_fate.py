@@ -480,12 +480,19 @@ class TestFateStatistics:
         assert len(calls) == 4  # a failed flow is not kept
 
     def test_non_finite_maps_fail_every_sample_typed(self):
-        # these maps overflow to NaN; the run ended in numpy's LinAlgError
-        g = ef.make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        # this L overflows, so its maps are NaN; such a run ended in numpy's LinAlgError
+        g = ef.make_generator(jumps=[(10.0 * np.kron(SMINUS, EYE2), 1e308)])
         spec = ef.EnsembleSpec("haar_pure", seed=0)
         stats, records = ef.fate_statistics(g, spec, n=3, horizon=5.0, grid_points=21)
         assert stats.failure_reasons == {"StepFailure": 3}
         assert all(r.startswith("StepFailure: trace-preservation residual nan") for r in records)
+        # at rate 1e305, whose maps overflowed under the expm they replaced, each
+        # state reaches |0><0| ⊗ tr_1 rho0 in one step, on the separable boundary
+        g = ef.make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])
+        stats, records = ef.fate_statistics(g, spec, n=3, horizon=5.0, grid_points=21)
+        assert stats.failure_reasons == {}
+        assert [r.fate_tag for r in records] == ["asymptotic_death"] * 3
+        assert all(abs(r.final_margin) <= 1e-12 for r in records)
 
     def test_n_must_be_positive(self):
         g = ef.catalog_generator(1)

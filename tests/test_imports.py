@@ -5,6 +5,7 @@ its code in a new ``sys.executable -c`` process and reads back the
 modules that process has loaded.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,49 +46,39 @@ print(json.dumps(loaded("scipy") + loaded("concurrent.futures.process")))
     assert (tmp_path / "catalog_class_6.json").exists()
 
 
-def test_autonomous_fate_loads_scipy_linalg_only():
-    found = run_fresh("""
-import entfate as ef
-spec = ef.EnsembleSpec("fixed_concurrence_pure", seed=4, target_concurrence=0.6)
-ef.detect_fate(ef.catalog_generator(2), ef.sample(spec), horizon=10.0, grid_points=50)
-ef.fate_statistics(ef.catalog_generator(2), spec, n=2, horizon=10.0, grid_points=50, workers=1)
-print(json.dumps({"linalg": "scipy.linalg" in sys.modules, "integrate": loaded("scipy.integrate"),
-                  "pool": loaded("concurrent.futures.process")}))
-""")
-    assert found == {"linalg": True, "integrate": [], "pool": []}
-
-
-def test_autonomous_classify_loads_scipy_linalg_only(tmp_path):
-    config = tmp_path / "class_2.json"
-    config.write_text(json.dumps({"generator": {"catalog": {"class_id": 2, "params": {}}}}))
-    found = run_fresh(f"""
-import entfate.cli
-assert entfate.cli.main(["classify", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}]) == 0
-print(json.dumps({{"linalg": "scipy.linalg" in sys.modules,
-                  "integrate": loaded("scipy.integrate")}}))
-""")
-    assert found == {"linalg": True, "integrate": []}
-    assert json.loads((tmp_path / "classification.json").read_text())["class_id"] == 2
-
-
-def test_quench_classify_loads_scipy_linalg_only(tmp_path):
-    # a quench's set is its exact limit exp(a tau D), with no flow
-    configs = []
-    for class_id in (4, 6):
+def test_classify_and_autonomous_flows_load_no_scipy(tmp_path):
+    # the six catalog classes (Liouvillian kernels, quench limits), then an
+    # autonomous fates run and a simulate of Phi+, which ends entangled under
+    # damping and so reads its limit: exp steps, off-grid maps and the kernel
+    runs = []
+    for class_id in range(1, 7):
         config = tmp_path / f"class_{class_id}.json"
         config.write_text(json.dumps({"generator": {"catalog": {"class_id": class_id}}}))
-        configs.append((str(config), str(tmp_path / f"out_{class_id}")))
+        runs.append(["classify", "--config", str(config), "--out", str(tmp_path / f"c{class_id}")])
+    flows = {
+        "fates": {"ensemble": {"kind": "fixed_concurrence_pure", "seed": 4,
+                               "target_concurrence": 0.6},
+                  "run": {"horizon": 10.0, "grid_points": 50, "n_samples": 4}},
+        "simulate": {"initial_state": {"matrix": [[[0.5 * (i % 3 == 0 and j % 3 == 0), 0.0]
+                                                   for j in range(4)] for i in range(4)]},
+                     "run": {"horizon": 10.0, "grid_points": 50}},
+    }
+    for command, payload in flows.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({"generator": {"catalog": {"class_id": 2}}, **payload}))
+        runs.append([command, "--config", str(config), "--out", str(tmp_path / command)])
     found = run_fresh(f"""
 import entfate.cli
-for config, out in {configs!r}:
-    assert entfate.cli.main(["classify", "--config", config, "--out", out]) == 0
-print(json.dumps({{"linalg": "scipy.linalg" in sys.modules,
-                  "integrate": loaded("scipy.integrate")}}))
+codes = [entfate.cli.main(args) for args in {runs!r}]
+print(json.dumps({{"codes": codes, "scipy": loaded("scipy"),
+                  "pool": loaded("concurrent.futures.process")}}))
 """)
-    assert found == {"linalg": True, "integrate": []}
-    for class_id in (4, 6):
-        out = tmp_path / f"out_{class_id}" / "classification.json"
+    assert found == {"codes": [0] * 8, "scipy": [], "pool": []}
+    for class_id in range(1, 7):
+        out = tmp_path / f"c{class_id}" / "classification.json"
         assert json.loads(out.read_text())["class_id"] == class_id
+    assert (tmp_path / "fates" / "fates.csv").exists()
+    assert (tmp_path / "simulate" / "summary.json").exists()
 
 
 def test_nonautonomous_fate_loads_scipy_integrate():
@@ -101,11 +92,14 @@ print(json.dumps("scipy.integrate" in sys.modules))
 
 
 def test_scipy_names_are_module_attributes_bound_on_first_access():
+    # solve_ivp is the one lazy name; expm is the module's own numpy function
     found = run_fresh("""
 import entfate.dynamics as dyn
-before = sorted(name for name in ("solve_ivp", "expm") if name in vars(dyn))
-solve_ivp, expm = dyn.solve_ivp, dyn.expm
-import scipy.integrate, scipy.linalg
+before = "solve_ivp" in vars(dyn)
+expm = dyn.expm
+after_expm = loaded("scipy")
+solve_ivp = dyn.solve_ivp
+import scipy.integrate
 try:
     dyn.no_such_name
     unknown = None
@@ -113,17 +107,41 @@ except AttributeError as exc:
     unknown = str(exc)
 print(json.dumps({
     "before": before,
+    "expm": expm.__module__ == "entfate.dynamics" and vars(dyn)["expm"] is expm,
+    "after_expm": after_expm,
     "solve_ivp": solve_ivp is scipy.integrate.solve_ivp and vars(dyn)["solve_ivp"] is solve_ivp,
-    "expm": expm is scipy.linalg.expm and vars(dyn)["expm"] is expm,
     "unknown": unknown,
 }))
 """)
     assert found == {
-        "before": [],
-        "solve_ivp": True,
+        "before": False,
         "expm": True,
+        "after_expm": [],
+        "solve_ivp": True,
         "unknown": "module 'entfate.dynamics' has no attribute 'no_such_name'",
     }
+
+
+def test_the_one_scipy_import_is_solve_ivp_inside_the_dynamics_getattr():
+    found = []
+
+    def visit(node, path, where):
+        """Record every scipy import below node, with the function it sits in."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [(alias.name, None) for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [(child.module or "", alias.name) for alias in child.names]
+            else:
+                names = []
+            found.extend((path.name, where, module, name) for module, name in names
+                         if module.split(".")[0] == "scipy")
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if function else where)
+
+    for path in sorted(Path(SRC, "entfate").rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "module")
+    assert found == [("dynamics.py", "__getattr__", "scipy.integrate", "solve_ivp")]
 
 
 def test_pool_workers_import_scipy_themselves():
