@@ -213,11 +213,13 @@ def _quench_limit_set(g: Generator, tol: float) -> AsymptoticSet:
     grows with a·τ."""
     ((rate,), (dissipator,)) = g.rates, g.dissipators
     integral = rate.amplitude * rate.tau
-    p_inf = dynamics.expm(min(integral, QUENCH_LIMIT_F1) * dissipator)
-    # D·E above the round-off of a 16-term product: E is not yet the limit
-    roundoff = 16 * np.finfo(float).eps * np.max(np.abs(dissipator))
-    if integral > QUENCH_LIMIT_F1 and np.max(np.abs(dissipator @ p_inf)) > roundoff:
-        p_inf = dynamics.expm(integral * dissipator)
+    # an infinite a·τ makes inf·0 = NaN entries, which the trace check fails typed
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_inf = dynamics.expm(min(integral, QUENCH_LIMIT_F1) * dissipator)
+        # D·E above the round-off of a 16-term product: E is not yet the limit
+        roundoff = 16 * np.finfo(float).eps * np.max(np.abs(dissipator))
+        if integral > QUENCH_LIMIT_F1 and np.max(np.abs(dissipator @ p_inf)) > roundoff:
+            p_inf = dynamics.expm(integral * dissipator)
     p_inf = _trace_preserving(p_inf[None])[0]
     traceless = _traceless_residual(p_inf)
     diagnostics = {"rate_integral": integral, "traceless_residual": traceless}

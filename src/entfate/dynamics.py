@@ -28,22 +28,22 @@ channel-by-channel sum only where channels share a nonzero rate.
 ``make_generator`` spot-checks each distinct rate once.
 
 Every state, trajectory and propagator comes from one flow, ``_flow``,
-the one place that picks how to carry a vectorized operator, or a block
-of them as columns, from the first of a list of times to each later one:
-exp(L dt) steps for an autonomous generator, one per run of steps equal
-to within round-off (``_exp_steps``), each from ``expm``, a [13/13] Pade
-approximant with scaling and squaring in numpy; else one
-adaptive Runge-Kutta solve of order 5 with an order-4 error estimate
-(Dormand-Prince), sampled at the times.  The solve runs in the orthonormal
-Pauli basis B = [vec(P_k)/2], where every Lindblad superoperator is a real
-16 x 16 matrix: it carries the real B^H Phi B (a state as B^H vec rho)
-under B^H L(t) B, whose constant pieces are conjugated once per flow and
-whose Hamiltonian part, when H is callable, is summed from H(t)'s 16 Pauli
-coefficients; its grid values and step interpolants are turned back into
-column-stacking maps and states where the flow returns them.
-``propagator_matrices`` flows the identity to give the maps Phi(t) at
-every time of a grid, and ``evolve_state`` flows one state between two
-times.
+which carries the identity from the first of a list of times to each
+later one, giving the maps Phi(t) there, and which is the one place that
+picks how: exp(L dt) steps for an autonomous generator, one per run of
+steps equal to within round-off (``_exp_steps``), each from ``expm``, a
+[13/13] Pade approximant with scaling and squaring in numpy, projected
+back onto the trace-preserving maps; else one adaptive Runge-Kutta solve
+of order 5 with an order-4 error estimate (Dormand-Prince), sampled at
+the times.  The solve runs in the orthonormal Pauli basis B = [vec(P_k)/2],
+where every Lindblad superoperator is a real 16 x 16 matrix: it carries
+the real B^H Phi B, from the identity, under B^H L(t) B, whose constant
+pieces are conjugated once per flow and whose Hamiltonian part, when H is
+callable, is summed from H(t)'s 16 Pauli coefficients; its grid values
+are turned back into column-stacking maps.  A state is only ever a map
+applied to its start: ``propagator_matrices`` returns the maps of a grid,
+``propagate`` maps a start by those of its grid, and ``evolve_state`` by
+the last map of a flow of its own between two times.
 
 An autonomous generator's ``spectrum`` is the one eigendecomposition of
 its constant L, from one ``np.linalg.eig`` on first use: eigenvalues
@@ -66,8 +66,8 @@ A trajectory is one read-only (T, 4, 4) stack of density matrices with the
 source that made it; ``state_at`` gives its state at any time of its span
 through that source.  ``vec``/``unvec`` act on whole stacks.  Every
 propagated or mapped state passes through ``_repair_states`` (a stack of
-one from ``evolve_state`` and ``state_at``, of images from
-``apply_map``), which decides positivity per state by the certificate of
+one from ``state_at``, of ``map_operators`` images everywhere else),
+which decides positivity per state by the certificate of
 ``states``: a state with a finite Cholesky factor is a density matrix to
 working precision, so one stacked factorization certifies a whole stack
 without an eigensolve; a stack that fails it is eigendecomposed, and
@@ -374,24 +374,20 @@ def _pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(map(_read_only, (b, b.conj().T.copy(), np.concatenate([b.real, b.imag]))))
 
 
-def _to_pauli(y: np.ndarray, maps: bool) -> np.ndarray:
-    """y in the Pauli basis: B^H y B of a 16 x 16 map or a stack of them if
-    ``maps``, else B^H y of a vector or a stack of them; complex, with an
-    imaginary part of round-off size when y maps Hermitian operators to
-    Hermitian ones or is the vec of a Hermitian operator."""
+def _to_pauli(m: np.ndarray) -> np.ndarray:
+    """B^H m B of a 16 x 16 map or a stack of them: complex, with an
+    imaginary part of round-off size when m maps Hermitian operators to
+    Hermitian ones."""
     b, bh, _ = _pauli_basis()
-    return bh @ y @ b if maps else y @ b.conj()
+    return bh @ m @ b
 
 
-def _from_pauli(z: np.ndarray, maps: bool) -> np.ndarray:
-    """The inverse of ``_to_pauli`` on real data: B z B^H of a map or a stack
-    of them if ``maps``, else B z of a vector or a stack of them.  A map
-    takes two real products: m = [Re B; Im B] z [Re B; Im B]^T holds
+def _from_pauli(z: np.ndarray) -> np.ndarray:
+    """The inverse of ``_to_pauli`` on real data, B z B^H of a map or a stack
+    of them, in two real products: m = [Re B; Im B] z [Re B; Im B]^T holds
     Re B z Re B^T, Re B z Im B^T, Im B z Re B^T and Im B z Im B^T as its
     16 x 16 blocks."""
-    b, _, parts = _pauli_basis()
-    if not maps:
-        return z @ b.T
+    parts = _pauli_basis()[2]
     n = D * D
     m = parts @ z @ parts.T
     phi = np.empty(z.shape, dtype=complex)
@@ -407,7 +403,7 @@ def _pauli_hamiltonians() -> np.ndarray:
     is real, has B^H L_H B = c @ _pauli_hamiltonians(), reshaped."""
     halves = unvec(_pauli_basis()[0].T)  # P_k/2
     return _read_only(
-        np.array([_to_pauli(_hamiltonian_superop(p), True).real.ravel() for p in halves])
+        np.array([_to_pauli(_hamiltonian_superop(p)).real.ravel() for p in halves])
     )
 
 
@@ -425,8 +421,8 @@ def _pauli_liouvillian(g: Generator):
     left out; a callable H(t) is assembled by ``_pauli_hamiltonian``."""
     lh = g.hamiltonian_part
     driven = lh is None
-    lh = None if driven or not lh.any() else _to_pauli(lh, True).real
-    pieces = [(rate, _to_pauli(dr, True).real) for rate, dr in zip(g.rates, g.dissipators)]
+    lh = None if driven or not lh.any() else _to_pauli(lh).real
+    pieces = [(rate, _to_pauli(dr).real) for rate, dr in zip(g.rates, g.dissipators)]
 
     def at(t: float) -> np.ndarray:
         lmat = _pauli_hamiltonian(g.ham(t)) if driven else lh
@@ -580,27 +576,24 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
-          dense: bool = False):
-    """Carry y0 -- the vec of one Hermitian operator, or a map that keeps
-    Hermitian operators Hermitian, such as the identity -- from times[0] to
-    every time in ``times``, by exp steps if g is autonomous, else by one
-    RK45 solve: the (len(times), *y0.shape) stack whose entry k is
-    y(times[k]), and the solve's step interpolants if ``dense``, else None.
+def _flow(g: Generator, times: np.ndarray, opts: SolverOptions, dense: bool = False):
+    """The maps Phi(times[k], times[0]) of g, one (len(times), 16, 16) stack
+    from the identity, by exp steps if g is autonomous, else by one RK45
+    solve; and the solve's step interpolant if ``dense``, else None.
 
-    The RK45 solve runs in the Pauli basis, on real data: it carries
-    ``_to_pauli(y0)`` under B^H L(t) B (``_pauli_liouvillian``), and the
-    grid values are brought back by ``_from_pauli``; the interpolants stay
-    in the basis, t -> the real z(t) with y(t) = ``_from_pauli(z(t))``."""
+    The RK45 solve runs in the Pauli basis, on real data: it carries the
+    identity, which is the identity in every orthonormal basis, under
+    B^H L(t) B (``_pauli_liouvillian``), and the grid maps are brought back
+    by ``_from_pauli``; the interpolant stays in the basis, t -> the real
+    Z(t) with Phi(t) = ``_from_pauli(Z(t))``."""
     if times.size == 1 or g.autonomous:
-        return _exp_steps(liouvillian_matrix(g), y0, times), None
+        return _exp_steps(liouvillian_matrix(g), times), None
     lmat = _pauli_liouvillian(g)
-    maps = y0.ndim == 2
-    z0 = _to_pauli(y0, maps).real
+    n = D * D
     sol = _module.solve_ivp(
-        lambda t, z: (lmat(t) @ z.reshape(z0.shape)).ravel(),
+        lambda t, z: (lmat(t) @ z.reshape(n, n)).ravel(),
         (times[0], times[-1]),
-        z0.ravel(),
+        np.eye(n).ravel(),
         method="RK45",
         t_eval=times,
         dense_output=dense,
@@ -609,27 +602,31 @@ def _flow(g: Generator, y0: np.ndarray, times: np.ndarray, opts: SolverOptions,
     )
     if not sol.success:
         raise StepFailure(sol.message)
-    ys = _from_pauli(np.moveaxis(sol.y.reshape(*z0.shape, -1), -1, 0), maps)
+    phis = _from_pauli(np.moveaxis(sol.y.reshape(n, n, -1), -1, 0))
     if not dense:
-        return ys, None
+        return phis, None
     interpolant = sol.sol
-    return ys, lambda t: interpolant(t).reshape(z0.shape)
+    return phis, lambda t: interpolant(t).reshape(n, n)
 
 
-def _exp_steps(lmat: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Carry y0 from times[0] over ``times`` by exp(L dt) steps; a step equal
-    to the previous one within STEP_RTOL reuses its exponential.  A non-finite
-    L gives NaN steps (see ``expm``)."""
-    ys = np.empty((times.size, *y0.shape), dtype=complex)
-    ys[0] = y0
+def _exp_steps(lmat: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The maps from times[0] over ``times`` by exp(L dt) steps; a step equal
+    to the previous one within STEP_RTOL reuses its exponential.  A new step
+    S is projected onto the trace-preserving maps, S + vec(I)/4 (vec(I)^H -
+    vec(I)^H S), as vec(I)^H is a left fixed vector of every exp(L dt), so a
+    stiff L keeps its trace.  A non-finite L gives NaN steps (see ``expm``)."""
+    phis = np.empty((times.size, D * D, D * D), dtype=complex)
+    phis[0] = _IDENTITY
+    tr = vec(_EYE)
     step, dt_step = None, 0.0
     for k, dt in enumerate(np.diff(times), start=1):
         if step is None or abs(dt - dt_step) > STEP_RTOL * dt_step:
-            with np.errstate(invalid="ignore"):  # inf * dt is NaN in a complex product
-                ldt = lmat * dt
-            step, dt_step = expm(ldt), dt
-        np.matmul(step, ys[k - 1], out=ys[k])
-    return ys
+            # inf * dt is NaN in a complex product, and a NaN step stays NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                step, dt_step = expm(lmat * dt), dt
+                step += np.outer(tr / D, tr - tr @ step)
+        np.matmul(step, phis[k - 1], out=phis[k])
+    return phis
 
 
 def _trace_preserving(phis: np.ndarray) -> np.ndarray:
@@ -660,7 +657,7 @@ class PropagatorSource:
         self.generator = g
         self.times = times = _read_only(np.array(times))
         self.opts = opts
-        maps, self._dense = _flow(g, _IDENTITY, times, opts, dense=True)
+        maps, self._dense = _flow(g, times, opts, dense=True)
         self.maps = _trace_preserving(maps)
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -703,8 +700,8 @@ def propagate(
     stacked call.  The trajectory keeps the grid's ``PropagatorSource``."""
     t = _check_grid(t_grid)
     source = _grid_source(g, t.tobytes(), opts)
-    ys = source.maps[1:] @ vec(rho0.matrix)
-    ms = _read_only(np.concatenate([rho0.matrix[None], _repair_states(unvec(ys))]))
+    ys = _repair_states(map_operators(source.maps[1:], rho0.matrix))
+    ms = _read_only(np.concatenate([rho0.matrix[None], ys]))
     return Trajectory(times=tuple(t.tolist()), matrices=ms, initial=rho0, source=source)
 
 
@@ -715,15 +712,15 @@ def evolve_state(
     t_to: float,
     opts: SolverOptions = DEFAULT_OPTS,
 ) -> QState:
-    """Integrate a single state from t_from to t_to in a flow of its own."""
+    """rho mapped by the last map of a flow of its own over [t_from, t_to]."""
     if not (math.isfinite(t_from) and math.isfinite(t_to)):
         raise ValueError("t_from and t_to must be finite")
     if t_to < t_from:
         raise ValueError("t_to must be >= t_from")
     if t_to == t_from:
         return rho
-    y = _flow(g, vec(rho.matrix), np.array([t_from, t_to]), opts)[0][-1]
-    return QState(_repair_states(unvec(y)[None])[0])
+    phi = _flow(g, np.array([t_from, t_to]), opts)[0][-1]
+    return QState(_repair_states(map_operators(phi, rho.matrix[None]))[0])
 
 
 def propagator_matrices(
@@ -732,7 +729,7 @@ def propagator_matrices(
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
     the identity."""
-    return _trace_preserving(_flow(g, _IDENTITY, _check_grid(t_grid), opts)[0])
+    return _trace_preserving(_flow(g, _check_grid(t_grid), opts)[0])
 
 
 def propagator_matrix(
@@ -745,8 +742,8 @@ def propagator_matrix(
 
 
 def map_operators(phi: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Map every operator of a (..., 4, 4) stack in one product, bit for bit
-    phi @ vec(ms[k]) each; the images are not repaired."""
+    """Map every operator of a (..., 4, 4) stack, or one by every map of a stack,
+    in one product, bit for bit phi @ vec(m) each; the images are not repaired."""
     return unvec((phi @ vec(ms)[..., None])[..., 0])
 
 

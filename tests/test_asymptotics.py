@@ -468,6 +468,16 @@ class TestQuenchLimit:
         with pytest.raises(StepFailure, match="Liouvillian has a non-finite entry"):
             ef.asymptotic_set(g)
 
+    def test_infinite_rate_integral_is_a_step_failure_without_a_warning(self, monkeypatch):
+        # a·τ = 1e308·1e10 is inf, and inf·D has NaN entries: once a
+        # RuntimeWarning ("invalid value encountered in multiply"), which the
+        # suite's warnings-as-errors turned into the failure
+        no_flow(monkeypatch)
+        rate = ExponentialRate(1e308, tau=1e10)
+        g = make_generator(jumps=[(0.05 * np.kron(SMINUS, EYE2), rate)])
+        with pytest.raises(StepFailure, match="trace-preservation residual nan"):
+            ef.asymptotic_set(g)
+
     @pytest.mark.parametrize("c", [1e9, 1e10, 1e12, 1e300])
     @pytest.mark.parametrize("class_id", [4, 6])
     def test_large_quench_limits_are_the_closed_forms(self, monkeypatch, class_id, c):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entfate as ef
+import test_dynamics
 from entfate import fate
 from entfate.errors import HorizonTooShort
 from entfate.fate import DEFAULT_FATE_TOL, DEFAULT_REFINE_TOL, wilson_interval
@@ -167,6 +168,23 @@ class TestDetectFate:
         assert rec.fate_tag == "revival"
         assert len(rec.revival_times) == 1
         assert abs(rec.revival_times[0] - revival) <= DEFAULT_REFINE_TOL
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: the scan misses a separable stretch inside one grid step",
+    )
+    def test_random_generator_revival_inside_one_grid_step(self):
+        # ROADMAP item 14's grid-independence case, criterion 6's generator
+        # with its jumps scaled by 0.25: at 400 points the state dies once,
+        # at 0.4330692; a 6,400-point grid also finds it separable for a
+        # moment inside one grid step and entangled again from 0.2465112
+        g = test_dynamics.random_generator(11, scale=0.25)
+        rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", ef.split_seed(11, 3)))
+        rec = ef.detect_fate(g, rho0, horizon=20.0, grid_points=400)
+        assert rec.fate_tag == "sudden_death"
+        assert abs(rec.death_time - 0.4330696) <= DEFAULT_REFINE_TOL
+        assert len(rec.revival_times) == 1
+        assert abs(rec.revival_times[0] - 0.2465112) <= DEFAULT_REFINE_TOL
 
 
 class TestMarginCurve:

@@ -158,3 +158,22 @@ print(json.dumps({"parent_scipy": parent_scipy, "same": pooled == serial,
                   "failures": [r for r in serial if isinstance(r, str)]}))
 """)
     assert found == {"parent_scipy": [], "same": True, "failures": []}
+
+
+def test_every_private_top_level_name_is_used_in_the_package():
+    # a dead helper is deleted: each top-level private function or class is
+    # read somewhere in the package besides inside its own definition
+    defined, used = {}, set()
+    for path in sorted(Path(SRC, "entfate").rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = None
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                own = node.name
+                defined[own] = path.name
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else own)
+                if name != own:
+                    used.add(name)
+    assert {name: where for name, where in defined.items() if name not in used} == {}
