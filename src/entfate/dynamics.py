@@ -577,9 +577,10 @@ def _check_grid(t_grid) -> np.ndarray:
 
 
 def _flow(g: Generator, times: np.ndarray, opts: SolverOptions, dense: bool = False):
-    """The maps Phi(times[k], times[0]) of g, one (len(times), 16, 16) stack
-    from the identity, by exp steps if g is autonomous, else by one RK45
-    solve; and the solve's step interpolant if ``dense``, else None.
+    """The maps Phi(times[k], times[0]) of g, one read-only (len(times), 16,
+    16) stack from the identity, by exp steps if g is autonomous, else by
+    one RK45 solve, checked to preserve the trace (``_trace_preserving``);
+    and the solve's step interpolant if ``dense``, else None.
 
     The RK45 solve runs in the Pauli basis, on real data: it carries the
     identity, which is the identity in every orthonormal basis, under
@@ -587,7 +588,7 @@ def _flow(g: Generator, times: np.ndarray, opts: SolverOptions, dense: bool = Fa
     by ``_from_pauli``; the interpolant stays in the basis, t -> the real
     Z(t) with Phi(t) = ``_from_pauli(Z(t))``."""
     if times.size == 1 or g.autonomous:
-        return _exp_steps(liouvillian_matrix(g), times), None
+        return _trace_preserving(_exp_steps(liouvillian_matrix(g), times)), None
     lmat = _pauli_liouvillian(g)
     n = D * D
     sol = _module.solve_ivp(
@@ -602,7 +603,7 @@ def _flow(g: Generator, times: np.ndarray, opts: SolverOptions, dense: bool = Fa
     )
     if not sol.success:
         raise StepFailure(sol.message)
-    phis = _from_pauli(np.moveaxis(sol.y.reshape(n, n, -1), -1, 0))
+    phis = _trace_preserving(_from_pauli(np.moveaxis(sol.y.reshape(n, n, -1), -1, 0)))
     if not dense:
         return phis, None
     interpolant = sol.sol
@@ -657,8 +658,7 @@ class PropagatorSource:
         self.generator = g
         self.times = times = _read_only(np.array(times))
         self.opts = opts
-        maps, self._dense = _flow(g, times, opts, dense=True)
-        self.maps = _trace_preserving(maps)
+        self.maps, self._dense = _flow(g, times, opts, dense=True)
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """Phi(t) @ y for t in [0, times[-1]] and a (16, k) block y of
@@ -729,7 +729,7 @@ def propagator_matrices(
     """The linear maps Phi(t) on vectorized operators at every time of a
     grid starting at 0, as one read-only (T, 16, 16) stack from one flow of
     the identity."""
-    return _trace_preserving(_flow(g, _check_grid(t_grid), opts)[0])
+    return _flow(g, _check_grid(t_grid), opts)[0]
 
 
 def propagator_matrix(

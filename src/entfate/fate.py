@@ -6,12 +6,13 @@ definite sign events (from below -tol to above +tol or back), which
 alternate in direction.  Both scans read a grid margin only for its band
 (below -tol, above +tol, or within 10 tol of zero).  So a grid state is
 not eigensolved when Weyl's inequality places it: the partial transpose
-keeps the Frobenius norm, so |m_k - m_T| <= ||rho_k - rho_T||_F for the
-final margin m_T, and a state this places beyond 10 tol on m_T's side,
-with both its neighbors placed so too, enters the scans as that bound, in
-the same band and with the same slope signs.  The margins read as values,
-the ends of refined brackets, are exact by construction: each end has an
-undecided or opposite-side neighbor, so it is not a bound.
+keeps the Frobenius norm, so |m_k - m∞| <= ||rho_k - rho∞||_F for the
+trajectory's limit rho∞ = P∞ρ₀ and its margin m∞, and a state this places
+beyond 10 tol on m∞'s side, with both its neighbors placed so too, enters
+the scans as that bound, in the same band and with the same slope signs.
+The margins read as values, the ends of refined brackets, are exact by
+construction: each end has an undecided or opposite-side neighbor, so it
+is not a bound.
 Three times are read from the events, each refined by ITP bracketing
 (regula falsi steps held within bisection's worst case plus one step) from
 the known margins at the bracket's ends, on the trajectory's off-grid
@@ -36,10 +37,12 @@ A trajectory is tagged by its final behavior:
 The limit of every trajectory is P∞ρ₀, its start mapped by the asymptotic
 set of its generator (``asymptotics.asymptotic_set`` at the library
 defaults, kept, or its error kept, for the last generator, so an ensemble
-run builds one); m∞ is its margin, read only for a trajectory that ends
-entangled.  When m_T is still more than 0.1 |m∞| from m∞, or m∞ is
-separable, the run raises HorizonTooShort rather than guessing; a generator
-with no asymptotic set raises that set's own error.
+run builds one); m∞ is its margin, read for every trajectory before any
+grid state is eigensolved, so a generator with no asymptotic set fails
+every trajectory with that set's own error.  The run raises
+HorizonTooShort rather than guessing when the final margin m_T and m∞
+disagree: m_T entangled but more than 0.1 |m∞| from m∞, or m∞ separable;
+or m_T at or above -tol while m∞ lies below -10 tol.
 """
 
 from __future__ import annotations
@@ -177,12 +180,13 @@ def _limit_set(g):
 
 
 def _limit_margin(traj):
-    """m∞, the margin of the trajectory's limit P∞ρ₀; its generator's
-    asymptotic set raises its own error when it has none."""
+    """The trajectory's limit rho∞ = P∞ρ₀, a (4, 4) matrix, and its margin m∞;
+    its generator's asymptotic set raises its own error when it has none."""
     aset = _limit_set(traj.generator)
     if isinstance(aset, EntfateError):
         raise aset.with_traceback(None)  # this raise's frames only, not earlier samples'
-    return float(min_pt_eigenvalues(map_operators(aset.map_matrix, traj.initial.matrix[None]))[0])
+    limit = map_operators(aset.map_matrix, traj.initial.matrix[None])
+    return limit[0], float(min_pt_eigenvalues(limit)[0])
 
 
 def detect_fate(
@@ -206,34 +210,30 @@ def fate_grid(horizon: float, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, horizon, check_whole("grid_points", grid_points, 2) + 1)
 
 
-def _grid_margins(traj, tol):
-    """The grid margins that the scans read.
+def _grid_margins(traj, tol, limit, m_limit):
+    """The grid margins that the scans read, anchored at the limit rho∞, m∞.
 
-    The final state's margin m_T is eigensolved first.  An earlier state k
-    with ||rho_k - rho_T||_F < |m_T| - 10 tol - _WEYL_GUARD is placed: its
-    margin lies beyond 10 tol on m_T's side (Weyl's inequality; the partial
-    transpose keeps the Frobenius norm).  A placed state whose two
-    neighbors are placed too is not eigensolved, and its margin is the
-    bound m_T -+ ||rho_k - rho_T||_F, in the same band.  So a state next to
-    one that is not placed is eigensolved, as every end of a sign change
-    is: its neighbor inside the change is undecided or on the other side.
-    Every other state is eigensolved, in one stack; when
-    |m_T| <= 10 tol + _WEYL_GUARD that is every state."""
+    A state k with ||rho_k - rho∞||_F < |m∞| - 10 tol - _WEYL_GUARD is
+    placed: its margin lies beyond 10 tol on m∞'s side (Weyl's inequality
+    holds for any Hermitian anchor; the partial transpose keeps the
+    Frobenius norm).  A placed state whose two neighbors are placed too is
+    not eigensolved, and its margin is the bound m∞ -+ ||rho_k - rho∞||_F,
+    in the same band; rho_0 and rho_T have one neighbor, so they are never
+    bounded.  So a state next to one that is not placed is eigensolved, as
+    every end of a sign change is: its neighbor inside the change is
+    undecided or on the other side.  Every other state is eigensolved, in
+    one stack; when |m∞| <= 10 tol + _WEYL_GUARD that is every state."""
     ms = traj.matrices
-    m_final = float(min_pt_eigenvalues(ms[-1:])[0])
     margins = np.empty(len(ms))
     bounded = np.zeros(len(ms), dtype=bool)
-    reach = abs(m_final) - 10.0 * tol - _WEYL_GUARD
+    reach = abs(m_limit) - 10.0 * tol - _WEYL_GUARD
     if reach > 0.0:
-        dist = np.linalg.norm(ms - ms[-1], axis=(1, 2))
+        dist = np.linalg.norm(ms - limit, axis=(1, 2))
         placed = dist < reach
-        placed[-1] = False
         bounded[1:-1] = placed[:-2] & placed[1:-1] & placed[2:]
-        margins[bounded] = m_final - np.copysign(dist[bounded], m_final)
-    exact = np.flatnonzero(~bounded[:-1])
-    if exact.size:
-        margins[exact] = min_pt_eigenvalues(ms[exact])
-    margins[-1] = m_final
+        margins[bounded] = m_limit - np.copysign(dist[bounded], m_limit)
+    exact = np.flatnonzero(~bounded)
+    margins[exact] = min_pt_eigenvalues(ms[exact])
     return margins
 
 
@@ -243,15 +243,16 @@ def fate_of_trajectory(
     """Tag the fate of a trajectory from its PT margins, with its birth
     time (first entry into entanglement, from a separable or an undecided
     start), death time (last exit, with no re-entry after it) and revival
-    times (each re-entry after a death), and, when it ends entangled, the
-    margin m∞ of its limit P∞ρ₀.  Crossings are refined by ITP
+    times (each re-entry after a death), against the margin m∞ of its limit
+    P∞ρ₀, which anchors the grid margins.  Crossings are refined by ITP
     from the known margins at the ends of their grid intervals, on its
     states between grid times, which its propagator source gives
     (``Trajectory.state_at``)."""
     check_positive("refine_tol", refine_tol)
     check_positive("tol", tol)
     times = np.asarray(traj.times)
-    margins = _grid_margins(traj, tol)
+    limit, m_limit = _limit_margin(traj)
+    margins = _grid_margins(traj, tol, limit, m_limit)
 
     # one subdivision pass through near-tangential intervals, ignoring
     # integrator noise around zero
@@ -282,16 +283,20 @@ def fate_of_trajectory(
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
 
     if final_margin < -tol:
-        limit = _limit_margin(traj)
-        if abs(limit) <= 10.0 * tol:
+        if abs(m_limit) <= 10.0 * tol:
             tag = "asymptotic_death"
-        elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
+        elif m_limit < -tol and abs(m_limit - final_margin) <= 0.1 * abs(m_limit):
             tag = "revival" if revival_times else "asymptotically_entangled"
         else:
             raise HorizonTooShort(
                 f"margin {final_margin:.3e} still trending at horizon "
-                f"(limit margin {limit:.3e})"
+                f"(limit margin {m_limit:.3e})"
             )
+    elif m_limit < -10.0 * tol:
+        raise HorizonTooShort(
+            f"margin {final_margin:.3e} not entangled at horizon "
+            f"(limit margin {m_limit:.3e})"
+        )
     elif first_ent is not None:
         tag = "sudden_death" if death_time is not None else "asymptotic_death"
     else:

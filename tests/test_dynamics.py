@@ -766,6 +766,18 @@ class TestOneFlow:
         with pytest.raises(StepFailure, match="residual nan"):
             ef.propagator_matrices(g, np.linspace(0.0, 5.0, 21))
 
+    def test_every_flow_checks_its_maps(self):
+        # evolve_state mapped its state by the NaN map unchecked, and failed
+        # later, at the state's own finiteness check
+        g = make_generator(jumps=[(10.0 * np.kron(SMINUS, EYE2), 1e308)])
+        message = "trace-preservation residual nan > 1e-8"
+        with pytest.raises(StepFailure, match=message):
+            ef.propagator_matrix(g, 1.0)
+        with pytest.raises(StepFailure, match=message):
+            ef.evolve_state(g, ef.max_entangled(), 0.0, 1.0)
+        with pytest.raises(StepFailure, match=message):
+            ef.propagate(g, ef.max_entangled(), [0.0, 1.0])
+
     def test_maps_at_a_rate_near_the_float_maximum_reach_their_limit(self):
         # these maps overflowed to NaN under the expm they replaced
         g = make_generator(jumps=[(np.kron(SMINUS, EYE2), 1e305)])

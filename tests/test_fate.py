@@ -104,6 +104,24 @@ class TestDetectFate:
         with pytest.raises(HorizonTooShort, match=r"\(limit margin 2\.500e-01\)"):
             ef.fate_of_trajectory(traj)
 
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            (0.05, "margin 2.134e-01 not entangled at horizon (limit margin -5.000e-01)"),
+            (0.2, "margin 1.140e-01 not entangled at horizon (limit margin -5.000e-01)"),
+            (0.5, "margin -4.510e-02 still trending at horizon (limit margin -5.000e-01)"),
+        ],
+    )
+    def test_separable_at_the_horizon_with_an_entangled_limit_is_horizon_too_short(
+        self, horizon, message
+    ):
+        # class 3 drives every state to Phi+, margin -1/2; from I/4 the margin
+        # falls from 1/4, so a horizon before the birth was tagged never_entangled
+        g = ef.catalog_generator(3)
+        with pytest.raises(HorizonTooShort) as got:
+            ef.detect_fate(g, ef.new_state(np.eye(4) / 4.0), horizon=horizon)
+        assert str(got.value) == message
+
     @pytest.mark.parametrize("grid_points", [2.5, 1, 0, -3, True, float("nan"), "40", None])
     def test_grid_points_must_be_a_whole_number_of_at_least_two(self, grid_points):
         g = ef.catalog_generator(1)
@@ -420,26 +438,39 @@ class TestFateStatistics:
         spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=5)
         opts = ef.SolverOptions(rtol=1e-7, atol=1e-10)
         stats, records = ef.fate_statistics(g, spec, n=12, horizon=12.0, grid_points=200, opts=opts)
-        # every member of class 6's set is entangled, so every sample reads its limit
-        assert stats.failures == 0 and all(rec.final_margin < -TOL for rec in records)
+        # every sample reads its limit, from the one set
+        assert stats.failures == 0
         assert len(builds) == 1 and builds[0][0] is g
 
     def test_samples_without_a_limit_fail_typed(self):
         # a Hamiltonian flow's margin oscillates forever: its Liouvillian has
-        # peripheral eigenvalues, so no asymptotic set, and a sample entangled
-        # at the horizon has no limit to tag it by
+        # peripheral eigenvalues, so no asymptotic set and no limit to tag a
+        # sample by.  The 4 samples separable at the horizon were tagged
+        # sudden_death from the scan, yet each is entangled again after it,
+        # first at t = 10.08, 10.16, 10.25 and 12.53
         g = ef.make_generator(hamiltonian=np.kron(SX, SX) + 0.3 * np.kron(SZ, EYE2))
         spec = ef.EnsembleSpec("hilbert_schmidt_mixed", seed=1)
         stats, records = ef.fate_statistics(g, spec, n=20, horizon=10.0)
-        assert stats.failure_reasons == {"OscillatoryAsymptotics": 16}
-        assert stats.counts["asymptotically_entangled"] == stats.counts["revival"] == 0
-        assert stats.counts["sudden_death"] == 4
-        for i, rec in enumerate(records):
+        assert stats.failure_reasons == {"OscillatoryAsymptotics": 20}
+        assert sum(stats.counts.values()) == 0
+        assert all(r.startswith("OscillatoryAsymptotics: non-kernel peripheral") for r in records)
+        separable = []
+        for i in range(20):
             rho0 = ef.sample(ef.EnsembleSpec("hilbert_schmidt_mixed", seed=ef.split_seed(1, i)))
             traj = ef.propagate(g, rho0, fate.fate_grid(10.0, fate.DEFAULT_GRID_POINTS))
-            entangled = traj.margins[-1] < -TOL
-            assert isinstance(rec, str) == entangled
-            assert not entangled or rec.startswith("OscillatoryAsymptotics: non-kernel peripheral")
+            if traj.margins[-1] >= -TOL:
+                separable.append(i)
+                later = ef.propagate(g, rho0, fate.fate_grid(13.0, 1300))
+                assert later.margins[1001:].min() < -TOL
+        assert len(separable) == 4
+
+    def test_a_generator_without_a_set_fails_before_any_grid_eigensolve(self, monkeypatch):
+        g = ef.make_generator(hamiltonian=np.kron(SX, SX) + 0.3 * np.kron(SZ, EYE2))
+        traj = ef.propagate(g, ef.max_entangled(), fate.fate_grid(10.0, 40))
+        sizes = count_eigensolved(monkeypatch)
+        with pytest.raises(ef.OscillatoryAsymptotics):
+            ef.fate_of_trajectory(traj)
+        assert sizes == []
 
     def test_a_missing_set_fails_once_per_run(self, monkeypatch):
         # dephasing quenched at two rates is not a single-rate quench, and its
@@ -461,9 +492,8 @@ class TestFateStatistics:
         ])
         spec = ef.EnsembleSpec("haar_pure", seed=4)
         stats, records = ef.fate_statistics(g, spec, n=6, horizon=10.0)
-        assert stats.counts["sudden_death"] == 1
-        assert stats.failure_reasons == {"NotConverged": 5}
-        assert len(builds) == 1  # one build for the five samples that read the limit
+        assert stats.failure_reasons == {"NotConverged": 6}
+        assert len(builds) == 1  # one build for the six samples, each reading the limit
         # each raise of the kept error carries its own frames, not the build's
         # nor an earlier sample's
         traj = ef.propagate(g, ef.basis_state(0, 0), fate.fate_grid(1.0, 4))
@@ -779,6 +809,7 @@ class TestRefinement:
 def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
     """The scan that eigensolved every grid state: ``fate_of_trajectory``
     reading ``traj.margins``."""
+    _, limit = fate._limit_margin(traj)
     times = np.asarray(traj.times)
     margins = np.asarray(traj.margins)
     split = fate._near_tangential(margins, tol, 100.0 * traj.opts.atol)
@@ -804,7 +835,6 @@ def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
         death_time = refine(events[-1])
     revival_times = tuple(refine(e) for e in events[1:] if e[0] < 0)
     if final_margin < -tol:
-        limit = fate._limit_margin(traj)
         if abs(limit) <= 10.0 * tol:
             tag = "asymptotic_death"
         elif limit < -tol and abs(limit - final_margin) <= 0.1 * abs(limit):
@@ -814,6 +844,10 @@ def oracle_fate(traj, refine_tol=DEFAULT_REFINE_TOL, tol=DEFAULT_FATE_TOL):
                 f"margin {final_margin:.3e} still trending at horizon "
                 f"(limit margin {limit:.3e})"
             )
+    elif limit < -10.0 * tol:
+        raise HorizonTooShort(
+            f"margin {final_margin:.3e} not entangled at horizon (limit margin {limit:.3e})"
+        )
     elif first_ent is not None:
         tag = "sudden_death" if death_time is not None else "asymptotic_death"
     else:
@@ -885,39 +919,34 @@ def count_eigensolved(monkeypatch):
 
 def bound_mask(monkeypatch, traj):
     """The grid states that ``_grid_margins`` gives a bound rather than an
-    eigenvalue: it runs with every stack after the final state's read as
-    NaN.  (A bound may equal the state's eigenvalue to the last bit, as on
-    class 5's dephased tail, so comparing values would miss it.)"""
-    solve, calls = fate.min_pt_eigenvalues, []
-
-    def probe(matrices):
-        calls.append(len(matrices))
-        return solve(matrices) if len(calls) == 1 else np.full(len(matrices), np.nan)
-
+    eigenvalue: it runs, at the trajectory's limit, with every eigensolved
+    stack read as NaN.  (A bound may equal the state's eigenvalue to the
+    last bit, as on class 5's dephased tail, so comparing values would miss
+    it.)"""
+    anchor = fate._limit_margin(traj)
     with monkeypatch.context() as patch:
-        patch.setattr(fate, "min_pt_eigenvalues", probe)
-        bounded = ~np.isnan(fate._grid_margins(traj, TOL))
-    bounded[-1] = False
-    return bounded
+        patch.setattr(fate, "min_pt_eigenvalues", lambda ms: np.full(len(ms), np.nan))
+        return ~np.isnan(fate._grid_margins(traj, TOL, *anchor))
 
 
 class TestCertifiedMargins:
     """Grid states that Weyl's bound places beyond 10 tol skip the eigensolve."""
 
-    def test_certified_states_lie_beyond_ten_tol_on_the_final_side(self, monkeypatch,
-                                                                   workload_trajectories):
+    def test_certified_states_lie_beyond_ten_tol_on_the_limits_side(self, monkeypatch,
+                                                                    workload_trajectories):
         covered = {}
         for class_id, _, traj in workload_trajectories:
-            margins, exact = fate._grid_margins(traj, TOL), traj.margins
+            anchor = fate._limit_margin(traj)
+            margins, exact = fate._grid_margins(traj, TOL, *anchor), traj.margins
             bounded = bound_mask(monkeypatch, traj)
-            side = np.sign(exact[-1])
+            side = np.sign(anchor[1])
             assert np.all(side * exact[bounded] > 10.0 * TOL)
-            # a stand-in is the Weyl bound, between m_T's side of 10 tol and the margin
+            # a stand-in is the Weyl bound, between m∞'s side of 10 tol and the margin
             assert np.all(side * margins[bounded] > 10.0 * TOL)
             assert np.all(side * margins[bounded] <= side * exact[bounded] + 1e-15)
             assert np.array_equal(margins[~bounded], exact[~bounded])
             covered.setdefault(class_id, []).append(bounded.mean())
-        # class 2 ends on the boundary of S, where nothing is certified
+        # class 2's limit lies on the boundary of S, where nothing is certified
         assert max(covered[2]) == 0.0
         assert all(np.mean(covered[k]) > 0.9 for k in (1, 3, 4, 5, 6))
 
@@ -928,19 +957,20 @@ class TestCertifiedMargins:
         for _, _, traj in workload_trajectories:
             bounded, exact = bound_mask(monkeypatch, traj), traj.margins
             assert not bounded[0] and not bounded[-1]
-            inner, side = np.flatnonzero(bounded), np.sign(exact[-1])
+            inner, side = np.flatnonzero(bounded), np.sign(fate._limit_margin(traj)[1])
             for k in (inner - 1, inner, inner + 1):
                 assert np.all(side * exact[k] > 10.0 * TOL)
 
     def test_sign_changes_next_to_placed_states_read_exact_ends(self, monkeypatch):
-        # margin 0.2 but for a dip to -0.2 at t = 5: the Weyl bound places the
-        # states of margin above about 0.027, so those at t = 4.4 and 5.6, which
-        # end the birth's and the death's brackets beside the undecided states
-        # at t = 4.5 and 5.5, are placed with a placed state on one side only
+        # margin 0.2 but for a dip to -0.2 at t = 5, and its limit is its last
+        # state: the Weyl bound places the states of margin above about 0.027,
+        # so those at t = 4.4 and 5.6, which end the birth's and the death's
+        # brackets beside the undecided states at t = 4.5 and 5.5, are placed
+        # with a placed state on one side only
         traj = WernerTrajectory(lambda t: 0.2 - 0.4 * max(0.0, 1.0 - abs(t - 5.0)),
                                 np.linspace(0.0, 10.0, 101))
         bounded = bound_mask(monkeypatch, traj)
-        assert bounded[1:44].all() and bounded[57:-2].all()
+        assert bounded[1:44].all() and bounded[57:-1].all()
         assert not bounded[44:57].any()
         got = ef.fate_of_trajectory(traj)
         assert got == oracle_fate(traj) and got.fate_tag == "sudden_death"
@@ -959,9 +989,9 @@ class TestCertifiedMargins:
         got = ef.fate_of_trajectory(traj)
         assert got == oracle_fate(traj)
         assert got.fate_tag == ("sudden_death" if sign > 0 else "asymptotically_entangled")
-        # the flat tail, t >= 5, is certified only outside the band, but for its
-        # first state and the one before the final state
-        assert sizes[:2] == ([1, 52] if certified else [1, 100])
+        # the limit, its last state, then one stack: the flat tail, t >= 5, is
+        # certified only outside the band, but for its first and final states
+        assert sizes[:2] == ([1, 52] if certified else [1, 101])
 
     @pytest.mark.parametrize(
         "class_id, rho0, horizon, tag",
@@ -996,12 +1026,11 @@ class TestCertifiedMargins:
         assert got == outcome(oracle_fate, traj)
         assert got[0] is HorizonTooShort and message in got[1]
 
-    def test_quench_chunk_eigensolves_four_grid_states_and_the_limit(self, monkeypatch):
-        # fates_quench chunk 0 at seed 3: the final state, the two states
-        # nearest t = 0 that the bound does not place, the states next to
-        # them and to the final state, which it places with one neighbor
-        # it does not, then the limit P∞ρ₀, since each trajectory ends
-        # entangled
+    def test_quench_chunk_eigensolves_the_limit_and_four_grid_states(self, monkeypatch):
+        # fates_quench chunk 0 at seed 3: the limit P∞ρ₀, then one stack of
+        # the two states nearest t = 0 that the bound does not place, the
+        # state next to them, which it places with one neighbor it does not,
+        # and the final state, which is never bounded
         horizon, points, opts = WORKLOAD_GRIDS["quench"]
         g = ef.catalog_generator(6)
         sizes = count_eigensolved(monkeypatch)
@@ -1011,14 +1040,15 @@ class TestCertifiedMargins:
             sizes.clear()
             ef.detect_fate(g, ef.sample(spec), horizon, points, opts=opts)
             per_trajectory.append(list(sizes))
-        assert per_trajectory == [[1, 4, 1]] * 8
+        assert per_trajectory == [[1, 4]] * 8
 
     def test_damping_trajectory_eigensolves_every_grid_state(self, monkeypatch):
         horizon, points, opts = WORKLOAD_GRIDS["damping"]
         spec = ef.EnsembleSpec("fixed_concurrence_pure", ef.split_seed(ef.split_seed(3, 0), 0), 0.6)
         sizes = count_eigensolved(monkeypatch)
         rec = ef.detect_fate(ef.catalog_generator(2), ef.sample(spec), horizon, points, opts=opts)
-        assert sizes == [1, 400] and sum(sizes) == points + 1
+        # the limit, on the boundary of S, places nothing: one stack of every grid state
+        assert sizes == [1, points + 1]
         assert abs(rec.final_margin) <= 10.0 * TOL + fate._WEYL_GUARD
 
 
@@ -1047,5 +1077,22 @@ class TestLimitMargin:
     def test_closed_forms(self, class_id, starts, limit):
         g = ef.catalog_generator(class_id)
         for rho0 in starts:
-            got = fate._limit_margin(ef.propagate(g, rho0, [0.0]))
+            anchor, got = fate._limit_margin(ef.propagate(g, rho0, [0.0]))
             assert abs(got - limit(rho0)) <= 1e-12
+            # the anchor is Hermitian to round-off, far inside the Weyl guard
+            assert np.max(np.abs(anchor - anchor.conj().T)) <= 1e-15
+
+    def test_every_tag_lies_in_the_band_its_limit_allows(self, workload_trajectories):
+        # a tag that ends entangled needs m∞ below -10 tol, and every other
+        # tag needs m∞ at or above it; an entangled end tagged asymptotic_death
+        # needs m∞ within 10 tol of zero
+        tags = set()
+        for _, _, traj in workload_trajectories:
+            m_limit = fate._limit_margin(traj)[1]
+            rec = ef.fate_of_trajectory(traj)
+            tags.add(rec.fate_tag)
+            entangled = rec.fate_tag in ("asymptotically_entangled", "revival")
+            assert entangled == (m_limit < -10.0 * TOL)
+            if rec.fate_tag == "asymptotic_death" and rec.final_margin < -TOL:
+                assert abs(m_limit) <= 10.0 * TOL
+        assert tags == set(fate.FATE_TAGS)
